@@ -5,12 +5,8 @@ Usage: python scripts/dimension_table.py
 """
 
 from symtensor.characters import fix_dimension
-from symtensor.groups import resolve_group
+from symtensor.groups import GROUPS_2D, GROUPS_3D, resolve_group
 from symtensor.spaces import SPACES
-
-GROUPS_2D = ("trivial", "z2", "z3", "z4", "z6", "d2", "d3", "d4", "d6", "so2", "o2")
-GROUPS_3D = ("trivial", "z2", "z3", "z4", "z6", "d2", "d3", "d4", "d6",
-             "cubic", "so2-e3", "o2-e3", "so3")
 
 
 def main() -> None:

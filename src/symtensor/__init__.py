@@ -13,10 +13,8 @@ from .core import (DEFAULT_TOL, FlatOperator, FlatTensor, SnappedValue,
 from .groups import (GroupElement, QuadratureRule, SymmetryGroup, closure_check,
                      haar_rule, integrate, make_continuous_group,
                      make_finite_group, resolve_group)
-from .spaces import (SPACES, TensorSpace, membership_residual, space_dim,
-                     sym_identity, symmetrize)
-from .characters import (character_closed_form, character_direct, fix_dimension,
-                         trace_power_reduce)
+from .spaces import SPACES, TensorSpace, membership_residual, symmetrize
+from .characters import character_closed_form, character_direct, fix_dimension
 from .projector import (StructureEntry, StructureReport, averaged_projector,
                         extract_isotropic_moduli, isotropic_nine_matrix,
                         moduli_from_matrix, project, structure_report)

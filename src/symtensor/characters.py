@@ -1,25 +1,24 @@
 """Characters of the tensor-space actions and the trace formula.
 
 For a group element Q acting on an order-k space with symmetrization
-identity Pi, the character is chi(Q) = tr(kron_power(Q, k) . Pi).  For the
-catalog spaces chi also has a registered closed form: a polynomial in
-tr(Q) obtained by reducing traces of matrix powers through the
-Cayley-Hamilton identities (with a det-sign branch in 2D).  The dimension
-of the fixed-point subspace under a group is the normalized Haar average
-of the character.
+identity Pi, the character is chi(Q) = tr(kron_power(Q, k) . Pi).  Since Pi
+averages the index permutations of the space's group P, the character also
+follows from P's cycle index alone:
+
+    chi(Q) = (1/|P|) sum_{sigma in P} prod_{cycles c of sigma} tr(Q^|c|),
+
+with every power trace read off tr(Q) by the Chebyshev recurrence.  The
+dimension of the fixed-point subspace under a group is the normalized Haar
+average of the character.
 """
 
 from __future__ import annotations
-
-import logging
 
 import numpy as np
 
 from .core import kron_power
 from .groups import GroupElement, SymmetryGroup, integrate
 from .spaces import TensorSpace
-
-log = logging.getLogger(__name__)
 
 
 class QuadratureNotConvergedError(RuntimeError):
@@ -32,64 +31,34 @@ class QuadratureNotConvergedError(RuntimeError):
         )
 
 
-def trace_power_reduce(n: int, m: int, t: float, det_sign: int = 1) -> float:
-    """tr(Q^m) as a polynomial in t = tr(Q) via Cayley-Hamilton.
+def _check_ambient(space: TensorSpace, ambient: int) -> None:
+    if ambient != space.n:
+        raise ValueError(f"group over R^{ambient} cannot act on space {space.name} "
+                         f"over R^{space.n}")
 
-    For n = 3 only proper rotations (det +1) are supported:
-        tr Q^2 = t^2 - 2t
-        tr Q^3 = t^3 - 3t^2 + 3
-        tr Q^4 = t^4 - 4t^3 + 2t^2 + 4t
-    For n = 2 the sign branch follows det Q (upper sign for det +1):
-        tr Q^2 = t^2 -+ 2
-        tr Q^3 = t (t^2 -+ 3)
-        tr Q^4 = t^4 -+ 4 t^2 + 2
+
+def power_traces(q: GroupElement, top: int) -> list[float]:
+    """[tr Q, tr Q^2, ..., tr Q^top] from tr Q alone.
+
+    A proper rotation by theta has tr Q^m = (n - 2) + 2 T_m(cos theta),
+    with cos theta = (tr Q - n + 2) / 2 and T_m the Chebyshev polynomials.
+    A 2D reflection squares to I, so tr Q^m = 1 + (-1)^m.
     """
-    if m not in (2, 3, 4):
-        raise ValueError(f"power m must be 2, 3 or 4, got {m}")
-    if n == 3:
-        if det_sign != 1:
-            raise ValueError("3D trace-power reduction requires det +1")
-        if m == 2:
-            return t**2 - 2 * t
-        if m == 3:
-            return t**3 - 3 * t**2 + 3
-        return t**4 - 4 * t**3 + 2 * t**2 + 4 * t
-    if n == 2:
-        if det_sign not in (1, -1):
-            raise ValueError("det_sign must be +1 or -1")
-        s = float(det_sign)
-        if m == 2:
-            return t**2 - 2 * s
-        if m == 3:
-            return t * (t**2 - 3 * s)
-        return t**4 - 4 * s * t**2 + 2
-    raise ValueError(f"ambient dimension must be 2 or 3, got {n}")
-
-
-# Closed forms as polynomial coefficients in t = tr(Q), ascending order,
-# keyed by det sign (3D spaces only carry the +1 branch).
-CLOSED_FORMS: dict[str, dict[int, tuple]] = {
-    "sym2": {1: (-1.0, 0.0, 1.0), -1: (1.0, 0.0, 1.0)},
-    "sym3": {1: (0.0, -1.0, 1.0)},
-    "ela2": {1: (2.0, 0.0, -3.0, 0.0, 1.0), -1: (2.0, 0.0, 3.0, 0.0, 1.0)},
-    "ela3": {1: (0.0, 1.0, 2.0, -3.0, 1.0)},
-    "major3": {1: (0.0, 0.0, 2.0, -2.0, 1.0)},
-    "v1": {1: (0.0, 0.0, 0.0, 1.0, -2.0, 1.0)},
-    "v1bar": {1: (0.0, 0.0, 0.0, 1.0, -2.0, 1.0)},
-    "v2": {1: (0.0, 0.0, -2.0, -2.0, 6.0, -4.0, 1.0)},
-    "v2bar": {1: (0.0, 0.0, -2.0, -2.0, 6.0, -4.0, 1.0)},
-    "high2": {1: (-4.0, 0.0, 6.0, 0.0, -3.0, 0.0, 1.0),
-              -1: (4.0, 0.0, 6.0, 0.0, 3.0, 0.0, 1.0)},
-}
+    n = q.ambient
+    if n == 2 and q.det_sign < 0:
+        return [1.0 + (-1.0) ** m for m in range(1, top + 1)]
+    c = (float(q.matrix.trace()) - n + 2) / 2.0
+    prev, cur = 1.0, c
+    out = []
+    for _ in range(top):
+        out.append(n - 2 + 2.0 * cur)
+        prev, cur = cur, 2.0 * c * cur - prev
+    return out
 
 
 def character_direct(space: TensorSpace, q: GroupElement) -> float:
     """chi(Q) by direct contraction: trace of kron_power(Q, k) . Pi."""
-    if q.ambient != space.n:
-        raise ValueError(
-            f"group element over R^{q.ambient} cannot act on space {space.name} "
-            f"over R^{space.n}"
-        )
+    _check_ambient(space, q.ambient)
     action = kron_power(q.matrix, space.k).matrix
     pi = space.projector.matrix
     # tr(A @ Pi) without forming the product
@@ -97,26 +66,16 @@ def character_direct(space: TensorSpace, q: GroupElement) -> float:
 
 
 def character_closed_form(space: TensorSpace, q: GroupElement) -> float:
-    """chi(Q) as the registered polynomial in tr(Q).
-
-    In 2D the det-sign branch is selected from det(Q) at evaluation time.
-    Spaces without a registered closed form fall back to the direct
-    contraction (with a log notice).
-    """
-    branches = CLOSED_FORMS.get(space.name)
-    if branches is None:
-        log.info("no closed-form character registered for space %s; "
-                 "falling back to direct contraction", space.name)
-        return character_direct(space, q)
-    if q.ambient != space.n:
-        raise ValueError(f"ambient mismatch between {space.name} and group element")
-    sign = q.det_sign if space.n == 2 else 1
-    coeffs = branches[sign]
-    t = float(np.trace(q.matrix))
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
+    """chi(Q) from the cycle index of the space's permutation group."""
+    _check_ambient(space, q.ambient)
+    traces = power_traces(q, space.k)
+    total = 0.0
+    for cycles, count in space.cycle_index:
+        term = float(count)
+        for length in cycles:
+            term *= traces[length - 1]
+        total += term
+    return total / len(space.permutation_group)
 
 
 def fix_dimension(space: TensorSpace, group: SymmetryGroup, degree: int | None = None) -> int:
@@ -126,11 +85,7 @@ def fix_dimension(space: TensorSpace, group: SymmetryGroup, degree: int | None =
     default quadrature degree k + 2 leaves margin.  A Haar average further
     than 1e-6 from an integer raises ``QuadratureNotConvergedError``.
     """
-    if group.ambient != space.n:
-        raise ValueError(
-            f"group over R^{group.ambient} cannot act on space {space.name} "
-            f"over R^{space.n}"
-        )
+    _check_ambient(space, group.ambient)
     if degree is None:
         degree = space.k + 2
     value = integrate(group, lambda q: character_closed_form(space, q), degree)

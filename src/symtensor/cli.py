@@ -19,7 +19,7 @@ import numpy as np
 from . import spaces, voigt
 from .characters import QuadratureNotConvergedError, fix_dimension
 from .core import DEFAULT_TOL, FlatTensor, TolerancePolicy, kron_power
-from .groups import CATALOG_NAMES, resolve_group
+from .groups import GROUPS_2D, GROUPS_3D, resolve_group
 from .projector import (InternalConsistencyError, MembershipError,
                         NoVoigtMapError, extract_isotropic_moduli, project,
                         structure_report)
@@ -229,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--space", required=True,
                        help=f"space name: {', '.join(spaces.CATALOG_NAMES)}")
         p.add_argument("--group", required=True,
-                       help=f"group name: {', '.join(CATALOG_NAMES)}")
+                       help=f"group name; 2D spaces: {', '.join(GROUPS_2D)}; "
+                            f"3D spaces: {', '.join(GROUPS_3D)}")
         p.add_argument("--axis", help="rotation axis for 3D axis groups, e.g. '0,0,1'")
 
     p = sub.add_parser("dim", help="fixed-subspace dimension via the trace formula")

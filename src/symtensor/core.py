@@ -15,8 +15,6 @@ import math
 
 import numpy as np
 
-SUPPORTED_ORDERS = (2, 4, 5, 6)
-
 _SURD_TEXT = {1: "", 2: "√2", 3: "√3"}
 
 
@@ -170,7 +168,7 @@ def kron_power(q: np.ndarray, k: int) -> FlatOperator:
     NonOrthogonalError
         If ``Q^T Q`` deviates from the identity by more than 1e-12.
     ValueError
-        If the order is outside the supported set ``{2, 4, 5, 6}``.
+        If the order is below 1.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
@@ -178,8 +176,8 @@ def kron_power(q: np.ndarray, k: int) -> FlatOperator:
     res = orthogonality_residual(q)
     if res > 1e-12:
         raise NonOrthogonalError(res)
-    if k not in SUPPORTED_ORDERS:
-        raise ValueError(f"unsupported tensor order {k}; expected one of {SUPPORTED_ORDERS}")
+    if k < 1:
+        raise ValueError(f"tensor order must be at least 1, got {k}")
     out = q
     for _ in range(k - 1):
         out = np.kron(out, q)

@@ -28,6 +28,9 @@ CLOSURE_TOL = 1e-10
 
 FINITE_CATALOG_IDS = ("Zn_2D", "Dn_2D", "Zn_3D", "Dn_3D", "cubic_O", "trivial")
 CONTINUOUS_IDS = ("SO2_2D", "O2_2D", "SO2_e3", "O2_e3", "SO3")
+# catalog name of each continuous group
+_CONTINUOUS_NAMES = {"SO2_2D": "so2", "O2_2D": "o2", "SO2_e3": "so2-e3",
+                     "O2_e3": "o2-e3", "SO3": "so3"}
 
 # Coset representatives for the improper halves, fixed so output is
 # deterministic: a reflection in 2D, a rotation by pi about e1 in 3D.
@@ -289,9 +292,8 @@ def make_continuous_group(continuous_id: str, axis=None) -> SymmetryGroup:
         gens = (GroupElement(rotation_z(0.9), "rot(e3,0.9)"),
                 GroupElement(rotation_y(1.3), "rot(e2,1.3)"),
                 GroupElement(rotation_z(np.pi / 2).round(12) @ rotation_y(0.4), "mixed"))
-    name = {"SO2_2D": "so2", "O2_2D": "o2", "SO2_e3": "so2-e3",
-            "O2_e3": "o2-e3", "SO3": "so3"}[continuous_id]
-    return SymmetryGroup(ambient, name, "continuous", continuous_id=continuous_id,
+    return SymmetryGroup(ambient, _CONTINUOUS_NAMES[continuous_id], "continuous",
+                         continuous_id=continuous_id,
                          generators=gens, frame=frame)
 
 
@@ -406,8 +408,22 @@ def integrate(g: SymmetryGroup, f: Callable[[GroupElement], float],
 _FINITE_NAMES = {"z2": ("Zn", 2), "z3": ("Zn", 3), "z4": ("Zn", 4), "z6": ("Zn", 6),
                  "d2": ("Dn", 2), "d3": ("Dn", 3), "d4": ("Dn", 4), "d6": ("Dn", 6)}
 
-CATALOG_NAMES = ("trivial", "z2", "z3", "z4", "z6", "d2", "d3", "d4", "d6",
-                 "cubic", "so2", "o2", "so2-e3", "o2-e3", "so3")
+# catalog names per ambient dimension, in display order
+GROUPS_2D = ("trivial", *_FINITE_NAMES, "so2", "o2")
+GROUPS_3D = ("trivial", *_FINITE_NAMES, "cubic", "so2-e3", "o2-e3", "so3")
+CATALOG_NAMES = tuple(dict.fromkeys(GROUPS_2D + GROUPS_3D))
+
+
+def _catalog_key(name: str) -> str:
+    key = name.strip().lower()
+    if key not in CATALOG_NAMES:
+        raise KeyError(f"unknown group name {name!r}; known: {', '.join(CATALOG_NAMES)}")
+    return key
+
+
+def group_kind(name: str) -> str:
+    """``"finite"`` or ``"continuous"``, the kind of a catalog group, without building it."""
+    return "continuous" if _catalog_key(name) in _CONTINUOUS_NAMES.values() else "finite"
 
 
 def resolve_group(name: str, ambient: int, axis=None) -> SymmetryGroup:
@@ -417,31 +433,18 @@ def resolve_group(name: str, ambient: int, axis=None) -> SymmetryGroup:
     corresponding SO(3) embeddings (about ``axis``, default e3) for 3D
     spaces.
     """
-    key = name.strip().lower()
-    if key not in CATALOG_NAMES:
-        raise KeyError(f"unknown group name {name!r}; known: {', '.join(CATALOG_NAMES)}")
+    key = _catalog_key(name)
+    fitting = GROUPS_2D if ambient == 2 else GROUPS_3D
+    if key not in fitting:
+        raise KeyError(f"group {key!r} does not act on {ambient}D spaces; "
+                       f"groups for them: {', '.join(fitting)}")
     if key == "trivial":
         return make_finite_group("trivial", ambient=ambient)
     if key == "cubic":
-        if ambient != 3:
-            raise KeyError("group 'cubic' requires a 3D space")
         return make_finite_group("cubic_O")
     if key in _FINITE_NAMES:
         kind, order = _FINITE_NAMES[key]
         suffix = "_2D" if ambient == 2 else "_3D"
         return make_finite_group(kind + suffix, order_param=order, axis=axis, ambient=ambient)
-    if key in ("so2", "o2"):
-        if ambient != 2:
-            raise KeyError(f"group {key!r} is planar; use '{key}-e3' for 3D spaces")
-        return make_continuous_group("SO2_2D" if key == "so2" else "O2_2D")
-    if key == "so2-e3":
-        if ambient != 3:
-            raise KeyError("group 'so2-e3' requires a 3D space")
-        return make_continuous_group("SO2_e3", axis=axis)
-    if key == "o2-e3":
-        if ambient != 3:
-            raise KeyError("group 'o2-e3' requires a 3D space")
-        return make_continuous_group("O2_e3", axis=axis)
-    if ambient != 3:
-        raise KeyError("group 'so3' requires a 3D space")
-    return make_continuous_group("SO3")
+    continuous_id = next(c for c, n in _CONTINUOUS_NAMES.items() if n == key)
+    return make_continuous_group(continuous_id, axis=axis)

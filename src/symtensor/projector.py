@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, FlatOperator, FlatTensor, SnappedValue,
-                   TolerancePolicy, image_basis, rational_snap)
+from .core import (DEFAULT_TOL, FlatOperator, FlatTensor, TolerancePolicy,
+                   image_basis, rational_snap)
 from .characters import fix_dimension
 from .groups import SymmetryGroup, haar_rule
 from .spaces import TensorSpace, membership_residual
@@ -45,9 +45,10 @@ def _averaged_action(space: TensorSpace, group: SymmetryGroup,
                      degree: int | None = None) -> np.ndarray:
     """Weighted sum of k-fold Kronecker powers over the group nodes.
 
-    Built stage-wise: per-node Kronecker factors of half the order are
-    combined through one matrix product, which keeps the order-6 cases
-    (729 x 729 over thousands of quadrature nodes) fast.
+    Built stage-wise: per-node Kronecker factors of half the order (the
+    lower half is empty for k = 1) are combined through one matrix
+    product, which keeps the order-6 cases (729 x 729 over thousands of
+    quadrature nodes) fast.
     """
     k = space.k
     if degree is None:
@@ -64,12 +65,11 @@ def _averaged_action(space: TensorSpace, group: SymmetryGroup,
         out = np.einsum("mij,mab->miajb", a, b)
         return out.reshape(m, p * q, p * q)
 
-    stacks = {1: mats}
-    for size in (2, 3):
-        if k >= 2 * size - 1:
-            stacks[size] = kron_stack(stacks[size - 1], mats)
-    left = k // 2 if k != 5 else 2
+    left = k // 2
     right = k - left
+    stacks = {0: np.ones((m, 1, 1)), 1: mats}
+    for size in range(2, right + 1):
+        stacks[size] = kron_stack(stacks[size - 1], mats)
     a = stacks[left]
     b = stacks[right]
     p, q = a.shape[1], b.shape[1]
@@ -208,8 +208,32 @@ def _slot_label(row: int, col: int, wide: bool) -> str:
     return f"C{row + 1}{col + 1}"
 
 
-def _snap_or_raise(value: float, tol: TolerancePolicy) -> SnappedValue:
-    return rational_snap(value, tol)
+def _structure_maps(space: TensorSpace) -> tuple:
+    """The slot maps registered under the space's name, checked against the space.
+
+    Each displayed entry must read its tensor components from one orbit of
+    the space's permutation group; a square display also mirrors its upper
+    triangle, so entries (r, c) and (c, r) must share that orbit.
+    """
+    if space.name not in STRUCTURE_MAPS:
+        raise NoVoigtMapError(
+            f"no slot map registered for space {space.name!r}; "
+            f"renderable spaces: {', '.join(sorted(STRUCTURE_MAPS))}"
+        )
+    rows, cols = STRUCTURE_MAPS[space.name]
+    misfit = f"slot maps {rows.name} x {cols.name} do not fit space {space.name!r}"
+    if (rows.n, cols.n, rows.order + cols.order) != (space.n, space.n, space.k):
+        raise NoVoigtMapError(f"{misfit}: wrong ambient dimension or order")
+    for r in range(rows.length):
+        for c in range(cols.length):
+            cells = {(r, c), (c, r)} if rows.length == cols.length else {(r, c)}
+            comps = [ri + ci for a, b in cells
+                     for ri in rows.slots[a].pattern for ci in cols.slots[b].pattern]
+            orbit = {tuple(comps[0][p] for p in perm) for perm in space.permutation_group}
+            if not orbit.issuperset(comps):
+                raise NoVoigtMapError(f"{misfit}: entry ({r + 1},{c + 1}) reads "
+                                      "components from more than one orbit")
+    return rows, cols
 
 
 def structure_report(space: TensorSpace, group: SymmetryGroup,
@@ -224,12 +248,7 @@ def structure_report(space: TensorSpace, group: SymmetryGroup,
     symbol it involves (the display convention of naming the dependent
     slot with its own symbol).
     """
-    if space.name not in STRUCTURE_MAPS:
-        raise NoVoigtMapError(
-            f"no slot map registered for space {space.name!r}; "
-            f"renderable spaces: {', '.join(sorted(STRUCTURE_MAPS))}"
-        )
-    map_row, map_col = STRUCTURE_MAPS[space.name]
+    map_row, map_col = _structure_maps(space)
     a = averaged_projector(space, group)
     basis = image_basis(a, tol)
     dim = fix_dimension(space, group)
@@ -281,7 +300,7 @@ def structure_report(space: TensorSpace, group: SymmetryGroup,
                 if abs(coef) <= 10 * tol.zero_tol:
                     continue
                 kept[m] = coef
-                combo.append((_snap_or_raise(float(coef), tol), free_labels[m]))
+                combo.append((rational_snap(float(coef), tol), free_labels[m]))
             resid_after = float(np.max(np.abs(np.column_stack(free_vectors) @ kept - vec)))
             if resid_after > DEPENDENT_RESIDUAL_TOL * scale:
                 raise InternalConsistencyError(

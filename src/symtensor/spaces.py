@@ -3,12 +3,13 @@
 A space is a set of order-k tensors over R^n whose coefficients are
 invariant under a list of index-position permutations.  The orthogonal
 projector onto the space (its symmetrization identity) is the average of
-the permutation operators over the group those generators generate; its
-trace is the space dimension.
+the permutation operators over the group those generators generate.  The
+space dimension is the number of orbits of that group on multi-indices.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,6 +46,18 @@ def generate_permutation_group(generators, k: int) -> tuple:
                     nxt.append(q)
         frontier = nxt
     return tuple(sorted(seen))
+
+
+def _cycle_type(perm: tuple) -> tuple:
+    """Cycle lengths of a permutation, in descending order."""
+    lengths, seen = [], set()
+    for m in perm:
+        length = 0
+        while m not in seen:
+            seen.add(m)
+            m, length = perm[m], length + 1
+        lengths.append(length)
+    return tuple(sorted(filter(None, lengths), reverse=True))
 
 
 def permutation_operator(perm: tuple, n: int) -> np.ndarray:
@@ -100,22 +113,15 @@ class TensorSpace:
         return FlatOperator(self.n, self.k, acc / len(self.permutation_group))
 
     @cached_property
+    def cycle_index(self) -> tuple:
+        """((cycle lengths, count), ...) over the cycle types of the group."""
+        return tuple(sorted(Counter(map(_cycle_type, self.permutation_group)).items()))
+
+    @cached_property
     def dim(self) -> int:
-        tr = float(np.trace(self.projector.matrix))
-        rounded = round(tr)
-        if abs(tr - rounded) > 1e-9:
-            raise RuntimeError(f"non-integer symmetrizer trace {tr!r} for {self.name}")
-        return int(rounded)
-
-
-def sym_identity(space: TensorSpace) -> FlatOperator:
-    """Symmetrization identity: orthogonal projector onto the space."""
-    return space.projector
-
-
-def space_dim(space: TensorSpace) -> int:
-    """Dimension of the space (trace of its symmetrization identity)."""
-    return space.dim
+        # Burnside: a permutation with c cycles fixes n^c basis tensors
+        fixed = sum(count * self.n ** len(cycles) for cycles, count in self.cycle_index)
+        return fixed // len(self.permutation_group)
 
 
 def membership_residual(space: TensorSpace, t: FlatTensor) -> float:

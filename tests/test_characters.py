@@ -1,55 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symtensor.characters import (QuadratureNotConvergedError,
                                   character_closed_form, character_direct,
-                                  fix_dimension, trace_power_reduce)
+                                  fix_dimension, power_traces)
+from symtensor.core import image_basis
 from symtensor.groups import (GroupElement, make_continuous_group,
                               make_finite_group, resolve_group, rotation_z)
+from symtensor.projector import averaged_projector
 from symtensor.spaces import SPACES, TensorSpace
 
 from conftest import haar_rotation
 
 
-class TestTracePowerReduce:
-    def test_3d_identity(self):
-        assert trace_power_reduce(3, 2, 3.0) == pytest.approx(3.0)
-        assert trace_power_reduce(3, 3, 3.0) == pytest.approx(3.0)
-        assert trace_power_reduce(3, 4, 3.0) == pytest.approx(3.0)
-
-    def test_2d_identity_fourth_power(self):
-        assert trace_power_reduce(2, 4, 2.0, det_sign=1) == pytest.approx(2.0)
-
-    def test_3d_half_turn(self):
-        # oracle: Q = rot(e3, pi) has Q^4 = I, so tr Q^4 = 3 at t = -1
-        q = rotation_z(np.pi)
-        t = float(np.trace(q))
-        assert t == pytest.approx(-1.0)
-        assert trace_power_reduce(3, 4, t) == pytest.approx(float(np.trace(np.linalg.matrix_power(q, 4))))
-        assert trace_power_reduce(3, 4, -1.0) == pytest.approx(3.0)
-
+class TestPowerTraces:
     def test_matches_matrix_powers(self, rng):
-        for _ in range(20):
-            q = haar_rotation(rng, 3)
-            t = float(np.trace(q))
-            for m in (2, 3, 4):
-                direct = float(np.trace(np.linalg.matrix_power(q, m)))
-                assert trace_power_reduce(3, m, t) == pytest.approx(direct, abs=1e-10)
-        for _ in range(20):
-            q = haar_rotation(rng, 2)
-            for refl in (False, True):
-                mat = q @ np.diag([1.0, -1.0]) if refl else q
-                sign = -1 if refl else 1
-                t = float(np.trace(mat))
-                for m in (2, 3, 4):
-                    direct = float(np.trace(np.linalg.matrix_power(mat, m)))
-                    assert trace_power_reduce(2, m, t, det_sign=sign) == pytest.approx(direct, abs=1e-10)
-
-    def test_rejections(self):
-        with pytest.raises(ValueError):
-            trace_power_reduce(3, 5, 1.0)
-        with pytest.raises(ValueError):
-            trace_power_reduce(3, 2, 1.0, det_sign=-1)
+        mats = [np.eye(2), np.eye(3), rotation_z(np.pi), np.diag([-1.0, 1.0])]
+        for _ in range(10):
+            mats += [haar_rotation(rng, 3), haar_rotation(rng, 2)]
+            mats.append(haar_rotation(rng, 2) @ np.diag([1.0, -1.0]))
+        for q in mats:
+            direct = [float(np.trace(np.linalg.matrix_power(q, m))) for m in range(1, 9)]
+            assert power_traces(GroupElement(q), 8) == pytest.approx(direct, abs=1e-10)
 
 
 class TestCharacters:
@@ -84,6 +58,7 @@ class TestCharacters:
                 assert abs(character_direct(sp, e) - character_closed_form(sp, e)) < 1e-9
 
     def test_fallback_without_closed_form(self, rng):
+        # a space outside the catalog takes its character from its own group
         custom = TensorSpace("pairline", 2, 2, ())
         e = GroupElement(haar_rotation(rng, 2))
         assert character_closed_form(custom, e) == pytest.approx(character_direct(custom, e))
@@ -138,3 +113,59 @@ class TestFixDimension:
         sp = SPACES["v2bar"]
         with pytest.raises(QuadratureNotConvergedError):
             fix_dimension(sp, make_continuous_group("SO3"), degree=1)
+
+
+# catalog groups for the differential tests: a finite and a continuous
+# group per ambient dimension, with reflections among the 2D ones
+DIFFERENTIAL_GROUPS = {2: ("d3", "o2", "z4"), 3: ("cubic", "so2-e3", "so3")}
+
+
+@st.composite
+def random_spaces(draw):
+    n = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(1, 7 if n == 2 else 5))  # n^k <= 243
+    gens = draw(st.lists(st.permutations(range(k)), max_size=3))
+    return TensorSpace("random", n, k, tuple(tuple(g) for g in gens))
+
+
+class TestRandomSpaces:
+    """The trace formula, group averaging and the dense symmetrizer agree
+    on spaces built from random index permutations."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_spaces(), st.integers(0, 2), st.integers(0, 2**32 - 1))
+    def test_three_paths_agree(self, sp, pick, seed):
+        group = resolve_group(DIFFERENTIAL_GROUPS[sp.n][pick], sp.n)
+        rng = np.random.default_rng(seed)
+        elements = [GroupElement(haar_rotation(rng, sp.n)), *group.sample_elements()]
+        if sp.n == 2:
+            elements.append(GroupElement(haar_rotation(rng, 2) @ np.diag([1.0, -1.0])))
+        for e in elements:
+            assert character_closed_form(sp, e) == pytest.approx(
+                character_direct(sp, e), abs=1e-9)
+        rank = len(image_basis(averaged_projector(sp, group)))
+        assert fix_dimension(sp, group) == rank
+        trace = float(np.trace(sp.projector.matrix))
+        assert abs(trace - sp.dim) < 1e-9
+
+    def test_major_symmetry_only_under_so3(self):
+        # named like the elasticity space but with the major symmetry only
+        fake = TensorSpace("ela3", 3, 4, ((2, 3, 0, 1),))
+        assert fix_dimension(fake, resolve_group("so3", 3)) == 3
+
+    @pytest.mark.parametrize("group,expected", [("so3", 0), ("so2-e3", 4),
+                                                ("cubic", 0), ("trivial", 18)])
+    def test_order_three_piezo(self, group, expected):
+        piezo = TensorSpace("piezo", 3, 3, ((0, 2, 1),))
+        g = resolve_group(group, 3)
+        assert fix_dimension(piezo, g) == expected
+        assert len(image_basis(averaged_projector(piezo, g))) == expected
+
+    @pytest.mark.parametrize("group,expected", [("trivial", 3), ("so2-e3", 1),
+                                                ("o2-e3", 0), ("so3", 0)])
+    def test_order_one_vectors(self, group, expected):
+        vectors = TensorSpace("vec", 3, 1, ())
+        g = resolve_group(group, 3)
+        assert vectors.dim == 3
+        assert fix_dimension(vectors, g) == expected
+        assert len(image_basis(averaged_projector(vectors, g))) == expected

@@ -75,10 +75,10 @@ class TestKronPower:
 
     def test_rejects_unsupported_order(self):
         with pytest.raises(ValueError, match="order"):
-            kron_power(np.eye(3), 3)
+            kron_power(np.eye(3), 0)
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 5]))
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 4, 5]))
     def test_homomorphism_and_orthogonality(self, seed, k):
         rng = np.random.default_rng(seed)
         q1, q2 = haar_rotation(rng, 3), haar_rotation(rng, 3)

@@ -152,6 +152,18 @@ class TestStructureReport:
         assert all(e.kind == "zero" for row in rep.entries for e in row)
         assert rep.free_labels == ()
 
+    @pytest.mark.parametrize("n,generators,reason", [
+        (3, ((2, 3, 0, 1),), "orbit"),               # major symmetry only
+        (3, ((1, 0, 2, 3), (0, 1, 3, 2)), "orbit"),  # minors only: mirror differs
+        (2, SPACES["ela3"].generators, "ambient"),   # planar tensors
+    ])
+    def test_slot_map_must_fit_space_symmetry(self, n, generators, reason):
+        # the 6x6 display registered for "ela3" needs all three symmetries in 3D
+        from symtensor.spaces import TensorSpace
+        impostor = TensorSpace("ela3", n, 4, generators)
+        with pytest.raises(NoVoigtMapError, match=reason):
+            structure_report(impostor, resolve_group("trivial", n))
+
     def test_unregistered_space_rejected(self):
         with pytest.raises(NoVoigtMapError):
             structure_report(SPACES["v1"], make_finite_group("cubic_O"))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from symtensor.core import FlatTensor, kron_power
 from symtensor.spaces import (SPACES, TensorSpace, lookup, membership_residual,
-                              space_dim, sym_identity, symmetrize)
+                              symmetrize)
 
 from conftest import haar_rotation
 
@@ -18,7 +18,7 @@ HAND_COUNTS = {"sym2": 3, "sym3": 6, "ela2": 6, "ela3": 21, "major3": 45,
 class TestSymIdentity:
     def test_sym3_component_formula(self):
         # Pi_{iajb} = (delta_ia delta_jb + delta_ib delta_ja) / 2
-        pi = sym_identity(SPACES["sym3"]).matrix
+        pi = SPACES["sym3"].projector.matrix
         expected = np.zeros((9, 9))
         for i, j, a, b in itertools.product(range(3), repeat=4):
             expected[3 * i + j, 3 * a + b] = ((i == a) * (j == b) + (i == b) * (j == a)) / 2.0
@@ -39,14 +39,14 @@ class TestSymIdentity:
             np.einsum("la,kb,ic,jd->ijklabcd", d, d, d, d),
         ]
         expected = sum(terms).reshape(81, 81) / 8.0
-        assert np.allclose(sym_identity(SPACES["ela3"]).matrix, expected, atol=1e-15)
+        assert np.allclose(SPACES["ela3"].projector.matrix, expected, atol=1e-15)
 
     def test_major3_two_term_formula(self):
         d = np.eye(3)
         expected = (np.einsum("ia,jb,kc,ld->ijklabcd", d, d, d, d)
                     + np.einsum("ka,lb,ic,jd->ijklabcd", d, d, d, d)).reshape(81, 81) / 2.0
-        assert np.allclose(sym_identity(SPACES["major3"]).matrix, expected, atol=1e-15)
-        assert space_dim(SPACES["major3"]) == 45
+        assert np.allclose(SPACES["major3"].projector.matrix, expected, atol=1e-15)
+        assert SPACES["major3"].dim == 45
 
     @pytest.mark.parametrize("name", sorted(SPACES))
     def test_projector_properties(self, name):
@@ -56,7 +56,7 @@ class TestSymIdentity:
 
     @pytest.mark.parametrize("name,expected", sorted(HAND_COUNTS.items()))
     def test_dimensions(self, name, expected):
-        assert space_dim(SPACES[name]) == expected
+        assert SPACES[name].dim == expected
 
     @pytest.mark.parametrize("name", ["ela3", "v1bar", "v2bar", "high2"])
     def test_commutes_with_rotation_action(self, name, rng):
