@@ -55,6 +55,13 @@ def _parse_axis(text):
     return axis / norm
 
 
+def _degree(text) -> int:
+    degree = int(text)
+    if degree < 1:
+        raise argparse.ArgumentTypeError(f"degree must be >= 1, got {degree}")
+    return degree
+
+
 def _resolve(args):
     sp = spaces.lookup(args.space)
     axis = _parse_axis(getattr(args, "axis", None))
@@ -102,6 +109,9 @@ def cmd_dim(args) -> int:
     except QuadratureNotConvergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_QUADRATURE
+    except ValueError as exc:  # a degree outside the rule's range
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NAME
     if args.format == "json":
         print(json.dumps({"space": sp.name, "group": group.catalog_id, "dim": dim}))
     else:
@@ -231,11 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group", required=True,
                        help=f"group name; 2D spaces: {', '.join(GROUPS_2D)}; "
                             f"3D spaces: {', '.join(GROUPS_3D)}")
-        p.add_argument("--axis", help="rotation axis for 3D axis groups, e.g. '0,0,1'")
+        p.add_argument("--axis", help="rotation axis of the 3D axial groups (z*, d*, so2-e3, "
+                                      "o2-e3), e.g. '0,0,1'")
 
     p = sub.add_parser("dim", help="fixed-subspace dimension via the trace formula")
     add_pair(p)
-    p.add_argument("--degree", type=int, default=None, help="quadrature degree override")
+    p.add_argument("--degree", type=_degree, default=None,
+                   help="quadrature degree override (>= 1; at most 12 on so3)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_dim)
 

@@ -5,10 +5,10 @@ construction).  Continuous groups carry quadrature-rule generators that
 integrate polynomial functions of the matrix entries exactly up to a
 requested degree:
 
-* circle groups use uniformly spaced angles (trapezoid rule, exact for
-  trigonometric polynomials below the node count),
-* O(2)-type groups add the same angles composed with a fixed coset
-  representative at half weight,
+* the circle groups (SO(2), O(2) and their SO(3) embeddings about an
+  axis) use the element list of the cyclic or dihedral group of order
+  2*degree + 2 about the same axis, with uniform weights: the trapezoid
+  rule, exact for trigonometric polynomials below the node count,
 * SO(3) uses a product rule over Euler-type angles with uniform grids in
   the two circle angles and Gauss-Legendre nodes in u = cos(theta), which
   absorbs the sin(theta) Jacobian of the invariant volume element.
@@ -17,7 +17,7 @@ requested degree:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,6 +31,9 @@ CONTINUOUS_IDS = ("SO2_2D", "O2_2D", "SO2_e3", "O2_e3", "SO3")
 # catalog name of each continuous group
 _CONTINUOUS_NAMES = {"SO2_2D": "so2", "O2_2D": "o2", "SO2_e3": "so2-e3",
                      "O2_e3": "o2-e3", "SO3": "so3"}
+# (ambient, has an improper coset) of every group of rotations about one axis
+_AXIAL = {"Zn_2D": (2, False), "Dn_2D": (2, True), "Zn_3D": (3, False), "Dn_3D": (3, True),
+          "SO2_2D": (2, False), "O2_2D": (2, True), "SO2_e3": (3, False), "O2_e3": (3, True)}
 
 # Coset representatives for the improper halves, fixed so output is
 # deterministic: a reflection in 2D, a rotation by pi about e1 in 3D.
@@ -44,6 +47,7 @@ class GroupElement:
 
     matrix: np.ndarray
     label: str = ""
+    det_sign: int = field(init=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -59,14 +63,11 @@ class GroupElement:
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "det_sign", 1 if det > 0.0 else -1)
 
     @property
     def ambient(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def det_sign(self) -> int:
-        return 1 if np.linalg.det(self.matrix) > 0.0 else -1
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,10 +176,37 @@ def axis_aligner(axis) -> np.ndarray:
     return np.eye(3) + vx + vx @ vx / (1.0 + c)
 
 
-def _conjugate(q: np.ndarray, frame) -> np.ndarray:
-    if frame is None:
-        return q
-    return frame @ q @ frame.T
+def _frame(group_id: str, axis) -> Optional[np.ndarray]:
+    """Conjugating rotation of a 3D axial group about ``axis``; None about e3."""
+    if axis is None:
+        return None
+    if group_id not in _AXIAL or _AXIAL[group_id][0] != 3:
+        raise ValueError(f"an axis applies only to the axial groups in 3D "
+                         f"(z*, d*, so2-e3, o2-e3), not to {group_id}")
+    frame = axis_aligner(axis)
+    return None if np.max(np.abs(frame - np.eye(3))) < 1e-15 else frame
+
+
+def _axial(ambient: int, theta: float, improper: bool, frame) -> GroupElement:
+    """Rotation by ``theta`` about the group's axis, times the coset
+    representative if ``improper``."""
+    if ambient == 2:
+        q, coset, tail = rotation_2d(theta), REFLECTION_2D, "*refl"
+    else:
+        q, coset, tail = rotation_z(theta), FLIP_E1_3D, "*flip"
+    if improper:
+        q = q @ coset
+    if frame is not None:
+        q = frame @ q @ frame.T
+    return GroupElement(q, f"rot({theta:.6f})" + (tail if improper else ""))
+
+
+def _axial_elements(ambient: int, count: int, improper: bool, frame) -> tuple:
+    """The rotations by 2 pi j / count, j = 0..count-1, followed (if
+    ``improper``) by the same rotations times the coset representative: the
+    cyclic or dihedral group of order ``count`` about the frame's axis."""
+    return tuple(_axial(ambient, 2 * np.pi * j / count, coset, frame)
+                 for coset in (False, True)[:1 + improper] for j in range(count))
 
 
 def make_finite_group(catalog_id: str, order_param: int = 1, axis=None,
@@ -190,21 +218,14 @@ def make_finite_group(catalog_id: str, order_param: int = 1, axis=None,
     reflection diag(-1, 1)).  ``Zn_3D``/``Dn_3D`` are their SO(3) embeddings
     about ``axis`` (default e3); the dihedral extension adjoins the rotation
     by pi about an in-plane axis.  ``cubic_O`` is the 24-element rotation
-    group of the cube.  ``trivial`` is {I} in the requested ambient.
+    group of the cube.  ``trivial`` is {I} in the requested ambient.  Only
+    the 3D embeddings take an ``axis``.
     """
     if catalog_id not in FINITE_CATALOG_IDS:
         raise ValueError(f"unknown finite group id {catalog_id!r}")
     if order_param < 1:
         raise ValueError("order_param must be >= 1")
-    frame = None
-    if catalog_id in ("Zn_3D", "Dn_3D") and axis is not None:
-        frame = axis_aligner(axis)
-        if np.max(np.abs(frame - np.eye(3))) < 1e-15:
-            frame = None
-
-    def elem3(q, label):
-        return GroupElement(_conjugate(q, frame), label)
-
+    frame = _frame(catalog_id, axis)
     n = order_param
     if catalog_id == "trivial":
         eye = np.eye(ambient)
@@ -212,37 +233,12 @@ def make_finite_group(catalog_id: str, order_param: int = 1, axis=None,
                              elements=(GroupElement(eye, "id"),),
                              generators=(GroupElement(eye, "id"),))
 
-    if catalog_id == "Zn_2D":
-        els = tuple(GroupElement(rotation_2d(2 * np.pi * j / n), f"rot({j}*2pi/{n})")
-                    for j in range(n))
-        gens = (els[1 % n],) if n > 1 else (els[0],)
-        return SymmetryGroup(2, f"z{n}_2d", "finite", elements=els, generators=gens)
-
-    if catalog_id == "Dn_2D":
-        rots = [rotation_2d(2 * np.pi * j / n) for j in range(n)]
-        els = tuple(
-            [GroupElement(r, f"rot({j}*2pi/{n})") for j, r in enumerate(rots)]
-            + [GroupElement(r @ REFLECTION_2D, f"rot({j}*2pi/{n})*refl") for j, r in enumerate(rots)]
-        )
-        gens = ((els[1 % n],) if n > 1 else ()) + (GroupElement(REFLECTION_2D, "refl"),)
-        return SymmetryGroup(2, f"d{n}_2d", "finite", elements=els, generators=gens)
-
-    if catalog_id == "Zn_3D":
-        els = tuple(elem3(rotation_z(2 * np.pi * j / n), f"rot(axis,{j}*2pi/{n})")
-                    for j in range(n))
-        gens = (els[1 % n],) if n > 1 else (els[0],)
-        return SymmetryGroup(3, f"z{n}_3d", "finite", elements=els,
-                             generators=gens, frame=frame)
-
-    if catalog_id == "Dn_3D":
-        rots = [rotation_z(2 * np.pi * j / n) for j in range(n)]
-        els = tuple(
-            [elem3(r, f"rot(axis,{j}*2pi/{n})") for j, r in enumerate(rots)]
-            + [elem3(r @ FLIP_E1_3D, f"rot(axis,{j}*2pi/{n})*flip") for j, r in enumerate(rots)]
-        )
-        gens = ((els[1 % n],) if n > 1 else ()) + (elem3(FLIP_E1_3D, "flip"),)
-        return SymmetryGroup(3, f"d{n}_3d", "finite", elements=els,
-                             generators=gens, frame=frame)
+    if catalog_id in _AXIAL:
+        ambient, improper = _AXIAL[catalog_id]
+        els = _axial_elements(ambient, n, improper, frame)
+        gens = (els[1 % n],) + ((els[n],) if improper else ())
+        return SymmetryGroup(ambient, f"{catalog_id[0].lower()}{n}_{ambient}d", "finite",
+                             elements=els, generators=gens, frame=frame)
 
     # cubic_O: rotations of the cube = signed permutation matrices, det +1
     els = []
@@ -263,35 +259,21 @@ def make_finite_group(catalog_id: str, order_param: int = 1, axis=None,
 
 
 def make_continuous_group(continuous_id: str, axis=None) -> SymmetryGroup:
-    """Build a continuous catalog group, optionally about a non-default axis."""
+    """Build a continuous catalog group; so2-e3 and o2-e3 may turn about a
+    non-default ``axis``."""
     if continuous_id not in CONTINUOUS_IDS:
         raise ValueError(f"unknown continuous group id {continuous_id!r}")
-    ambient = 2 if continuous_id.endswith("2D") else 3
-    frame = None
-    if axis is not None and ambient == 3 and continuous_id != "SO3":
-        frame = axis_aligner(axis)
-        if np.max(np.abs(frame - np.eye(3))) < 1e-15:
-            frame = None
-
-    def sample(q, label):
-        return GroupElement(_conjugate(q, frame), label)
-
-    if continuous_id == "SO2_2D":
-        gens = (GroupElement(rotation_2d(0.9), "rot(0.9)"),
-                GroupElement(rotation_2d(2.31), "rot(2.31)"))
-    elif continuous_id == "O2_2D":
-        gens = (GroupElement(rotation_2d(0.9), "rot(0.9)"),
-                GroupElement(REFLECTION_2D, "refl"))
-    elif continuous_id == "SO2_e3":
-        gens = (sample(rotation_z(0.9), "rot(axis,0.9)"),
-                sample(rotation_z(2.31), "rot(axis,2.31)"))
-    elif continuous_id == "O2_e3":
-        gens = (sample(rotation_z(0.9), "rot(axis,0.9)"),
-                sample(FLIP_E1_3D, "flip"))
-    else:  # SO3
+    frame = _frame(continuous_id, axis)
+    if continuous_id == "SO3":
+        ambient = 3
         gens = (GroupElement(rotation_z(0.9), "rot(e3,0.9)"),
                 GroupElement(rotation_y(1.3), "rot(e2,1.3)"),
                 GroupElement(rotation_z(np.pi / 2).round(12) @ rotation_y(0.4), "mixed"))
+    else:
+        # a generic rotation, then a second one or the coset representative
+        ambient, improper = _AXIAL[continuous_id]
+        gens = (_axial(ambient, 0.9, False, frame),
+                _axial(ambient, 0.0, True, frame) if improper else _axial(ambient, 2.31, False, frame))
     return SymmetryGroup(ambient, _CONTINUOUS_NAMES[continuous_id], "continuous",
                          continuous_id=continuous_id,
                          generators=gens, frame=frame)
@@ -312,68 +294,49 @@ def closure_check(g) -> ClosureReport:
         elements = tuple(g)
         if not elements:
             return ClosureReport(False, "empty element list")
-    mats = [e.matrix for e in elements]
-    eye = np.eye(mats[0].shape[0])
-    if not any(np.max(np.abs(m - eye)) < CLOSURE_TOL for m in mats):
+    mats = np.stack([e.matrix for e in elements])
+    if not np.any(np.max(np.abs(mats - np.eye(mats.shape[1])), axis=(1, 2)) < CLOSURE_TOL):
         return ClosureReport(False, "identity element missing")
     for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            prod = a.matrix @ b.matrix
-            if not any(np.max(np.abs(prod - m)) < CLOSURE_TOL for m in mats):
-                return ClosureReport(
-                    False,
-                    f"product of elements {i} ({a.label}) and {j} ({b.label}) not in set",
-                    witness=(a, b),
-                )
+        # found[j, m]: the product a @ elements[j] matches elements[m]
+        found = np.max(np.abs((a.matrix @ mats)[:, None] - mats[None]), axis=(2, 3)) < CLOSURE_TOL
+        missing = np.flatnonzero(~found.any(axis=1))
+        if missing.size:
+            j = int(missing[0])
+            b = elements[j]
+            return ClosureReport(
+                False,
+                f"product of elements {i} ({a.label}) and {j} ({b.label}) not in set",
+                witness=(a, b),
+            )
     return ClosureReport(True, "closed under multiplication; identity present")
-
-
-def _circle_nodes(degree: int):
-    count = 2 * degree + 2
-    return [2 * np.pi * j / count for j in range(count)], count
 
 
 def haar_rule(g: SymmetryGroup, max_poly_degree: int = 8) -> QuadratureRule:
     """Quadrature nodes realizing the normalized Haar measure on ``g``.
 
-    Finite groups get uniform weights 1/|G|.  Circle groups get
-    2*degree + 2 equispaced angles; O(2)-type groups additionally traverse
-    the improper coset at half weight.  SO(3) uses the product rule over
-    (phi, theta, psi) in [0,2pi] x [0,pi] x [0,2pi] with the invariant
-    density sin(theta)/(8 pi^2): uniform grids in phi and psi and
-    Gauss-Legendre nodes in u = cos(theta).  Exact (up to roundoff) for
-    polynomials in the matrix entries of total degree <= max_poly_degree.
+    Finite groups get uniform weights 1/|G|.  A circle group gets the
+    elements of the cyclic (SO(2)-type) or dihedral (O(2)-type) group of
+    order 2*degree + 2 about its axis, with uniform weights.  SO(3) uses
+    the product rule over (phi, theta, psi) in [0,2pi] x [0,pi] x [0,2pi]
+    with the invariant density sin(theta)/(8 pi^2): uniform grids in phi
+    and psi and Gauss-Legendre nodes in u = cos(theta); its
+    (2*degree + 2)^2 (degree + 1) nodes cap its degree at 12.  Exact (up to
+    roundoff) for polynomials in the matrix entries of total degree
+    <= max_poly_degree.
     """
     if g.is_finite:
         w = 1.0 / len(g.elements)
         return QuadratureRule(tuple((e, w) for e in g.elements))
-    if not 1 <= max_poly_degree <= 12:
-        raise ValueError(f"max_poly_degree must be in [1, 12], got {max_poly_degree}")
-
     cid = g.continuous_id
-    if cid in ("SO2_2D", "O2_2D"):
-        angles, count = _circle_nodes(max_poly_degree)
-        proper = [(GroupElement(rotation_2d(t), f"rot({t:.6f})"), 1.0 / count) for t in angles]
-        if cid == "SO2_2D":
-            return QuadratureRule(tuple(proper))
-        improper = [(GroupElement(rotation_2d(t) @ REFLECTION_2D, f"rot({t:.6f})*refl"),
-                     0.5 / count) for t in angles]
-        proper = [(e, 0.5 / count) for e, _ in proper]
-        return QuadratureRule(tuple(proper + improper))
+    if max_poly_degree < 1 or (cid == "SO3" and max_poly_degree > 12):
+        raise ValueError(f"max_poly_degree must be >= 1 (and <= 12 on so3), got {max_poly_degree}")
+    count = 2 * max_poly_degree + 2
+    if cid != "SO3":
+        els = _axial_elements(g.ambient, count, _AXIAL[cid][1], g.frame)
+        return QuadratureRule(tuple((e, 1.0 / len(els)) for e in els))
 
-    if cid in ("SO2_e3", "O2_e3"):
-        angles, count = _circle_nodes(max_poly_degree)
-        proper = [(GroupElement(_conjugate(rotation_z(t), g.frame), f"rot(axis,{t:.6f})"),
-                   1.0 / count) for t in angles]
-        if cid == "SO2_e3":
-            return QuadratureRule(tuple(proper))
-        improper = [(GroupElement(_conjugate(rotation_z(t) @ FLIP_E1_3D, g.frame),
-                     f"rot(axis,{t:.6f})*flip"), 0.5 / count) for t in angles]
-        proper = [(e, 0.5 / count) for e, _ in proper]
-        return QuadratureRule(tuple(proper + improper))
-
-    # SO3
-    angles, count = _circle_nodes(max_poly_degree)
+    angles = [2 * np.pi * j / count for j in range(count)]
     u_nodes, u_weights = leggauss(max_poly_degree + 1)
     nodes = []
     for phi in angles:
@@ -431,7 +394,7 @@ def resolve_group(name: str, ambient: int, axis=None) -> SymmetryGroup:
 
     The cyclic/dihedral names build 2D groups for 2D spaces and the
     corresponding SO(3) embeddings (about ``axis``, default e3) for 3D
-    spaces.
+    spaces.  An ``axis`` for any other group raises ``ValueError``.
     """
     key = _catalog_key(name)
     fitting = GROUPS_2D if ambient == 2 else GROUPS_3D
@@ -439,9 +402,9 @@ def resolve_group(name: str, ambient: int, axis=None) -> SymmetryGroup:
         raise KeyError(f"group {key!r} does not act on {ambient}D spaces; "
                        f"groups for them: {', '.join(fitting)}")
     if key == "trivial":
-        return make_finite_group("trivial", ambient=ambient)
+        return make_finite_group("trivial", axis=axis, ambient=ambient)
     if key == "cubic":
-        return make_finite_group("cubic_O")
+        return make_finite_group("cubic_O", axis=axis)
     if key in _FINITE_NAMES:
         kind, order = _FINITE_NAMES[key]
         suffix = "_2D" if ambient == 2 else "_3D"

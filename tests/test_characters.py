@@ -169,3 +169,14 @@ class TestRandomSpaces:
         assert vectors.dim == 3
         assert fix_dimension(vectors, g) == expected
         assert len(image_basis(averaged_projector(vectors, g))) == expected
+
+    @pytest.mark.parametrize("n,k,group,expected", [
+        (2, 12, "so2", 924),       # C(12, 6) weight-zero words in e^{+-i theta}
+        (2, 12, "o2", 462),        # half of them: the reflection pairs each word with its mirror
+        (2, 11, "so2", 0),         # an odd number of +-1 weights never sums to zero
+        (3, 11, "so2-e3", 25653),  # central trinomial coefficient: weights in {-1, 0, 1}
+    ])
+    def test_circle_groups_beyond_degree_twelve(self, n, k, group, expected):
+        # the default degree k + 2 exceeds 12; only SO(3) caps the degree
+        space = TensorSpace(f"t{k}", n, k, ())
+        assert fix_dimension(space, resolve_group(group, n)) == expected

@@ -49,6 +49,33 @@ class TestDim:
                            "--axis", "1,0,0")
         assert code == 0 and out.strip() == "5"
 
+    @pytest.mark.parametrize("space,group", [("sym2", "d4"), ("ela3", "so3"),
+                                             ("ela3", "cubic"), ("ela3", "trivial")])
+    def test_axis_without_axial_group_exits_2(self, capsys, space, group):
+        for command in ("dim", "structure"):
+            code, out, err = run(capsys, command, "--space", space, "--group", group,
+                                 "--axis", "1,0,0")
+            assert code == 2 and out == "" and "axis applies only" in err
+
+    def test_so3_degree_above_cap_exits_2(self, capsys):
+        code, out, err = run(capsys, "dim", "--space", "ela3", "--group", "so3",
+                             "--degree", "13")
+        assert code == 2 and out == "" and "max_poly_degree" in err
+
+    def test_circle_degree_above_so3_cap(self, capsys):
+        code, out, _ = run(capsys, "dim", "--space", "ela3", "--group", "o2-e3",
+                           "--degree", "13")
+        assert code == 0 and out.strip() == "5"
+
+    @pytest.mark.parametrize("group", ["so3", "cubic"])
+    @pytest.mark.parametrize("degree", ["0", "-2"])
+    def test_degree_below_one_exits_2(self, capsys, group, degree):
+        with pytest.raises(SystemExit) as exc:
+            main(["dim", "--space", "ela3", "--group", group, "--degree", degree])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "degree must be >= 1" in captured.err
+
 
 class TestStructure:
     def test_text(self, capsys):

@@ -83,6 +83,21 @@ class TestClosureCheck:
         report = closure_check([GroupElement(-np.eye(2), "-id")])
         assert not report.passed and "identity" in report.message
 
+    @pytest.mark.parametrize("turn,powers,witness", [
+        # r @ r^2 = r^3 is the first gap by rows; by columns it would be r^2 @ r
+        (np.pi / 2, (0, 1, 2), (1, 2)),
+        # row 1 misses both r @ r and r @ r^3; the first of them is reported
+        (np.pi / 3, (0, 1, 3), (1, 1)),
+    ])
+    def test_first_witness_in_row_major_order(self, turn, powers, witness):
+        elements = [GroupElement(rotation_2d(p * turn), f"r^{p}") for p in powers]
+        report = closure_check(elements)
+        i, j = witness
+        assert not report.passed
+        assert report.message == (f"product of elements {i} (r^{powers[i]}) and "
+                                  f"{j} (r^{powers[j]}) not in set")
+        assert report.witness == (elements[i], elements[j])
+
 
 class TestHaarRule:
     @pytest.mark.parametrize("cid", ["SO2_2D", "O2_2D", "SO2_e3", "O2_e3", "SO3"])
@@ -100,6 +115,52 @@ class TestHaarRule:
     def test_unsupported_degree(self):
         with pytest.raises(ValueError, match="degree"):
             haar_rule(make_continuous_group("SO3"), 13)
+
+    @pytest.mark.parametrize("cid,axis", [("SO2_2D", None), ("O2_2D", None),
+                                          ("SO2_e3", (1.0, 2.0, 2.0)),
+                                          ("O2_e3", (0.0, -0.6, 0.8))])
+    @pytest.mark.parametrize("degree", [1, 4, 13])
+    def test_circle_rule_is_cyclic_or_dihedral_group(self, cid, axis, degree):
+        axis = None if axis is None else np.array(axis) / np.linalg.norm(axis)
+        rule = haar_rule(make_continuous_group(cid, axis=axis), degree)
+        count = 2 * degree + 2
+        improper = cid.startswith("O2")
+        assert len(rule) == count * (2 if improper else 1)
+        assert all(w == 1.0 / len(rule) for _, w in rule.nodes)
+        mats = [e.matrix for e, _ in rule.nodes]
+        # proper half: the rotations by 2 pi j / count about the axis, in order
+        for j, q in enumerate(mats[:count]):
+            theta = 2 * np.pi * j / count
+            if axis is None:
+                expected = rotation_2d(theta)
+            else:  # Rodrigues' formula about the unit axis
+                ax = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]],
+                               [-axis[1], axis[0], 0.0]])
+                expected = (np.cos(theta) * np.eye(3) + np.sin(theta) * ax
+                            + (1.0 - np.cos(theta)) * np.outer(axis, axis))
+            assert np.allclose(q, expected, atol=1e-12)
+        # improper half: the same rotations times one reflection (2D) or one
+        # half-turn about an axis perpendicular to the rotation axis (3D)
+        if improper:
+            coset = mats[count]
+            assert np.allclose(coset @ coset, np.eye(len(coset)), atol=1e-12)
+            if axis is None:
+                assert np.linalg.det(coset) == pytest.approx(-1.0)
+            else:
+                assert np.allclose(coset @ axis, -axis, atol=1e-12)
+            for q, r in zip(mats[count:], mats[:count]):
+                assert np.allclose(q, r @ coset, atol=1e-12)
+        # and exactly the element list of the catalog group of that order
+        finite_id = {"SO2_2D": "Zn_2D", "O2_2D": "Dn_2D", "SO2_e3": "Zn_3D", "O2_e3": "Dn_3D"}
+        finite = make_finite_group(finite_id[cid], count, axis=axis)
+        assert len(finite.elements) == len(mats)
+        for e, q in zip(finite.elements, mats):
+            assert np.array_equal(e.matrix, q)
+
+    @pytest.mark.parametrize("cid", ["SO2_2D", "SO3"])
+    def test_degree_below_one(self, cid):
+        with pytest.raises(ValueError, match="degree"):
+            haar_rule(make_continuous_group(cid), 0)
 
     def test_o2_rule_covers_both_cosets(self):
         rule = haar_rule(make_continuous_group("O2_2D"), 6)
@@ -186,6 +247,20 @@ class TestResolveGroup:
         with pytest.raises(KeyError, match="unknown group"):
             resolve_group("e8", 3)
 
+    @pytest.mark.parametrize("name,ambient", [("d4", 2), ("z2", 2), ("so2", 2), ("o2", 2),
+                                              ("trivial", 2), ("trivial", 3),
+                                              ("cubic", 3), ("so3", 3)])
+    def test_axis_refused_without_an_axial_3d_group(self, name, ambient):
+        with pytest.raises(ValueError, match="axis applies only"):
+            resolve_group(name, ambient, axis=np.array([1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("name", ["z3", "d2", "so2-e3", "o2-e3"])
+    def test_axis_taken_by_axial_3d_groups(self, name):
+        axis = np.array([0.0, 0.6, 0.8])
+        g = resolve_group(name, 3, axis=axis)
+        assert g.frame is not None
+        assert np.allclose(g.sample_elements()[0].matrix @ axis, axis, atol=1e-12)
+
     def test_o2_e3_coset_matches_flip(self):
         g = resolve_group("o2-e3", 3)
         # the improper family at theta = 0 is diag(1, -1, -1)
@@ -207,3 +282,13 @@ class TestGroupElementValidation:
     def test_planar_reflection_admitted(self):
         e = GroupElement(np.diag([-1.0, 1.0]))
         assert e.det_sign == -1
+
+    def test_det_sign_stored_at_construction(self, monkeypatch):
+        elements = [GroupElement(rotation_2d(0.3)), GroupElement(np.diag([1.0, -1.0])),
+                    GroupElement(rotation_z(2.0))]
+
+        def no_det(_):
+            raise AssertionError("determinant recomputed after construction")
+
+        monkeypatch.setattr(np.linalg, "det", no_det)
+        assert [e.det_sign for e in elements] == [1, -1, 1]
