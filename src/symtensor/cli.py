@@ -3,8 +3,8 @@
 Commands: ``dim``, ``structure``, ``project``, ``moduli``, ``maps``,
 ``verify-paper``.  Exit codes are stable: 0 success, 2 unknown name or
 configuration, 3 quadrature non-convergence, 4 internal consistency
-failure, 5 bad input tensor.  The environment variable SYMTENSOR_TOL
-overrides the zero tolerance.
+failure, 5 bad input tensor.  The environment variable SYMTENSOR_TOL sets
+only the zero tolerance (rank cut, slot zero test), not the snap tolerances.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ def _parse_axis(text):
         raise ValueError("axis needs three components")
     axis = np.array(parts)
     norm = float(np.linalg.norm(axis))
-    if norm == 0.0:
-        raise ValueError("axis must be nonzero")
+    if not 0.0 < norm < np.inf:  # NaN fails too
+        raise ValueError(f"axis must be nonzero with finite components, got {text!r}")
     return axis / norm
 
 

@@ -142,11 +142,6 @@ class FlatOperator:
             )
         return FlatTensor(self.n, self.k, self.matrix @ t.coeffs)
 
-    def compose(self, other: "FlatOperator") -> "FlatOperator":
-        if (other.n, other.k) != (self.n, self.k):
-            raise ValueError("operator shape mismatch in composition")
-        return FlatOperator(self.n, self.k, self.matrix @ other.matrix)
-
     def idempotency_residual(self) -> float:
         return float(np.max(np.abs(self.matrix @ self.matrix - self.matrix)))
 
@@ -189,17 +184,20 @@ def operator_trace(a: FlatOperator) -> float:
     return float(np.trace(a.matrix))
 
 
-def image_basis(a: FlatOperator, tol: TolerancePolicy = DEFAULT_TOL) -> list[FlatTensor]:
+def image_basis(a: FlatOperator, tol: TolerancePolicy = DEFAULT_TOL,
+                span: np.ndarray | None = None) -> list[FlatTensor]:
     """Orthonormal basis of the column space of a projector.
 
     The input must be idempotent within 1e-6.  The basis cardinality is the
     numerical rank: singular values are kept while they exceed
-    ``tol.zero_tol`` relative to the largest one.
+    ``tol.zero_tol`` relative to the largest one.  Given orthonormal columns
+    ``span`` with ``a = a span span^T``, the SVD runs on the thinner ``a span``.
     """
     res = a.idempotency_residual()
     if res >= 1e-6:
         raise NotAProjectorError(res)
-    u, s, _ = np.linalg.svd(a.matrix)
+    mat = a.matrix if span is None else a.matrix @ span
+    u, s, _ = np.linalg.svd(mat, full_matrices=False)
     # idempotent operators have singular values >= 1 or ~ 0, so a leading
     # singular value below 1/2 can only be roundoff around the zero operator
     if s.size == 0 or s[0] < 0.5:

@@ -53,7 +53,7 @@ class GroupElement:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 3):
             raise ValueError(f"group element must be a 2x2 or 3x3 matrix, got {m.shape}")
-        if np.max(np.abs(m.T @ m - np.eye(m.shape[0]))) > ORTHO_TOL:
+        if not np.max(np.abs(m.T @ m - np.eye(m.shape[0]))) <= ORTHO_TOL:  # NaN fails too
             raise ValueError(f"group element {self.label!r} is not orthogonal")
         det = float(np.linalg.det(m))
         if abs(abs(det) - 1.0) > ORTHO_TOL:
@@ -161,8 +161,8 @@ def rotation_y(theta: float) -> np.ndarray:
 def axis_aligner(axis) -> np.ndarray:
     """Rotation carrying e3 to the requested unit axis (deterministic)."""
     axis = np.asarray(axis, dtype=float)
-    if axis.shape != (3,):
-        raise ValueError("axis must be a 3-vector")
+    if axis.shape != (3,) or not np.all(np.isfinite(axis)):
+        raise ValueError("axis must be a finite 3-vector")
     if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
         raise ValueError(f"axis must be a unit vector, |axis| = {np.linalg.norm(axis)!r}")
     e3 = np.array([0.0, 0.0, 1.0])
@@ -210,7 +210,7 @@ def _axial_elements(ambient: int, count: int, improper: bool, frame) -> tuple:
 
 
 def make_finite_group(catalog_id: str, order_param: int = 1, axis=None,
-                      ambient: int = 3) -> SymmetryGroup:
+                      ambient: Optional[int] = None) -> SymmetryGroup:
     """Build a finite catalog group.
 
     ``Zn_2D``/``Dn_2D`` are the cyclic/dihedral groups of the plane (the
@@ -218,26 +218,29 @@ def make_finite_group(catalog_id: str, order_param: int = 1, axis=None,
     reflection diag(-1, 1)).  ``Zn_3D``/``Dn_3D`` are their SO(3) embeddings
     about ``axis`` (default e3); the dihedral extension adjoins the rotation
     by pi about an in-plane axis.  ``cubic_O`` is the 24-element rotation
-    group of the cube.  ``trivial`` is {I} in the requested ambient.  Only
-    the 3D embeddings take an ``axis``.
+    group of the cube.  ``trivial`` is {I} in R^ambient (default 3); other ids
+    refuse an ambient they do not act on.  Only the 3D embeddings take an ``axis``.
     """
     if catalog_id not in FINITE_CATALOG_IDS:
         raise ValueError(f"unknown finite group id {catalog_id!r}")
     if order_param < 1:
         raise ValueError("order_param must be >= 1")
+    own = (ambient or 3) if catalog_id == "trivial" else _AXIAL.get(catalog_id, (3,))[0]
+    if ambient not in (None, own):
+        raise ValueError(f"group id {catalog_id!r} acts on R^{own}, not on R^{ambient}")
     frame = _frame(catalog_id, axis)
     n = order_param
     if catalog_id == "trivial":
-        eye = np.eye(ambient)
-        return SymmetryGroup(ambient, "trivial", "finite",
+        eye = np.eye(own)
+        return SymmetryGroup(own, "trivial", "finite",
                              elements=(GroupElement(eye, "id"),),
                              generators=(GroupElement(eye, "id"),))
 
     if catalog_id in _AXIAL:
-        ambient, improper = _AXIAL[catalog_id]
-        els = _axial_elements(ambient, n, improper, frame)
+        improper = _AXIAL[catalog_id][1]
+        els = _axial_elements(own, n, improper, frame)
         gens = (els[1 % n],) + ((els[n],) if improper else ())
-        return SymmetryGroup(ambient, f"{catalog_id[0].lower()}{n}_{ambient}d", "finite",
+        return SymmetryGroup(own, f"{catalog_id[0].lower()}{n}_{own}d", "finite",
                              elements=els, generators=gens, frame=frame)
 
     # cubic_O: rotations of the cube = signed permutation matrices, det +1

@@ -20,7 +20,7 @@ from .core import (DEFAULT_TOL, FlatOperator, FlatTensor, TolerancePolicy,
 from .characters import fix_dimension
 from .groups import SymmetryGroup, haar_rule
 from .spaces import TensorSpace, membership_residual
-from .voigt import STRUCTURE_MAPS, induced_matrix
+from .voigt import STRUCTURE_MAPS
 
 DEPENDENT_RESIDUAL_TOL = 1e-7
 
@@ -83,8 +83,8 @@ def averaged_projector(space: TensorSpace, group: SymmetryGroup,
                        degree: int | None = None) -> FlatOperator:
     """Orthogonal projector onto the invariant subspace of the space.
 
-    The group average of the tensor action commutes with the
-    symmetrization identity, so composing the two yields an idempotent
+    The group average M of the tensor action commutes with the
+    symmetrization identity B B^T, so ``(M B) B^T`` is an idempotent
     operator whose trace equals the fixed-subspace dimension.
     """
     if group.ambient != space.n:
@@ -92,7 +92,7 @@ def averaged_projector(space: TensorSpace, group: SymmetryGroup,
             f"group over R^{group.ambient} cannot act on space {space.name}"
         )
     m = _averaged_action(space, group, degree)
-    return FlatOperator(space.n, space.k, m @ space.projector.matrix)
+    return FlatOperator(space.n, space.k, (m @ space.basis) @ space.basis.T)
 
 
 def project(space: TensorSpace, group: SymmetryGroup, t: FlatTensor) -> FlatTensor:
@@ -127,9 +127,7 @@ class StructureEntry:
             if coef.exact and abs(coef.numerator) == coef.denominator and coef.surd == 1:
                 return label if coef.numerator > 0 else f"-{label}"
             return f"({coef.text}){label}"
-        # multi-term dependents display their own slot symbol; the linear
-        # relation is listed with the report's constraints
-        return self.label
+        return self.label  # StructureReport._cells ties repeated combinations
 
     def to_json(self) -> dict:
         if self.kind == "dependent":
@@ -170,9 +168,15 @@ class StructureReport:
             "constraints": list(self.constraints),
         }
 
+    def _cells(self) -> list:
+        """Rendered entries; a repeated combination shows its first slot's symbol."""
+        first: dict = {}
+        return [[first.setdefault(_combo_key(e.combo), e.label)
+                 if e.kind == "dependent" and len(e.combo) > 1 else e.render()
+                 for e in row] for row in self.entries]
+
     def to_text(self) -> str:
-        rows, cols = self.voigt_shape
-        cells = [[self.entries[r][c].render() for c in range(cols)] for r in range(rows)]
+        cells = self._cells()
         width = max(len(s) for row in cells for s in row)
         lines = ["  ".join(s.rjust(width) for s in row) for row in cells]
         out = [f"space {self.space}  group {self.group}  dim {self.dim}", *lines]
@@ -182,24 +186,17 @@ class StructureReport:
 
     def to_latex(self) -> str:
         rows, cols = self.voigt_shape
-        body = []
-        for r in range(rows):
-            cells = []
-            for c in range(cols):
-                if c < r:
-                    cells.append(r"\text{sym}" if (r, c) == (rows - 1, 0) else "")
-                else:
-                    cells.append(_latex_cell(self.entries[r][c]))
-            body.append(" & ".join(cells))
-        mat = "\\begin{pmatrix}\n" + " \\\\\n".join(body) + "\n\\end{pmatrix}"
+        cells = self._cells()
+        if rows == cols > 1:  # a symmetric display shows its upper triangle only
+            for r in range(1, rows):
+                cells[r][:r] = [""] * r
+            cells[-1][0] = r"\text{sym}"
+        body = " \\\\\n".join(" & ".join(row) for row in cells)
+        body = body.replace("\u221a2", r"\sqrt{2}").replace("\u221a3", r"\sqrt{3}")
+        mat = "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}"
         if self.constraints:
             mat += "\n% with " + "; ".join(self.constraints)
         return mat
-
-
-def _latex_cell(entry: StructureEntry) -> str:
-    text = entry.render()
-    return text.replace("\u221a2", r"\sqrt{2}").replace("\u221a3", r"\sqrt{3}")
 
 
 def _slot_label(row: int, col: int, wide: bool) -> str:
@@ -224,13 +221,13 @@ def _structure_maps(space: TensorSpace) -> tuple:
     misfit = f"slot maps {rows.name} x {cols.name} do not fit space {space.name!r}"
     if (rows.n, cols.n, rows.order + cols.order) != (space.n, space.n, space.k):
         raise NoVoigtMapError(f"{misfit}: wrong ambient dimension or order")
+    orbits = space.orbits.reshape((space.n,) * space.k)
     for r in range(rows.length):
         for c in range(cols.length):
             cells = {(r, c), (c, r)} if rows.length == cols.length else {(r, c)}
-            comps = [ri + ci for a, b in cells
-                     for ri in rows.slots[a].pattern for ci in cols.slots[b].pattern]
-            orbit = {tuple(comps[0][p] for p in perm) for perm in space.permutation_group}
-            if not orbit.issuperset(comps):
+            comps = {orbits[ri + ci] for a, b in cells
+                     for ri in rows.slots[a].pattern for ci in cols.slots[b].pattern}
+            if len(comps) > 1:
                 raise NoVoigtMapError(f"{misfit}: entry ({r + 1},{c + 1}) reads "
                                       "components from more than one orbit")
     return rows, cols
@@ -250,7 +247,7 @@ def structure_report(space: TensorSpace, group: SymmetryGroup,
     """
     map_row, map_col = _structure_maps(space)
     a = averaged_projector(space, group)
-    basis = image_basis(a, tol)
+    basis = image_basis(a, tol, space.basis)
     dim = fix_dimension(space, group)
     if len(basis) != dim:
         raise InternalConsistencyError(
@@ -259,10 +256,10 @@ def structure_report(space: TensorSpace, group: SymmetryGroup,
         )
 
     rows, cols = map_row.length, map_col.length
-    # feature[r, c] = functional of the slot on the invariant subspace
-    feature = np.zeros((rows, cols, max(dim, 1)))
-    for m, b in enumerate(basis):
-        feature[:, :, m] = induced_matrix(map_row, map_col, b)
+    # feature[r, c] = functional of the slot on the invariant subspace (0 if dim 0)
+    coeffs = np.array([t.coeffs for t in basis] or [np.zeros(space.n**space.k)])
+    stacked = coeffs.reshape(len(coeffs), map_row.matrix.shape[1], map_col.matrix.shape[1])
+    feature = (map_row.matrix @ stacked @ map_col.matrix.T).transpose(1, 2, 0)
     scale = float(np.max(np.abs(feature))) or 1.0
     wide = max(rows, cols) > 9
 
@@ -345,6 +342,11 @@ def _label_sort_key(label: str):
     return tuple(int(d) for d in digits)
 
 
+def _combo_key(combo) -> tuple:
+    """Identity of a combination of free symbols, up to display rounding."""
+    return tuple((round(float(c), 9), lbl) for c, lbl in combo)
+
+
 def _emit_constraints(dependents, free_labels, tol: TolerancePolicy) -> list[str]:
     """Solve each multi-term dependency for its earliest free symbol.
 
@@ -357,7 +359,7 @@ def _emit_constraints(dependents, free_labels, tol: TolerancePolicy) -> list[str
     seen = set()
     out = []
     for slot_label, combo in dependents:
-        signature = tuple((round(float(c), 9), lbl) for c, lbl in combo)
+        signature = _combo_key(combo)
         if signature in seen:
             continue
         seen.add(signature)

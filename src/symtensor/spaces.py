@@ -1,10 +1,11 @@
 """Constitutive-tensor spaces described by index-permutation symmetries.
 
 A space is a set of order-k tensors over R^n whose coefficients are
-invariant under a list of index-position permutations.  The orthogonal
-projector onto the space (its symmetrization identity) is the average of
-the permutation operators over the group those generators generate.  The
-space dimension is the number of orbits of that group on multi-indices.
+invariant under a list of index-position permutations, i.e. constant on the
+orbits of multi-indices under the group those generators generate.  The
+normalized orbit indicators are an orthonormal basis B of the space, and its
+orthogonal projector (symmetrization identity) is B B^T, the average of the
+permutation operators over the group.  The dimension is the orbit count.
 """
 
 from __future__ import annotations
@@ -60,18 +61,6 @@ def _cycle_type(perm: tuple) -> tuple:
     return tuple(sorted(filter(None, lengths), reverse=True))
 
 
-def permutation_operator(perm: tuple, n: int) -> np.ndarray:
-    """Matrix of X -> transpose(X, perm) on flattened order-k tensors."""
-    k = len(perm)
-    dim = n**k
-    idx = np.indices((n,) * k).reshape(k, dim)
-    strides = np.array([n ** (k - 1 - m) for m in range(k)])
-    cols = (idx[list(perm), :] * strides[:, None]).sum(axis=0)
-    mat = np.zeros((dim, dim))
-    mat[np.arange(dim), cols] = 1.0
-    return mat
-
-
 @dataclass(frozen=True, eq=False)
 class TensorSpace:
     """Descriptor of an index-symmetric tensor space.
@@ -105,12 +94,26 @@ class TensorSpace:
         return generate_permutation_group(self.generators, self.k)
 
     @cached_property
+    def orbits(self) -> np.ndarray:
+        """Orbit number of each flat multi-index; orbits ordered by their least index."""
+        shape = (self.n,) * self.k
+        idx = np.indices(shape).reshape(self.k, -1)
+        images = [np.ravel_multi_index(idx[list(p)], shape) for p in self.permutation_group]
+        orbits = np.unique(np.min(images, axis=0), return_inverse=True)[1]
+        orbits.flags.writeable = False
+        return orbits
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """n^k x dim matrix whose columns are the normalized orbit indicators."""
+        sizes = np.bincount(self.orbits)
+        b = np.eye(sizes.size)[self.orbits] / np.sqrt(sizes[self.orbits])[:, None]
+        b.flags.writeable = False
+        return b
+
+    @cached_property
     def projector(self) -> FlatOperator:
-        dim = self.n**self.k
-        acc = np.zeros((dim, dim))
-        for perm in self.permutation_group:
-            acc += permutation_operator(perm, self.n)
-        return FlatOperator(self.n, self.k, acc / len(self.permutation_group))
+        return FlatOperator(self.n, self.k, self.basis @ self.basis.T)
 
     @cached_property
     def cycle_index(self) -> tuple:
@@ -126,18 +129,18 @@ class TensorSpace:
 
 def membership_residual(space: TensorSpace, t: FlatTensor) -> float:
     """``||Pi t - t||_inf``; zero iff ``t`` lies in the space."""
+    return float(np.max(np.abs(symmetrize(space, t).coeffs - t.coeffs)))
+
+
+def symmetrize(space: TensorSpace, arr) -> FlatTensor:
+    """Project an arbitrary coefficient array into the space: ``B (B^T t)``."""
+    t = arr if isinstance(arr, FlatTensor) else FlatTensor(space.n, space.k, np.asarray(arr).reshape(-1))
     if (t.n, t.k) != (space.n, space.k):
         raise ValueError(
             f"tensor of order {t.k} over R^{t.n} does not match space "
             f"{space.name} (order {space.k} over R^{space.n})"
         )
-    return float(np.max(np.abs(space.projector.matrix @ t.coeffs - t.coeffs)))
-
-
-def symmetrize(space: TensorSpace, arr) -> FlatTensor:
-    """Project an arbitrary coefficient array into the space."""
-    t = arr if isinstance(arr, FlatTensor) else FlatTensor(space.n, space.k, np.asarray(arr).reshape(-1))
-    return space.projector.apply(t)
+    return FlatTensor(space.n, space.k, space.basis @ (space.basis.T @ t.coeffs))
 
 
 # ---------------------------------------------------------------------------

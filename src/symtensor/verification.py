@@ -18,7 +18,7 @@ import numpy as np
 
 from . import groups, voigt
 from .characters import character_closed_form, character_direct, fix_dimension
-from .core import FlatTensor, image_basis, kron_power
+from .core import FlatTensor, kron_power
 from .groups import GroupElement, haar_rule, integrate, resolve_group
 from .projector import (averaged_projector, extract_isotropic_moduli,
                         isotropic_nine_matrix, moduli_from_matrix,
@@ -63,11 +63,6 @@ def _proj(space_name: str, group_name: str):
 def _report(space_name: str, group_name: str):
     sp = SPACES[space_name]
     return structure_report(sp, _group(group_name, sp.n))
-
-
-@lru_cache(maxsize=None)
-def _space_basis(space_name: str):
-    return image_basis(SPACES[space_name].projector)
 
 
 def _random_rotation(rng, n: int) -> np.ndarray:
@@ -559,8 +554,7 @@ def _oracle_row(space_name: str, group_name: str) -> VerifyRow:
     def run():
         sp = SPACES[space_name]
         g = _group(group_name, sp.n)
-        basis = _space_basis(space_name)
-        b = np.column_stack([t.coeffs for t in basis]) if basis else np.zeros((sp.n**sp.k, 0))
+        b = sp.basis
         blocks = []
         for e in g.sample_elements():
             kq = kron_power(e.matrix, sp.k).matrix

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +68,17 @@ class VoigtMap:
     def length(self) -> int:
         return len(self.slots)
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """length x n^order matrix of each slot's inverse scales at the flat
+        indices of the components it reads; ``inverse(v)`` is ``matrix.T @ v``."""
+        m = np.zeros((self.length, self.n**self.order))
+        for a, slot in enumerate(self.slots):
+            flat = np.ravel_multi_index(tuple(zip(*slot.pattern)), (self.n,) * self.order)
+            m[a, flat] = slot.inverse
+        m.flags.writeable = False
+        return m
+
     def forward(self, tensor) -> np.ndarray:
         """Vectorize a tensor (FlatTensor or dense array)."""
         arr = tensor.reshaped() if isinstance(tensor, FlatTensor) else np.asarray(tensor, dtype=float)
@@ -83,11 +95,7 @@ class VoigtMap:
         vec = np.asarray(vec, dtype=float).reshape(-1)
         if vec.shape != (self.length,):
             raise ValueError(f"map {self.name} expects a vector of length {self.length}")
-        arr = np.zeros((self.n,) * self.order)
-        for a, slot in enumerate(self.slots):
-            for idx, s in zip(slot.pattern, slot.inverse):
-                arr[idx] = s * vec[a]
-        return FlatTensor.from_array(arr)
+        return FlatTensor(self.n, self.order, self.matrix.T @ vec)
 
     def _check_compatible(self, arr: np.ndarray, tol: float = 1e-9) -> None:
         # components within one slot must agree up to the slot's scaling
@@ -249,16 +257,8 @@ def induced_matrix(map_row: VoigtMap, map_col: VoigtMap, t: FlatTensor) -> np.nd
             f"tensor order {t.k} does not fit maps of orders "
             f"{map_row.order} + {map_col.order}"
         )
-    arr = t.reshaped()
-    out = np.zeros((map_row.length, map_col.length))
-    for a, row_slot in enumerate(map_row.slots):
-        for b, col_slot in enumerate(map_col.slots):
-            acc = 0.0
-            for ridx, rs in zip(row_slot.pattern, row_slot.inverse):
-                for cidx, cs in zip(col_slot.pattern, col_slot.inverse):
-                    acc += rs * cs * arr[ridx + cidx]
-            out[a, b] = acc
-    return out
+    arr = t.coeffs.reshape(map_row.matrix.shape[1], map_col.matrix.shape[1])
+    return map_row.matrix @ arr @ map_col.matrix.T
 
 
 def axl(a: np.ndarray) -> np.ndarray:

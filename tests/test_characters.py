@@ -148,6 +148,21 @@ class TestRandomSpaces:
         trace = float(np.trace(sp.projector.matrix))
         assert abs(trace - sp.dim) < 1e-9
 
+    @settings(max_examples=30, deadline=None)
+    @given(random_spaces())
+    def test_orbit_basis(self, sp):
+        b = sp.basis
+        assert np.max(np.abs(b.T @ b - np.eye(b.shape[1])), initial=0.0) < 1e-14
+        assert b.shape[1] == sp.dim
+        # columns in the order of each orbit's smallest flat index
+        assert np.all(np.diff(np.argmax(b != 0, axis=0)) > 0)
+        # the symmetrizer as the average of X -> transpose(X, perm) over the group
+        size = sp.n**sp.k
+        units = np.eye(size).reshape((size,) + (sp.n,) * sp.k)
+        average = sum(np.transpose(units, (0, *(1 + p for p in perm))).reshape(size, size)
+                      for perm in sp.permutation_group) / len(sp.permutation_group)
+        assert np.max(np.abs(b @ b.T - average)) < 1e-12
+
     def test_major_symmetry_only_under_so3(self):
         # named like the elasticity space but with the major symmetry only
         fake = TensorSpace("ela3", 3, 4, ((2, 3, 0, 1),))

@@ -57,6 +57,13 @@ class TestDim:
                                  "--axis", "1,0,0")
             assert code == 2 and out == "" and "axis applies only" in err
 
+    @pytest.mark.parametrize("axis", ["nan,0,1", "0,inf,1", "1,1,-inf"])
+    def test_non_finite_axis_exits_2(self, capsys, axis):
+        for command in ("dim", "structure"):
+            code, out, err = run(capsys, command, "--space", "ela3", "--group", "so2-e3",
+                                 "--axis", axis)
+            assert code == 2 and out == "" and "finite components" in err
+
     def test_so3_degree_above_cap_exits_2(self, capsys):
         code, out, err = run(capsys, "dim", "--space", "ela3", "--group", "so3",
                              "--degree", "13")
@@ -197,8 +204,7 @@ class TestVerifyPaper:
         from symtensor.spaces import SPACES, TensorSpace
         broken = TensorSpace("ela3", 3, 4, ((1, 0, 2, 3),))  # major symmetry dropped
         monkeypatch.setitem(SPACES, "ela3", broken)
-        for cache in (verification._proj, verification._report,
-                      verification._space_basis):
+        for cache in (verification._proj, verification._report):
             cache.cache_clear()
         try:
             code, out, _ = run(capsys, "verify-paper", "--rows", "characters")
@@ -206,8 +212,7 @@ class TestVerifyPaper:
             assert any(l.startswith("[FAIL] characters ela3") for l in out.splitlines())
         finally:
             monkeypatch.undo()
-            for cache in (verification._proj, verification._report,
-                          verification._space_basis):
+            for cache in (verification._proj, verification._report):
                 cache.cache_clear()
 
 

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from symtensor.groups import (GroupElement, QuadratureRule, closure_check,
-                              haar_rule, integrate, make_continuous_group,
-                              make_finite_group, resolve_group, rotation_2d,
-                              rotation_z)
+from symtensor.groups import (GroupElement, QuadratureRule, axis_aligner,
+                              closure_check, haar_rule, integrate,
+                              make_continuous_group, make_finite_group,
+                              resolve_group, rotation_2d, rotation_z)
 
 from conftest import haar_rotation
 
@@ -61,6 +61,21 @@ class TestFiniteCatalog:
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             make_finite_group("Icosahedral", 1)
+
+    @pytest.mark.parametrize("cid,ambient", [("Zn_3D", 2), ("Dn_3D", 2), ("Zn_2D", 3),
+                                             ("Dn_2D", 3), ("cubic_O", 2)])
+    def test_ambient_must_match(self, cid, ambient):
+        with pytest.raises(ValueError, match=f"not on R\\^{ambient}"):
+            make_finite_group(cid, 2, ambient=ambient)
+
+    @pytest.mark.parametrize("cid,ambient", [("Zn_3D", 3), ("Dn_2D", 2), ("trivial", 2),
+                                             ("trivial", 3)])
+    def test_matching_ambient_accepted(self, cid, ambient):
+        assert make_finite_group(cid, 2, ambient=ambient).ambient == ambient
+
+    def test_nan_axis_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            axis_aligner([np.nan, 0.0, 1.0])
 
 
 class TestClosureCheck:
@@ -278,6 +293,12 @@ class TestGroupElementValidation:
     def test_improper_3d_rejected(self):
         with pytest.raises(ValueError, match="improper"):
             GroupElement(np.diag([-1.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_non_finite_rejected(self, n):
+        for bad in (np.full((n, n), np.nan), np.diag([np.inf] + [1.0] * (n - 1))):
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not orthogonal"):
+                GroupElement(bad)
 
     def test_planar_reflection_admitted(self):
         e = GroupElement(np.diag([-1.0, 1.0]))

@@ -176,11 +176,50 @@ class TestStructureReport:
         kinds = {e["kind"] for row in payload["entries"] for e in row}
         assert kinds <= {"zero", "free", "dependent"}
 
+    @pytest.mark.parametrize("space_name,group_name", [
+        ("v2bar", "so3"), ("v2bar", "cubic"), ("high2", "o2"), ("ela3", "so2-e3")])
+    def test_basis_spans_averaged_projector(self, space_name, group_name):
+        sp = SPACES[space_name]
+        g = resolve_group(group_name, sp.n)
+        rep = structure_report(sp, g)
+        span = sum(np.outer(t.coeffs, t.coeffs) for t in rep.basis)
+        assert np.max(np.abs(span - averaged_projector(sp, g).matrix)) <= 1e-12
+
+    @pytest.mark.parametrize("space_name,tied,count,gone", [
+        ("ela3", "C44", 3, ("C55", "C66")),     # the shear diagonal
+        ("major3", "C45", 6, ("C67", "C89")),   # the three off-diagonal pairs
+    ])
+    def test_repeated_dependent_shows_first_symbol(self, space_name, tied, count, gone):
+        rep = structure_report(SPACES[space_name], resolve_group("so3", 3))
+        text, tex = rep.to_text(), rep.to_latex()
+        for label in gone:
+            assert label not in text and label not in tex
+        # every tied slot plus the one constraint line
+        assert text.count(tied) == count + 1
+        # the JSON keeps each slot's own label and combination
+        labels = {e["label"] for row in rep.to_json()["entries"] for e in row
+                  if e["kind"] == "dependent"}
+        assert set(gone) <= labels
+
+    def test_tilted_axis_ties_shear_block(self):
+        axis = np.ones(3) / np.sqrt(3.0)
+        rep = structure_report(SPACES["ela3"], resolve_group("so2-e3", 3, axis=axis))
+        shear = [row.split()[3:] for row in rep.to_text().splitlines()[4:7]]
+        assert shear == [["C44", "C45", "C45"], ["C45", "C44", "C45"], ["C45", "C45", "C44"]]
+        assert rep.constraints == ("C11 = C12 - C14 + C15 + 2 C44 - 2 C45",)
+
     def test_latex_has_sym_shorthand(self):
         rep = structure_report(SPACES["ela3"], make_finite_group("cubic_O"))
         tex = rep.to_latex()
         assert tex.startswith("\\begin{pmatrix}")
         assert "\\text{sym}" in tex
+
+    def test_latex_of_rectangular_display_keeps_every_entry(self):
+        rep = structure_report(SPACES["v1bar"], make_finite_group("cubic_O"))
+        tex_rows = rep.to_latex().splitlines()[1:19]
+        text_rows = rep.to_text().splitlines()[1:19]
+        assert "\\text{sym}" not in rep.to_latex()
+        assert [r.rstrip(" \\").split(" & ") for r in tex_rows] == [r.split() for r in text_rows]
 
 
 class TestIsotropicModuli:

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from symtensor.core import FlatTensor
 from symtensor.spaces import SPACES, symmetrize
 from symtensor.voigt import (ALL_MAPS, EXTENDED18, EXTENDED18_ORDER, MANDEL6,
-                             NINE_SLOT, OCTET8, VOIGT6, anti, axl, dump_tables,
-                             extended_n_forward, extended_n_inverse,
-                             induced_matrix, mandel_forward, nine_slot_forward,
-                             nine_slot_inverse, voigt_forward, voigt_inverse)
+                             NINE_SLOT, OCTET8, STRUCTURE_MAPS, VOIGT6, anti,
+                             axl, dump_tables, extended_n_forward,
+                             extended_n_inverse, induced_matrix, mandel_forward,
+                             nine_slot_forward, nine_slot_inverse, voigt_forward,
+                             voigt_inverse)
 
 
 def random_sym3(rng):
@@ -145,6 +146,43 @@ class TestInducedMatrix:
     def test_order_mismatch_rejected(self):
         with pytest.raises(ValueError, match="order"):
             induced_matrix(VOIGT6, VOIGT6, FlatTensor(3, 2, np.zeros(9)))
+
+
+def loop_induced_matrix(map_row, map_col, t):
+    """Reference: entry (a, b) sums inverse scale products over both slots' components."""
+    arr = t.reshaped()
+    out = np.zeros((map_row.length, map_col.length))
+    for a, row_slot in enumerate(map_row.slots):
+        for b, col_slot in enumerate(map_col.slots):
+            for ridx, rs in zip(row_slot.pattern, row_slot.inverse):
+                for cidx, cs in zip(col_slot.pattern, col_slot.inverse):
+                    out[a, b] += rs * cs * arr[ridx + cidx]
+    return out
+
+
+def loop_inverse(vmap, vec):
+    """Reference: each component is its slot's value times the inverse scale."""
+    arr = np.zeros((vmap.n,) * vmap.order)
+    for a, slot in enumerate(vmap.slots):
+        for idx, s in zip(slot.pattern, slot.inverse):
+            arr[idx] = s * vec[a]
+    return arr
+
+
+class TestSlotMatrices:
+    @pytest.mark.parametrize("name", sorted(STRUCTURE_MAPS))
+    def test_induced_matrix_matches_loop(self, name, rng):
+        map_row, map_col = STRUCTURE_MAPS[name]
+        t = FlatTensor(map_row.n, map_row.order + map_col.order,
+                       rng.normal(size=map_row.n ** (map_row.order + map_col.order)))
+        # same products, summed in another order: a few ulps of the O(1) entries
+        assert np.max(np.abs(induced_matrix(map_row, map_col, t)
+                             - loop_induced_matrix(map_row, map_col, t))) < 1e-14
+
+    @pytest.mark.parametrize("vmap", ALL_MAPS, ids=lambda m: m.name)
+    def test_inverse_matches_loop(self, vmap, rng):
+        vec = rng.normal(size=vmap.length)
+        assert np.array_equal(vmap.inverse(vec).reshaped(), loop_inverse(vmap, vec))
 
 
 class TestAxl:
