@@ -7,12 +7,14 @@ follows from P's cycle index alone:
 
     chi(Q) = (1/|P|) sum_{sigma in P} prod_{cycles c of sigma} tr(Q^|c|),
 
-with every power trace read off tr(Q) by the Chebyshev recurrence.  The
-dimension of the fixed-point subspace under a group is the normalized Haar
-average of the character.
+with every power trace read off tr(Q) by the Chebyshev recurrence, for a
+whole stack of matrices at once.  The dimension of the fixed-point subspace
+under a group is the Haar average of the character over the group's rule.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,22 +39,24 @@ def _check_ambient(space: TensorSpace, ambient: int) -> None:
                          f"over R^{space.n}")
 
 
-def power_traces(q: GroupElement, top: int) -> list[float]:
-    """[tr Q, tr Q^2, ..., tr Q^top] from tr Q alone.
+def power_traces(mats: np.ndarray, top: int) -> np.ndarray:
+    """tr Q, tr Q^2, ..., tr Q^top of every matrix Q of an (..., n, n)
+    stack, from tr Q alone, as an array of shape (top, ...).
 
     A proper rotation by theta has tr Q^m = (n - 2) + 2 T_m(cos theta),
     with cos theta = (tr Q - n + 2) / 2 and T_m the Chebyshev polynomials.
     A 2D reflection squares to I, so tr Q^m = 1 + (-1)^m.
     """
-    n = q.ambient
-    if n == 2 and q.det_sign < 0:
-        return [1.0 + (-1.0) ** m for m in range(1, top + 1)]
-    c = (float(q.matrix.trace()) - n + 2) / 2.0
+    n = mats.shape[-1]
+    c = (np.trace(mats, axis1=-2, axis2=-1) - n + 2) / 2.0
+    out = np.empty((top,) + c.shape)
     prev, cur = 1.0, c
-    out = []
-    for _ in range(top):
-        out.append(n - 2 + 2.0 * cur)
+    for m in range(top):
+        out[m] = n - 2 + 2.0 * cur
         prev, cur = cur, 2.0 * c * cur - prev
+    if n == 2:
+        reflection = mats[..., 0, 0] * mats[..., 1, 1] < mats[..., 0, 1] * mats[..., 1, 0]
+        out[:, reflection] = (1.0 + (-1.0) ** np.arange(1, top + 1))[:, None]
     return out
 
 
@@ -65,17 +69,19 @@ def character_direct(space: TensorSpace, q: GroupElement) -> float:
     return float(np.sum(action * pi.T))
 
 
+def cycle_index_character(space: TensorSpace, mats: np.ndarray) -> np.ndarray:
+    """chi(Q) at every matrix Q of an (..., n, n) stack, from the cycle
+    index of the space's permutation group."""
+    _check_ambient(space, mats.shape[-1])
+    traces = power_traces(mats, space.k)
+    total = sum(count * math.prod(traces[length - 1] for length in cycles)
+                for cycles, count in space.cycle_index)
+    return total / len(space.permutation_group)
+
+
 def character_closed_form(space: TensorSpace, q: GroupElement) -> float:
     """chi(Q) from the cycle index of the space's permutation group."""
-    _check_ambient(space, q.ambient)
-    traces = power_traces(q, space.k)
-    total = 0.0
-    for cycles, count in space.cycle_index:
-        term = float(count)
-        for length in cycles:
-            term *= traces[length - 1]
-        total += term
-    return total / len(space.permutation_group)
+    return float(cycle_index_character(space, q.matrix))
 
 
 def fix_dimension(space: TensorSpace, group: SymmetryGroup, degree: int | None = None) -> int:
@@ -88,7 +94,7 @@ def fix_dimension(space: TensorSpace, group: SymmetryGroup, degree: int | None =
     _check_ambient(space, group.ambient)
     if degree is None:
         degree = space.k + 2
-    value = integrate(group, lambda q: character_closed_form(space, q), degree)
+    value = integrate(group, lambda mats: cycle_index_character(space, mats), degree)
     nearest = round(value)
     residual = abs(value - nearest)
     if residual >= 1e-6:

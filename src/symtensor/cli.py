@@ -2,9 +2,11 @@
 
 Commands: ``dim``, ``structure``, ``project``, ``moduli``, ``maps``,
 ``verify-paper``.  Exit codes are stable: 0 success, 2 unknown name or
-configuration, 3 quadrature non-convergence, 4 internal consistency
-failure, 5 bad input tensor.  The environment variable SYMTENSOR_TOL sets
-only the zero tolerance (rank cut, slot zero test), not the snap tolerances.
+configuration (also a bad SYMTENSOR_TOL or an unwritable output file),
+3 quadrature non-convergence, 4 internal consistency failure, 5 bad input
+(tensor file or moduli values).  The environment variable SYMTENSOR_TOL
+sets only the zero tolerance (rank cut, slot zero test), not the snap
+tolerances.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ def _tolerance() -> TolerancePolicy:
     try:
         return TolerancePolicy(zero_tol=float(raw))
     except ValueError as exc:
-        raise SystemExit(f"bad SYMTENSOR_TOL: {exc}")
+        print(f"error: bad SYMTENSOR_TOL: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_NAME)
 
 
 def _parse_axis(text):
@@ -72,9 +75,11 @@ def _resolve(args):
 def _read_tensor(path: str, sp) -> FlatTensor:
     with open(path) as fh:
         payload = json.load(fh)
-    if "coeffs" not in payload:
-        raise ValueError("tensor file needs a 'coeffs' array")
+    if not isinstance(payload, dict) or "coeffs" not in payload:
+        raise ValueError("tensor file needs a JSON object with a 'coeffs' array")
     declared = payload.get("space")
+    if declared is not None and not isinstance(declared, str):
+        raise ValueError(f"'space' must be a space name, got {declared!r}")
     if declared and declared.lower() != sp.name:
         raise ValueError(f"file declares space {declared!r}, command uses {sp.name!r}")
     n = int(payload.get("n", sp.n))
@@ -153,7 +158,7 @@ def cmd_project(args) -> int:
         return EXIT_NAME
     try:
         tensor = _read_tensor(args.input, sp)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
@@ -165,7 +170,11 @@ def cmd_project(args) -> int:
     for element in group.sample_elements():
         moved = kron_power(element.matrix, sp.k).matrix @ projected.coeffs
         residual = max(residual, float(np.max(np.abs(moved - projected.coeffs))))
-    _write_tensor(args.output, sp, projected, extra={"invariance_residual": residual})
+    try:
+        _write_tensor(args.output, sp, projected, extra={"invariance_residual": residual})
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_NAME
     print(f"invariance residual over group generators: {residual:.3e}", file=sys.stderr)
     return EXIT_OK
 
@@ -184,12 +193,14 @@ def cmd_moduli(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
-    sp = spaces.lookup("major3")
-    group = resolve_group("so3", 3)
+    if not isinstance(values, dict):
+        print(f"error: moduli values must be a JSON object of symbols and numbers, "
+              f"got {type(values).__name__}", file=sys.stderr)
+        return EXIT_INPUT
+    report = structure_report(spaces.lookup("major3"), resolve_group("so3", 3), tol=_tolerance())
     try:
-        report = structure_report(sp, group, tol=_tolerance())
         lam, mu, mu_c = extract_isotropic_moduli(report, values)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # TypeError: a value that is no number
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     print(json.dumps({"lambda": lam, "mu": mu, "mu_c": mu_c}))

@@ -34,33 +34,28 @@ class NotAProjectorError(ValueError):
         super().__init__(f"operator is not idempotent: ||A^2 - A||_inf = {residual:.3e}")
 
 
+# rational_snap accepts a candidate within EQUALITY_TOL of the float, with
+# denominators up to SNAP_DENOMINATOR_BOUND
+EQUALITY_TOL = 1e-9
+SNAP_DENOMINATOR_BOUND = 64
+
+
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Numerical tolerance knobs shared across the library.
+    """Numerical tolerance shared across the library.
 
     Attributes
     ----------
     zero_tol : float
         Relative cutoff below which a coefficient or singular value is
         treated as zero.
-    equality_tol : float
-        Absolute tolerance for matching a float against a snapped
-        rational candidate.
-    snap_denominator_bound : int
-        Largest denominator considered by :func:`rational_snap`.
     """
 
     zero_tol: float = 1e-9
-    equality_tol: float = 1e-9
-    snap_denominator_bound: int = 64
 
     def __post_init__(self):
         if not 0.0 < self.zero_tol <= 1e-6:
             raise ValueError(f"zero_tol must lie in (0, 1e-6], got {self.zero_tol}")
-        if self.equality_tol <= 0.0:
-            raise ValueError("equality_tol must be positive")
-        if self.snap_denominator_bound < 1:
-            raise ValueError("snap_denominator_bound must be >= 1")
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -239,11 +234,11 @@ def _format_snap(num: int, den: int, surd: int) -> str:
     return sign + body
 
 
-def rational_snap(x: float, tol: TolerancePolicy = DEFAULT_TOL) -> SnappedValue:
+def rational_snap(x: float) -> SnappedValue:
     """Snap a float to p/q, p/q*sqrt(2) or p/q*sqrt(3) for display.
 
-    Denominators are bounded by ``tol.snap_denominator_bound``; a candidate
-    is accepted when it matches ``x`` within ``tol.equality_tol``.  Values
+    Denominators are bounded by ``SNAP_DENOMINATOR_BOUND``; a candidate
+    is accepted when it matches ``x`` within ``EQUALITY_TOL``.  Values
     with no match are returned verbatim and flagged unsnapped.
     """
     x = float(x)
@@ -251,9 +246,9 @@ def rational_snap(x: float, tol: TolerancePolicy = DEFAULT_TOL) -> SnappedValue:
         raise ValueError(f"value {x} out of snapping range")
     for surd in (1, 2, 3):
         target = x / math.sqrt(surd)
-        frac = Fraction(target).limit_denominator(tol.snap_denominator_bound)
+        frac = Fraction(target).limit_denominator(SNAP_DENOMINATOR_BOUND)
         approx = float(frac) * math.sqrt(surd)
-        if abs(approx - x) <= tol.equality_tol:
+        if abs(approx - x) <= EQUALITY_TOL:
             return SnappedValue(
                 value=approx,
                 text=_format_snap(frac.numerator, frac.denominator, surd),

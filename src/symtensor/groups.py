@@ -1,9 +1,10 @@
 """Closed subgroups of SO(3) and O(2) with normalized Haar integration.
 
 Finite groups are explicit element lists (checked for closure at
-construction).  Continuous groups carry quadrature-rule generators that
-integrate polynomial functions of the matrix entries exactly up to a
-requested degree:
+construction).  A Haar integral is a weighted sum over a quadrature rule,
+an (m, n, n) stack of orthogonal matrices with m weights, and integrands
+are evaluated on the whole stack at once.  Continuous groups get rules
+exact for polynomials in the matrix entries up to a requested degree:
 
 * the circle groups (SO(2), O(2) and their SO(3) embeddings about an
   axis) use the element list of the cyclic or dihedral group of order
@@ -41,6 +42,26 @@ REFLECTION_2D = np.array([[-1.0, 0.0], [0.0, 1.0]])
 FLIP_E1_3D = np.diag([1.0, -1.0, -1.0])
 
 
+def _checked_dets(mats: np.ndarray, what: str) -> np.ndarray:
+    """Determinants of a stack of matrices, each checked orthogonal and, in 3D, proper."""
+    n = mats.shape[-1]
+    residual = np.max(np.abs(np.swapaxes(mats, -1, -2) @ mats - np.eye(n)), initial=0.0)
+    if not residual <= ORTHO_TOL:  # NaN fails too
+        raise ValueError(f"{what} is not orthogonal")
+    det = np.linalg.det(mats)
+    if np.any(np.abs(np.abs(det) - 1.0) > ORTHO_TOL):
+        raise ValueError(f"{what} determinant must be +-1")
+    if n == 3 and np.any(det < 0.0):
+        raise ValueError("improper 3x3 elements are not admitted (use SO(3) rotations)")
+    return det
+
+
+def _frozen(a) -> np.ndarray:
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class GroupElement:
     """An orthogonal matrix with a human-readable label."""
@@ -50,18 +71,10 @@ class GroupElement:
     det_sign: int = field(init=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = _frozen(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 3):
             raise ValueError(f"group element must be a 2x2 or 3x3 matrix, got {m.shape}")
-        if not np.max(np.abs(m.T @ m - np.eye(m.shape[0]))) <= ORTHO_TOL:  # NaN fails too
-            raise ValueError(f"group element {self.label!r} is not orthogonal")
-        det = float(np.linalg.det(m))
-        if abs(abs(det) - 1.0) > ORTHO_TOL:
-            raise ValueError("group element determinant must be +-1")
-        if det < 0.0 and m.shape[0] == 3:
-            raise ValueError("improper 3x3 elements are not admitted (use SO(3) rotations)")
-        m = m.copy()
-        m.flags.writeable = False
+        det = _checked_dets(m, f"group element {self.label!r}")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "det_sign", 1 if det > 0.0 else -1)
 
@@ -72,20 +85,25 @@ class GroupElement:
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Weighted nodes realizing the normalized Haar integral."""
+    """Normalized Haar integral: an (m, n, n) stack of orthogonal matrices, m weights."""
 
-    nodes: tuple
+    matrices: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        weights = np.array([w for _, w in self.nodes])
+        mats, weights = _frozen(self.matrices), _frozen(self.weights)
+        if mats.shape[1:] not in ((2, 2), (3, 3)) or weights.shape != mats.shape[:1]:
+            raise ValueError(f"rule shapes {mats.shape}, {weights.shape} are not (m, n, n), (m,)")
         if np.any(weights <= 0.0):
             raise ValueError("all quadrature weights must be positive")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {weights.sum()!r}, expected 1")
-        object.__setattr__(self, "nodes", tuple(self.nodes))
+        _checked_dets(mats, "quadrature node")
+        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "weights", weights)
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,26 +205,26 @@ def _frame(group_id: str, axis) -> Optional[np.ndarray]:
     return None if np.max(np.abs(frame - np.eye(3))) < 1e-15 else frame
 
 
-def _axial(ambient: int, theta: float, improper: bool, frame) -> GroupElement:
+def _axial(ambient: int, theta: float, improper: bool, frame) -> np.ndarray:
     """Rotation by ``theta`` about the group's axis, times the coset
     representative if ``improper``."""
     if ambient == 2:
-        q, coset, tail = rotation_2d(theta), REFLECTION_2D, "*refl"
+        q, coset = rotation_2d(theta), REFLECTION_2D
     else:
-        q, coset, tail = rotation_z(theta), FLIP_E1_3D, "*flip"
+        q, coset = rotation_z(theta), FLIP_E1_3D
     if improper:
         q = q @ coset
     if frame is not None:
         q = frame @ q @ frame.T
-    return GroupElement(q, f"rot({theta:.6f})" + (tail if improper else ""))
+    return q
 
 
-def _axial_elements(ambient: int, count: int, improper: bool, frame) -> tuple:
+def _axial_matrices(ambient: int, count: int, improper: bool, frame) -> np.ndarray:
     """The rotations by 2 pi j / count, j = 0..count-1, followed (if
     ``improper``) by the same rotations times the coset representative: the
     cyclic or dihedral group of order ``count`` about the frame's axis."""
-    return tuple(_axial(ambient, 2 * np.pi * j / count, coset, frame)
-                 for coset in (False, True)[:1 + improper] for j in range(count))
+    return np.stack([_axial(ambient, 2 * np.pi * j / count, coset, frame)
+                     for coset in (False, True)[:1 + improper] for j in range(count)])
 
 
 def make_finite_group(catalog_id: str, order_param: int = 1, axis=None,
@@ -238,7 +256,8 @@ def make_finite_group(catalog_id: str, order_param: int = 1, axis=None,
 
     if catalog_id in _AXIAL:
         improper = _AXIAL[catalog_id][1]
-        els = _axial_elements(own, n, improper, frame)
+        els = tuple(GroupElement(q, f"{catalog_id}[{i}]")
+                    for i, q in enumerate(_axial_matrices(own, n, improper, frame)))
         gens = (els[1 % n],) + ((els[n],) if improper else ())
         return SymmetryGroup(own, f"{catalog_id[0].lower()}{n}_{own}d", "finite",
                              elements=els, generators=gens, frame=frame)
@@ -275,8 +294,8 @@ def make_continuous_group(continuous_id: str, axis=None) -> SymmetryGroup:
     else:
         # a generic rotation, then a second one or the coset representative
         ambient, improper = _AXIAL[continuous_id]
-        gens = (_axial(ambient, 0.9, False, frame),
-                _axial(ambient, 0.0, True, frame) if improper else _axial(ambient, 2.31, False, frame))
+        gens = tuple(GroupElement(_axial(ambient, theta, coset, frame)) for theta, coset
+                     in ((0.9, False), (0.0, True) if improper else (2.31, False)))
     return SymmetryGroup(ambient, _CONTINUOUS_NAMES[continuous_id], "continuous",
                          continuous_id=continuous_id,
                          generators=gens, frame=frame)
@@ -316,56 +335,51 @@ def closure_check(g) -> ClosureReport:
 
 
 def haar_rule(g: SymmetryGroup, max_poly_degree: int = 8) -> QuadratureRule:
-    """Quadrature nodes realizing the normalized Haar measure on ``g``.
+    """Quadrature rule realizing the normalized Haar measure on ``g``.
 
-    Finite groups get uniform weights 1/|G|.  A circle group gets the
-    elements of the cyclic (SO(2)-type) or dihedral (O(2)-type) group of
-    order 2*degree + 2 about its axis, with uniform weights.  SO(3) uses
-    the product rule over (phi, theta, psi) in [0,2pi] x [0,pi] x [0,2pi]
-    with the invariant density sin(theta)/(8 pi^2): uniform grids in phi
-    and psi and Gauss-Legendre nodes in u = cos(theta); its
-    (2*degree + 2)^2 (degree + 1) nodes cap its degree at 12.  Exact (up to
-    roundoff) for polynomials in the matrix entries of total degree
-    <= max_poly_degree.
+    Finite groups get their element list with uniform weights 1/|G|.  A
+    circle group gets the elements of the cyclic (SO(2)-type) or dihedral
+    (O(2)-type) group of order 2*degree + 2 about its axis, with uniform
+    weights.  SO(3) uses the product rule over (phi, theta, psi) in
+    [0,2pi] x [0,pi] x [0,2pi] with the invariant density
+    sin(theta)/(8 pi^2): uniform grids in phi and psi and Gauss-Legendre
+    nodes in u = cos(theta), node Rz(phi) Ry(arccos u) Rz(psi) in (phi, u,
+    psi) order; its (2*degree + 2)^2 (degree + 1) nodes cap its degree at
+    12.  Exact (up to roundoff) for polynomials in the matrix entries of
+    total degree <= max_poly_degree.
     """
     if g.is_finite:
-        w = 1.0 / len(g.elements)
-        return QuadratureRule(tuple((e, w) for e in g.elements))
+        mats = np.stack([e.matrix for e in g.elements])
+        return QuadratureRule(mats, np.full(len(mats), 1.0 / len(mats)))
     cid = g.continuous_id
     if max_poly_degree < 1 or (cid == "SO3" and max_poly_degree > 12):
         raise ValueError(f"max_poly_degree must be >= 1 (and <= 12 on so3), got {max_poly_degree}")
     count = 2 * max_poly_degree + 2
     if cid != "SO3":
-        els = _axial_elements(g.ambient, count, _AXIAL[cid][1], g.frame)
-        return QuadratureRule(tuple((e, 1.0 / len(els)) for e in els))
+        mats = _axial_matrices(g.ambient, count, _AXIAL[cid][1], g.frame)
+        return QuadratureRule(mats, np.full(len(mats), 1.0 / len(mats)))
 
-    angles = [2 * np.pi * j / count for j in range(count)]
+    turns = np.stack([rotation_z(2 * np.pi * j / count) for j in range(count)])
     u_nodes, u_weights = leggauss(max_poly_degree + 1)
-    nodes = []
-    for phi in angles:
-        rz_phi = rotation_z(phi)
-        for u, wu in zip(u_nodes, u_weights):
-            mid = rz_phi @ rotation_y(float(np.arccos(u)))
-            for psi in angles:
-                q = mid @ rotation_z(psi)
-                nodes.append((GroupElement(q, f"euler({phi:.4f},{u:.4f},{psi:.4f})"),
-                              float(wu) / (2 * count * count)))
-    return QuadratureRule(tuple(nodes))
+    tilts = np.stack([rotation_y(float(np.arccos(u))) for u in u_nodes])
+    mats = (turns[:, None] @ tilts)[:, :, None] @ turns
+    weights = np.broadcast_to(u_weights[:, None] / (2 * count * count), mats.shape[:3])
+    return QuadratureRule(mats.reshape(-1, 3, 3), weights.reshape(-1))
 
 
-def integrate(g: SymmetryGroup, f: Callable[[GroupElement], float],
+def integrate(g: SymmetryGroup, f: Callable[[np.ndarray], np.ndarray],
               degree: int = 8) -> float:
-    """Haar integral of ``f`` over ``g``, exact for polynomial integrands
-    in the matrix entries of total degree <= ``degree``.
+    """Haar integral over ``g`` of ``f``, a map from an (m, n, n) stack to its m
+    values; exact for polynomials in the matrix entries of degree <= ``degree``.
 
     Finite groups take the arithmetic mean over the element list; the
     quadrature path accumulates with exact summation in node order, so
     repeated runs are bit-identical.
     """
     if g.is_finite:
-        return math.fsum(f(e) for e in g.elements) / len(g.elements)
+        return math.fsum(f(np.stack([e.matrix for e in g.elements]))) / len(g.elements)
     rule = haar_rule(g, degree)
-    return math.fsum(weight * f(element) for element, weight in rule.nodes)
+    return math.fsum(rule.weights * f(rule.matrices))
 
 
 # ---------------------------------------------------------------------------

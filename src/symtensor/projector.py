@@ -17,9 +17,9 @@ import numpy as np
 
 from .core import (DEFAULT_TOL, FlatOperator, FlatTensor, TolerancePolicy,
                    image_basis, rational_snap)
-from .characters import fix_dimension
+from .characters import _check_ambient, fix_dimension
 from .groups import SymmetryGroup, haar_rule
-from .spaces import TensorSpace, membership_residual
+from .spaces import TensorSpace, membership_residual, symmetrize
 from .voigt import STRUCTURE_MAPS
 
 DEPENDENT_RESIDUAL_TOL = 1e-7
@@ -41,67 +41,51 @@ class NoVoigtMapError(KeyError):
     """No slot map is registered for rendering this space."""
 
 
-def _averaged_action(space: TensorSpace, group: SymmetryGroup,
-                     degree: int | None = None) -> np.ndarray:
-    """Weighted sum of k-fold Kronecker powers over the group nodes.
+def _averaged_action(space: TensorSpace, group: SymmetryGroup) -> np.ndarray:
+    """Weighted sum of k-fold Kronecker powers over the group's Haar rule
+    of degree k + 2, which integrates the degree-k action exactly.
 
     Built stage-wise: per-node Kronecker factors of half the order (the
     lower half is empty for k = 1) are combined through one matrix
     product, which keeps the order-6 cases (729 x 729 over thousands of
     quadrature nodes) fast.
     """
+    _check_ambient(space, group.ambient)
     k = space.k
-    if degree is None:
-        degree = k + 2
-    rule = haar_rule(group, degree)
-    mats = np.stack([e.matrix for e, _ in rule.nodes])
-    weights = np.array([w for _, w in rule.nodes])
-    n = space.n
-    m = mats.shape[0]
-
-    def kron_stack(a, b):
-        # per-node Kronecker product of stacks (m, p, p) x (m, q, q)
-        p, q = a.shape[1], b.shape[1]
-        out = np.einsum("mij,mab->miajb", a, b)
-        return out.reshape(m, p * q, p * q)
-
-    left = k // 2
-    right = k - left
-    stacks = {0: np.ones((m, 1, 1)), 1: mats}
-    for size in range(2, right + 1):
-        stacks[size] = kron_stack(stacks[size - 1], mats)
-    a = stacks[left]
-    b = stacks[right]
+    rule = haar_rule(group, k + 2)
+    m = len(rule)
+    # stacks[j]: the per-node Kronecker powers of order j, up to k - k // 2
+    stacks = [np.ones((m, 1, 1))]
+    for _ in range(k - k // 2):
+        size = stacks[-1].shape[1] * space.n
+        stacks.append(np.einsum("mij,mab->miajb", stacks[-1], rule.matrices).reshape(m, size, size))
+    a, b = stacks[k // 2], stacks[-1]
     p, q = a.shape[1], b.shape[1]
     # sum_m w_m kron(a_m, b_m) via one (p^2, m) @ (m, q^2) product
-    flat = (weights[:, None] * a.reshape(m, p * p)).T @ b.reshape(m, q * q)
+    flat = (rule.weights[:, None] * a.reshape(m, p * p)).T @ b.reshape(m, q * q)
     out = flat.reshape(p, p, q, q).transpose(0, 2, 1, 3).reshape(p * q, p * q)
     return out
 
 
-def averaged_projector(space: TensorSpace, group: SymmetryGroup,
-                       degree: int | None = None) -> FlatOperator:
+def averaged_projector(space: TensorSpace, group: SymmetryGroup) -> FlatOperator:
     """Orthogonal projector onto the invariant subspace of the space.
 
     The group average M of the tensor action commutes with the
     symmetrization identity B B^T, so ``(M B) B^T`` is an idempotent
     operator whose trace equals the fixed-subspace dimension.
     """
-    if group.ambient != space.n:
-        raise ValueError(
-            f"group over R^{group.ambient} cannot act on space {space.name}"
-        )
-    m = _averaged_action(space, group, degree)
+    m = _averaged_action(space, group)
     return FlatOperator(space.n, space.k, (m @ space.basis) @ space.basis.T)
 
 
 def project(space: TensorSpace, group: SymmetryGroup, t: FlatTensor) -> FlatTensor:
-    """Group average of a tensor already lying in the space."""
+    """Group average ``M (B (B^T t))`` of a tensor already lying in the space."""
     res = membership_residual(space, t)
     scale = max(1.0, t.norm_inf())
     if res >= 1e-9 * scale:
         raise MembershipError(res)
-    return averaged_projector(space, group).apply(t)
+    action = _averaged_action(space, group)
+    return FlatTensor(space.n, space.k, action @ symmetrize(space, t).coeffs)
 
 
 @dataclass(frozen=True)
@@ -266,14 +250,11 @@ def structure_report(space: TensorSpace, group: SymmetryGroup,
     entries: list[list] = [[None] * cols for _ in range(rows)]
     free_vectors: list[np.ndarray] = []
     free_labels: list[str] = []
-    free_slots: list[tuple] = []
     dependents: list[tuple] = []
 
     symmetric_display = rows == cols
     for r in range(rows):
         for c in range(r if symmetric_display else 0, cols):
-            if symmetric_display and c < r:
-                continue
             vec = feature[r, c]
             label = _slot_label(r, c, wide)
             if np.max(np.abs(vec)) <= tol.zero_tol * scale:
@@ -289,7 +270,6 @@ def structure_report(space: TensorSpace, group: SymmetryGroup,
                 entries[r][c] = StructureEntry("free", label=label)
                 free_vectors.append(vec)
                 free_labels.append(label)
-                free_slots.append((r, c))
                 continue
             combo = []
             kept = np.zeros_like(coefs)
@@ -297,7 +277,7 @@ def structure_report(space: TensorSpace, group: SymmetryGroup,
                 if abs(coef) <= 10 * tol.zero_tol:
                     continue
                 kept[m] = coef
-                combo.append((rational_snap(float(coef), tol), free_labels[m]))
+                combo.append((rational_snap(float(coef)), free_labels[m]))
             resid_after = float(np.max(np.abs(np.column_stack(free_vectors) @ kept - vec)))
             if resid_after > DEPENDENT_RESIDUAL_TOL * scale:
                 raise InternalConsistencyError(
@@ -322,7 +302,7 @@ def structure_report(space: TensorSpace, group: SymmetryGroup,
             f"subspace dimension is {dim}"
         )
 
-    constraints = _emit_constraints(dependents, free_labels, tol)
+    constraints = _emit_constraints(dependents, free_labels)
     return StructureReport(
         space=space.name,
         group=group.catalog_id,
@@ -347,7 +327,7 @@ def _combo_key(combo) -> tuple:
     return tuple((round(float(c), 9), lbl) for c, lbl in combo)
 
 
-def _emit_constraints(dependents, free_labels, tol: TolerancePolicy) -> list[str]:
+def _emit_constraints(dependents, free_labels) -> list[str]:
     """Solve each multi-term dependency for its earliest free symbol.
 
     A slot s with value sum_i alpha_i F_i is rewritten as
@@ -364,11 +344,11 @@ def _emit_constraints(dependents, free_labels, tol: TolerancePolicy) -> list[str
             continue
         seen.add(signature)
         lead_coef, lead_label = min(combo, key=lambda item: order[item[1]])
-        rhs = [(rational_snap(1.0 / float(lead_coef), tol), slot_label)]
+        rhs = [(rational_snap(1.0 / float(lead_coef)), slot_label)]
         for coef, lbl in combo:
             if lbl == lead_label:
                 continue
-            rhs.append((rational_snap(-float(coef) / float(lead_coef), tol), lbl))
+            rhs.append((rational_snap(-float(coef) / float(lead_coef)), lbl))
         rhs.sort(key=lambda item: _label_sort_key(item[1]))
         parts = []
         for coef, lbl in rhs:

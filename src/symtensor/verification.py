@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from . import groups, voigt
-from .characters import character_closed_form, character_direct, fix_dimension
+from .characters import (character_closed_form, character_direct,
+                         cycle_index_character, fix_dimension)
 from .core import FlatTensor, kron_power
 from .groups import GroupElement, haar_rule, integrate, resolve_group
 from .projector import (averaged_projector, extract_isotropic_moduli,
@@ -188,7 +189,7 @@ def _haar_normalization_row() -> VerifyRow:
         worst = 0.0
         for name, ambient in (("so2", 2), ("o2", 2), ("so2-e3", 3), ("o2-e3", 3), ("so3", 3)):
             rule = haar_rule(_group(name, ambient), 8)
-            worst = max(worst, abs(math.fsum(w for _, w in rule.nodes) - 1.0))
+            worst = max(worst, abs(math.fsum(rule.weights) - 1.0))
         return _row(worst < 1e-12, "sum of weights = 1 (< 1e-12)", f"{worst:.2e}")
 
     return VerifyRow("haar: rules are normalized", "haar", run)
@@ -196,8 +197,7 @@ def _haar_normalization_row() -> VerifyRow:
 
 def _haar_example_row() -> VerifyRow:
     def run():
-        val = integrate(_group("so2", 2),
-                        lambda e: 3.0 * e.matrix[0, 0] ** 2 - e.matrix[1, 0] ** 2, 8)
+        val = integrate(_group("so2", 2), lambda q: 3.0 * q[:, 0, 0] ** 2 - q[:, 1, 0] ** 2, 8)
         return _row(abs(val - 1.0) < 1e-12, 1, val)
 
     return VerifyRow("haar: circle average of 3cos^2 - sin^2 equals 1", "haar", run)
@@ -207,11 +207,10 @@ def _poly_integrand(rng, n: int):
     a = rng.normal(size=(n, n))
     b = rng.normal(size=(n, n))
 
-    def f(e: GroupElement) -> float:
-        q = e.matrix
-        return (float(np.sum(a * q)) ** 3
-                + float(np.sum(b * q)) ** 2 * float(np.trace(q))
-                + float(np.trace(q @ q)) * float(np.trace(q)))
+    def f(q: np.ndarray) -> np.ndarray:
+        t = np.einsum("mii->m", q)
+        return (np.sum(a * q, axis=(1, 2)) ** 3 + np.sum(b * q, axis=(1, 2)) ** 2 * t
+                + np.einsum("mij,mji->m", q, q) * t)
 
     return f
 
@@ -223,8 +222,8 @@ def _haar_invariance_row(name: str, ambient: int) -> VerifyRow:
         f = _poly_integrand(rng, ambient)
         h = g.sample_elements()[0].matrix
         base = integrate(g, f, 8)
-        left = integrate(g, lambda e: f(GroupElement(h @ e.matrix)), 8)
-        right = integrate(g, lambda e: f(GroupElement(e.matrix @ h)), 8)
+        left = integrate(g, lambda q: f(h @ q), 8)
+        right = integrate(g, lambda q: f(q @ h), 8)
         worst = max(abs(base - left), abs(base - right))
         return _row(worst < 1e-9, "translation residual < 1e-9", f"{worst:.2e}")
 
@@ -238,7 +237,7 @@ def _haar_doubling_row() -> VerifyRow:
                                           ("so2-e3", 3, "major3"), ("so3", 3, "major3")):
             g = _group(name, ambient)
             sp = SPACES[space_name]
-            f = lambda e: character_closed_form(sp, e)
+            f = lambda q: cycle_index_character(sp, q)
             coarse = integrate(g, f, sp.k)
             fine = integrate(g, f, 2 * sp.k + 1)  # doubled node counts
             worst = max(worst, abs(coarse - fine))
@@ -250,9 +249,10 @@ def _haar_doubling_row() -> VerifyRow:
 def _haar_finite_mean_row() -> VerifyRow:
     def run():
         g = _group("cubic", 3)
-        f = lambda e: float(np.trace(e.matrix)) ** 2 + e.matrix[0, 1]
+        f = lambda q: np.einsum("mii->m", q) ** 2 + q[:, 0, 1]
         lhs = integrate(g, f, 4)
-        rhs = math.fsum(f(e) for e in g.elements) / g.order()
+        # the mean evaluated one element at a time
+        rhs = math.fsum(f(e.matrix[None])[0] for e in g.elements) / g.order()
         return _row(lhs == rhs, "arithmetic mean (bit-exact)", f"diff = {lhs - rhs!r}")
 
     return VerifyRow("haar: finite rule is the arithmetic mean", "haar", run)

@@ -21,9 +21,13 @@ class TestPowerTraces:
         for _ in range(10):
             mats += [haar_rotation(rng, 3), haar_rotation(rng, 2)]
             mats.append(haar_rotation(rng, 2) @ np.diag([1.0, -1.0]))
-        for q in mats:
-            direct = [float(np.trace(np.linalg.matrix_power(q, m))) for m in range(1, 9)]
-            assert power_traces(GroupElement(q), 8) == pytest.approx(direct, abs=1e-10)
+        for n in (2, 3):
+            stack = np.stack([q for q in mats if len(q) == n])
+            traces = power_traces(stack, 8)
+            assert traces.shape == (8, len(stack))
+            for q, got in zip(stack, traces.T):
+                direct = [float(np.trace(np.linalg.matrix_power(q, m))) for m in range(1, 9)]
+                assert got.tolist() == pytest.approx(direct, abs=1e-10)
 
 
 class TestCharacters:

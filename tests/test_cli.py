@@ -152,6 +152,29 @@ class TestProject:
                          "--input", str(src))
         assert code == 5
 
+    @pytest.mark.parametrize("text", [
+        "5",
+        '[1.0, 0.0, 0.0, 1.0]',
+        '{"space": 5, "coeffs": [1.0, 0.0, 0.0, 1.0]}',
+        '{"n": null, "coeffs": [1.0, 0.0, 0.0, 1.0]}',
+        '{"coeffs": {"a": 1.0}}',
+    ])
+    def test_malformed_tensor_exits_5(self, tmp_path, capsys, text):
+        src = tmp_path / "in.json"
+        src.write_text(text)
+        code, out, err = run(capsys, "project", "--space", "sym2", "--group", "so2",
+                             "--input", str(src))
+        assert code == 5 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("target", ["missing/out.json", "."])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, target):
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps({"coeffs": [1.0, 0.0, 0.0, 1.0]}))
+        code, _, err = run(capsys, "project", "--space", "sym2", "--group", "so2",
+                           "--input", str(src), "--output", str(tmp_path / target))
+        assert code == 2
+        assert err.startswith("error: cannot write output")
+
     def test_space_header_mismatch_exits_5(self, tmp_path, capsys):
         src = tmp_path / "in.json"
         src.write_text(json.dumps({"space": "ela3", "n": 2, "k": 2,
@@ -167,6 +190,21 @@ class TestModuli:
                            '{"C12": 1, "C44": 3, "C45": 1}')
         assert code == 0
         assert json.loads(out) == {"lambda": 1.0, "mu": 2.0, "mu_c": 1.0}
+
+    @pytest.mark.parametrize("source,text,message", [
+        ("--values", "[1]", "JSON object"),
+        ("--values", "5", "JSON object"),
+        ("--values", '{"C12": null, "C44": 1, "C45": 1}', "NoneType"),
+        ("--values", '{"C12": "one", "C44": 1, "C45": 1}', "'one'"),
+        ("--input", '[{"C12": 1, "C44": 3, "C45": 1}]', "JSON object"),
+    ])
+    def test_malformed_values_exit_5(self, tmp_path, capsys, source, text, message):
+        if source == "--input":
+            path = tmp_path / "values.json"
+            path.write_text(text)
+            text = str(path)
+        code, out, err = run(capsys, "moduli", source, text)
+        assert code == 5 and out == "" and err.startswith("error: ") and message in err
 
     def test_missing_values_exit_5(self, capsys):
         code, _, err = run(capsys, "moduli", "--values", '{"C12": 1}')
@@ -226,3 +264,16 @@ class TestTolerance:
         monkeypatch.setenv("SYMTENSOR_TOL", "0.5")
         with pytest.raises(SystemExit):
             main(["structure", "--space", "ela3", "--group", "cubic"])
+
+    @pytest.mark.parametrize("value", ["abc", "1e-3"])
+    @pytest.mark.parametrize("argv", [
+        ("structure", "--space", "ela3", "--group", "cubic"),
+        ("moduli", "--values", '{"C12": 1, "C44": 3, "C45": 1}'),
+    ])
+    def test_bad_env_exits_2(self, capsys, monkeypatch, value, argv):
+        monkeypatch.setenv("SYMTENSOR_TOL", value)
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad SYMTENSOR_TOL")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symtensor.core import (DEFAULT_TOL, FlatOperator, FlatTensor,
+from symtensor.core import (EQUALITY_TOL, FlatOperator, FlatTensor,
                             NonOrthogonalError, NotAProjectorError,
                             TolerancePolicy, image_basis, kron_power,
                             operator_trace, rational_snap)
@@ -153,7 +153,7 @@ class TestRationalSnap:
     def test_recovers_fractions(self, p, q):
         snapped = rational_snap(p / q)
         assert snapped.exact
-        assert abs(snapped.value - p / q) <= DEFAULT_TOL.equality_tol
+        assert abs(snapped.value - p / q) <= EQUALITY_TOL
 
 
 class TestTolerancePolicy:

@@ -4,12 +4,47 @@ import math
 import numpy as np
 import pytest
 
-from symtensor.groups import (GroupElement, QuadratureRule, axis_aligner,
-                              closure_check, haar_rule, integrate,
+from symtensor.groups import (FLIP_E1_3D, GROUPS_2D, GROUPS_3D, REFLECTION_2D,
+                              GroupElement, QuadratureRule, axis_aligner,
+                              closure_check, group_kind, haar_rule, integrate,
                               make_continuous_group, make_finite_group,
-                              resolve_group, rotation_2d, rotation_z)
+                              resolve_group, rotation_2d, rotation_y, rotation_z)
 
 from conftest import haar_rotation
+
+
+def trace(q):
+    return np.trace(q, axis1=-2, axis2=-1)
+
+
+def so3_node_loop(degree):
+    """The SO(3) product rule built one node at a time, in (phi, u, psi) order."""
+    count = 2 * degree + 2
+    angles = [2 * np.pi * j / count for j in range(count)]
+    u_nodes, u_weights = np.polynomial.legendre.leggauss(degree + 1)
+    nodes = []
+    for phi in angles:
+        rz_phi = rotation_z(phi)
+        for u, wu in zip(u_nodes, u_weights):
+            mid = rz_phi @ rotation_y(float(np.arccos(u)))
+            for psi in angles:
+                nodes.append((mid @ rotation_z(psi), float(wu) / (2 * count * count)))
+    return nodes
+
+
+def axial_node_loop(ambient, count, improper, frame):
+    """The cyclic or dihedral group of order ``count`` built one element at a time."""
+    out = []
+    for coset in (False, True)[:1 + improper]:
+        for j in range(count):
+            theta = 2 * np.pi * j / count
+            q = rotation_2d(theta) if ambient == 2 else rotation_z(theta)
+            if coset:
+                q = q @ (REFLECTION_2D if ambient == 2 else FLIP_E1_3D)
+            if frame is not None:
+                q = frame @ q @ frame.T
+            out.append(q)
+    return out
 
 
 def brute_force_cube_rotations():
@@ -118,14 +153,14 @@ class TestHaarRule:
     @pytest.mark.parametrize("cid", ["SO2_2D", "O2_2D", "SO2_e3", "O2_e3", "SO3"])
     def test_normalized(self, cid):
         rule = haar_rule(make_continuous_group(cid), 8)
-        assert abs(math.fsum(w for _, w in rule.nodes) - 1.0) < 1e-12
-        assert all(w > 0 for _, w in rule.nodes)
+        assert abs(math.fsum(rule.weights) - 1.0) < 1e-12
+        assert np.all(rule.weights > 0)
 
     def test_finite_uniform(self):
         g = make_finite_group("cubic_O")
         rule = haar_rule(g)
         assert len(rule) == 24
-        assert all(w == 1.0 / 24.0 for _, w in rule.nodes)
+        assert np.all(rule.weights == 1.0 / 24.0)
 
     def test_unsupported_degree(self):
         with pytest.raises(ValueError, match="degree"):
@@ -141,8 +176,8 @@ class TestHaarRule:
         count = 2 * degree + 2
         improper = cid.startswith("O2")
         assert len(rule) == count * (2 if improper else 1)
-        assert all(w == 1.0 / len(rule) for _, w in rule.nodes)
-        mats = [e.matrix for e, _ in rule.nodes]
+        assert np.all(rule.weights == 1.0 / len(rule))
+        mats = rule.matrices
         # proper half: the rotations by 2 pi j / count about the axis, in order
         for j, q in enumerate(mats[:count]):
             theta = 2 * np.pi * j / count
@@ -179,13 +214,77 @@ class TestHaarRule:
 
     def test_o2_rule_covers_both_cosets(self):
         rule = haar_rule(make_continuous_group("O2_2D"), 6)
-        dets = {round(float(np.linalg.det(e.matrix))) for e, _ in rule.nodes}
+        dets = {round(float(d)) for d in np.linalg.det(rule.matrices)}
         assert dets == {-1, 1}
 
     def test_weights_must_be_positive(self):
-        e = GroupElement(np.eye(2), "id")
+        e = np.eye(2)
         with pytest.raises(ValueError):
-            QuadratureRule(((e, 2.0), (e, -1.0)))
+            QuadratureRule(np.stack([e, e]), np.array([2.0, -1.0]))
+
+    @pytest.mark.parametrize("mats,weights,match", [
+        ([np.eye(2), [[1.0, 0.1], [0.0, 1.0]]], [0.5, 0.5], "not orthogonal"),
+        ([np.eye(3), np.diag([1.0, 1.0, -1.0])], [0.5, 0.5], "improper"),
+        ([np.eye(3), np.eye(3)], [1.0, 0.0], "positive"),
+        ([np.eye(2)], [0.5], "sum"),
+        ([np.eye(2)], [1.0, 0.0], "shapes"),
+    ])
+    def test_rule_refuses_bad_nodes_and_weights(self, mats, weights, match):
+        with pytest.raises(ValueError, match=match):
+            QuadratureRule(np.array(mats, dtype=float), np.array(weights))
+
+    def test_rule_arrays_are_read_only(self):
+        rule = haar_rule(make_continuous_group("SO2_2D"), 2)
+        assert not rule.matrices.flags.writeable and not rule.weights.flags.writeable
+
+    @pytest.mark.parametrize("cid,axis,degrees", [
+        ("SO2_2D", None, (1, 4, 13)), ("O2_2D", None, (1, 4, 13)),
+        ("SO2_e3", None, (1, 4, 13)), ("O2_e3", None, (1, 4, 13)),
+        ("SO2_e3", (1.0, 2.0, 2.0), (1, 4, 13)), ("O2_e3", (0.0, -0.6, 0.8), (1, 4, 13)),
+        ("SO3", None, (1, 4, 8, 12)),
+    ])
+    def test_rule_bitwise_equal_to_node_loop(self, cid, axis, degrees):
+        axis = None if axis is None else np.array(axis) / np.linalg.norm(axis)
+        g = make_continuous_group(cid, axis=axis)
+        for degree in degrees:
+            rule = haar_rule(g, degree)
+            if cid == "SO3":
+                nodes = so3_node_loop(degree)
+            else:
+                ambient, improper = (2 if cid.endswith("2D") else 3), cid.startswith("O2")
+                nodes = [(q, 1.0) for q in axial_node_loop(ambient, 2 * degree + 2, improper,
+                                                           g.frame)]
+                nodes = [(q, 1.0 / len(nodes)) for q, _ in nodes]
+            assert rule.matrices.tobytes() == np.stack([q for q, _ in nodes]).tobytes()
+            assert rule.weights.tobytes() == np.array([w for _, w in nodes]).tobytes()
+
+    @pytest.mark.parametrize("name,ambient", [
+        (n, a) for a, names in ((2, GROUPS_2D), (3, GROUPS_3D)) for n in names
+        if group_kind(n) == "finite"])
+    def test_finite_rule_bitwise_equal_to_elements(self, name, ambient):
+        g = resolve_group(name, ambient)
+        rule = haar_rule(g)
+        assert rule.matrices.tobytes() == np.stack([e.matrix for e in g.elements]).tobytes()
+        assert np.all(rule.weights == 1.0 / g.order())
+        if name[0] in "zd":
+            count = int(name[1:])
+            improper = name[0] == "d"
+            loop = axial_node_loop(ambient, count, improper, g.frame)
+            assert rule.matrices.tobytes() == np.stack(loop).tobytes()
+
+    @pytest.mark.parametrize("cid", ["SO3", "O2_e3", "O2_2D"])
+    def test_rule_builds_no_group_element(self, monkeypatch, cid):
+        g = make_continuous_group(cid)
+        built = []
+        original = GroupElement.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(GroupElement, "__post_init__", counting)
+        rule = haar_rule(g, 8)
+        assert len(rule) > 0 and built == []
 
 
 class TestIntegrate:
@@ -195,12 +294,12 @@ class TestIntegrate:
 
     def test_circle_example(self):
         so2 = make_continuous_group("SO2_2D")
-        val = integrate(so2, lambda e: 3 * e.matrix[0, 0] ** 2 - e.matrix[1, 0] ** 2, 8)
+        val = integrate(so2, lambda q: 3 * q[:, 0, 0] ** 2 - q[:, 1, 0] ** 2, 8)
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_so3_squared_trace(self):
         so3 = make_continuous_group("SO3")
-        assert integrate(so3, lambda e: np.trace(e.matrix) ** 2, 6) == pytest.approx(1.0, abs=1e-10)
+        assert integrate(so3, lambda q: trace(q) ** 2, 6) == pytest.approx(1.0, abs=1e-10)
 
     def test_so3_squared_trace_monte_carlo(self, rng):
         # slow independent oracle for the same Haar average
@@ -213,22 +312,22 @@ class TestIntegrate:
     def test_left_right_invariance(self, rng):
         a = rng.normal(size=(3, 3))
 
-        def f(e):
-            return float(np.sum(a * e.matrix)) ** 3 + float(np.trace(e.matrix)) ** 2
+        def f(q):
+            return np.sum(a * q, axis=(1, 2)) ** 3 + trace(q) ** 2
 
         for cid in ("SO2_e3", "O2_e3", "SO3"):
             g = make_continuous_group(cid)
             h = g.sample_elements()[-1].matrix
             base = integrate(g, f, 8)
-            left = integrate(g, lambda e: f(GroupElement(h @ e.matrix)), 8)
-            right = integrate(g, lambda e: f(GroupElement(e.matrix @ h)), 8)
+            left = integrate(g, lambda q: f(h @ q), 8)
+            right = integrate(g, lambda q: f(q @ h), 8)
             assert abs(base - left) < 1e-9 and abs(base - right) < 1e-9
 
     def test_node_doubling_plateau(self):
         g = make_continuous_group("SO3")
 
-        def f(e):
-            t = float(np.trace(e.matrix))
+        def f(q):
+            t = trace(q)
             return t**4 - 2 * t**3 + 2 * t**2
 
         assert abs(integrate(g, f, 4) - integrate(g, f, 9)) < 1e-10
@@ -236,10 +335,11 @@ class TestIntegrate:
     def test_finite_mean_bit_exact(self):
         g = make_finite_group("Dn_3D", 4)
 
-        def f(e):
-            return float(np.trace(e.matrix)) ** 2 + e.matrix[0, 1]
+        def f(q):
+            return trace(q) ** 2 + q[:, 0, 1]
 
-        assert integrate(g, f) == math.fsum(f(e) for e in g.elements) / g.order()
+        # the mean evaluated one element at a time
+        assert integrate(g, f) == math.fsum(f(e.matrix[None])[0] for e in g.elements) / g.order()
 
 
 class TestResolveGroup:
