@@ -8,7 +8,7 @@ independent-component labeling.
 """
 
 from .core import (DEFAULT_TOL, FlatOperator, FlatTensor, SnappedValue,
-                   TolerancePolicy, image_basis, kron_power, operator_trace,
+                   TolerancePolicy, act, image_basis, kron_power,
                    rational_snap)
 from .groups import (GroupElement, QuadratureRule, SymmetryGroup, closure_check,
                      haar_rule, integrate, make_continuous_group,

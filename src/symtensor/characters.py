@@ -1,9 +1,9 @@
 """Characters of the tensor-space actions and the trace formula.
 
-For a group element Q acting on an order-k space with symmetrization
-identity Pi, the character is chi(Q) = tr(kron_power(Q, k) . Pi).  Since Pi
-averages the index permutations of the space's group P, the character also
-follows from P's cycle index alone:
+For a group element Q acting on an order-k space with orbit basis B, the
+character is chi(Q) = tr(B^T Q^{(x)k} B), a direct slot-wise contraction.
+Since B B^T averages the index permutations of the space's group P, the
+character also follows from P's cycle index alone:
 
     chi(Q) = (1/|P|) sum_{sigma in P} prod_{cycles c of sigma} tr(Q^|c|),
 
@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import kron_power
+from .core import act
 from .groups import GroupElement, SymmetryGroup, integrate
 from .spaces import TensorSpace
 
@@ -61,12 +61,10 @@ def power_traces(mats: np.ndarray, top: int) -> np.ndarray:
 
 
 def character_direct(space: TensorSpace, q: GroupElement) -> float:
-    """chi(Q) by direct contraction: trace of kron_power(Q, k) . Pi."""
+    """chi(Q) = tr(B^T Q^{(x)k} B) by direct contraction, not the cycle index."""
     _check_ambient(space, q.ambient)
-    action = kron_power(q.matrix, space.k).matrix
-    pi = space.projector.matrix
-    # tr(A @ Pi) without forming the product
-    return float(np.sum(action * pi.T))
+    b = space.basis
+    return float(np.sum(b * act(q.matrix[None], space.k, b)))
 
 
 def cycle_index_character(space: TensorSpace, mats: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import spaces, voigt
 from .characters import QuadratureNotConvergedError, fix_dimension
-from .core import DEFAULT_TOL, FlatTensor, TolerancePolicy, kron_power
+from .core import DEFAULT_TOL, FlatTensor, TolerancePolicy, act
 from .groups import GROUPS_2D, GROUPS_3D, resolve_group
 from .projector import (InternalConsistencyError, MembershipError,
                         NoVoigtMapError, extract_isotropic_moduli, project,
@@ -82,8 +82,9 @@ def _read_tensor(path: str, sp) -> FlatTensor:
         raise ValueError(f"'space' must be a space name, got {declared!r}")
     if declared and declared.lower() != sp.name:
         raise ValueError(f"file declares space {declared!r}, command uses {sp.name!r}")
-    n = int(payload.get("n", sp.n))
-    k = int(payload.get("k", sp.k))
+    n, k = payload.get("n", sp.n), payload.get("k", sp.k)
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in (n, k)):
+        raise ValueError(f"'n' and 'k' must be integers, got {n!r} and {k!r}")
     if (n, k) != (sp.n, sp.k):
         raise ValueError(f"file is order {k} over R^{n}, space {sp.name} needs "
                          f"order {sp.k} over R^{sp.n}")
@@ -108,6 +109,10 @@ def cmd_dim(args) -> int:
         sp, group = _resolve(args)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NAME
+    if args.degree is not None and group.is_finite:
+        print(f"error: --degree applies only to continuous groups; {args.group!r} is "
+              "finite and averages over its elements", file=sys.stderr)
         return EXIT_NAME
     try:
         dim = fix_dimension(sp, group, degree=args.degree)
@@ -166,10 +171,8 @@ def cmd_project(args) -> int:
     except MembershipError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    residual = 0.0
-    for element in group.sample_elements():
-        moved = kron_power(element.matrix, sp.k).matrix @ projected.coeffs
-        residual = max(residual, float(np.max(np.abs(moved - projected.coeffs))))
+    moved = act(np.array([e.matrix for e in group.sample_elements()]), sp.k, projected.coeffs)
+    residual = float(np.max(np.abs(moved - projected.coeffs)))
     try:
         _write_tensor(args.output, sp, projected, extra={"invariance_residual": residual})
     except OSError as exc:
@@ -218,12 +221,13 @@ def cmd_maps(args) -> int:
 
 def cmd_verify_paper(args) -> int:
     categories = None
-    if args.rows:
+    if args.rows is not None:
         categories = [c.strip() for c in args.rows.split(",") if c.strip()]
         unknown = [c for c in categories if c not in ROW_CATEGORIES]
-        if unknown:
-            print(f"error: unknown row categories {unknown}; "
-                  f"known: {', '.join(ROW_CATEGORIES)}", file=sys.stderr)
+        if unknown or not categories:
+            problem = (f"unknown row categories {unknown}" if unknown
+                       else f"--rows {args.rows!r} names no category")
+            print(f"error: {problem}; known: {', '.join(ROW_CATEGORIES)}", file=sys.stderr)
             return EXIT_NAME
     failures = 0
     total = 0
@@ -258,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dim", help="fixed-subspace dimension via the trace formula")
     add_pair(p)
     p.add_argument("--degree", type=_degree, default=None,
-                   help="quadrature degree override (>= 1; at most 12 on so3)")
+                   help="quadrature degree override for continuous groups "
+                        "(>= 1; at most 12 on so3); refused for finite groups")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_dim)
 

@@ -1,10 +1,10 @@
-"""Flattened dense tensor/matrix algebra on small spaces.
+"""Flattened tensor algebra on small spaces.
 
 Order-k tensors over R^n are stored as length-n^k coefficient vectors in
 row-major order (multi-index (i_1, ..., i_k) maps to sum_m i_m * n^(k-m)
-with 0-based indices).  Linear maps on such tensors are stored as dense
-n^k x n^k matrices.  Everything is double precision; rational values are
-recovered only at display time (see :func:`rational_snap`).
+with 0-based indices).  :func:`act` applies Q^{(x)k} to them slot-wise; only
+the reference :func:`kron_power` forms that n^k x n^k matrix.  Everything is
+double precision; rational values are recovered only at display time.
 """
 
 from __future__ import annotations
@@ -174,9 +174,27 @@ def kron_power(q: np.ndarray, k: int) -> FlatOperator:
     return FlatOperator(q.shape[0], k, out)
 
 
-def operator_trace(a: FlatOperator) -> float:
-    """Sum of diagonal entries."""
-    return float(np.trace(a.matrix))
+def kron_stack(mats: np.ndarray, j: int) -> np.ndarray:
+    """(m, n^j, n^j) Kronecker powers of an (m, n, n) stack (ones for j = 0)."""
+    m, n = mats.shape[0], mats.shape[-1]
+    out = np.ones((m, 1, 1))
+    for _ in range(j):
+        size = out.shape[1] * n
+        out = np.einsum("mij,mab->miajb", out, mats).reshape(m, size, size)
+    return out
+
+
+def act(mats: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
+    """Q^{(x)k} x, shaped (m, n^k, ...), for each Q of an (m, n, n) stack and
+    x of shape (n^k, ...).  With the multi-index split in halves, this is
+    A X B^T for A = Q^{(x)(k//2)} and B = Q^{(x)(k - k//2)}: no n^k x n^k
+    matrix is formed."""
+    a = kron_stack(mats, k // 2)
+    b = a if k % 2 == 0 else kron_stack(mats, k - k // 2)
+    m, p, q, r = len(mats), a.shape[1], b.shape[1], math.prod(x.shape[1:])
+    # apply B to the last slots, then A to the first
+    right = np.matmul(b[:, None], x.reshape(1, p, q, r))
+    return np.matmul(a, right.reshape(m, p, q * r)).reshape((m,) + x.shape)
 
 
 def image_basis(a: FlatOperator, tol: TolerancePolicy = DEFAULT_TOL,

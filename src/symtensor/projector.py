@@ -11,12 +11,14 @@ convention implies.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (DEFAULT_TOL, FlatOperator, FlatTensor, TolerancePolicy,
-                   image_basis, rational_snap)
+                   image_basis, kron_stack, rational_snap)
 from .characters import _check_ambient, fix_dimension
 from .groups import SymmetryGroup, haar_rule
 from .spaces import TensorSpace, membership_residual, symmetrize
@@ -46,20 +48,16 @@ def _averaged_action(space: TensorSpace, group: SymmetryGroup) -> np.ndarray:
     of degree k + 2, which integrates the degree-k action exactly.
 
     Built stage-wise: per-node Kronecker factors of half the order (the
-    lower half is empty for k = 1) are combined through one matrix
-    product, which keeps the order-6 cases (729 x 729 over thousands of
-    quadrature nodes) fast.
+    lower half is empty for k = 1, and is the upper half for even k) are
+    combined through one matrix product, which keeps the order-6 cases
+    (729 x 729 over thousands of quadrature nodes) fast.
     """
     _check_ambient(space, group.ambient)
     k = space.k
     rule = haar_rule(group, k + 2)
     m = len(rule)
-    # stacks[j]: the per-node Kronecker powers of order j, up to k - k // 2
-    stacks = [np.ones((m, 1, 1))]
-    for _ in range(k - k // 2):
-        size = stacks[-1].shape[1] * space.n
-        stacks.append(np.einsum("mij,mab->miajb", stacks[-1], rule.matrices).reshape(m, size, size))
-    a, b = stacks[k // 2], stacks[-1]
+    a = kron_stack(rule.matrices, k // 2)
+    b = a if k % 2 == 0 else kron_stack(rule.matrices, k - k // 2)
     p, q = a.shape[1], b.shape[1]
     # sum_m w_m kron(a_m, b_m) via one (p^2, m) @ (m, q^2) product
     flat = (rule.weights[:, None] * a.reshape(m, p * p)).T @ b.reshape(m, q * q)
@@ -385,28 +383,35 @@ def isotropic_nine_matrix(lam: float, mu: float, mu_c: float) -> np.ndarray:
 def extract_isotropic_moduli(report: StructureReport, values: dict) -> tuple:
     """(lambda, mu, mu_c) from a free-label assignment of the isotropic report.
 
-    ``values`` maps displayed symbols to numbers and must determine C12,
-    C44 and one of C45 / C11 (the constraint C11 = C12 + C44 + C45 supplies
-    the missing one).
+    ``values`` maps displayed symbols to finite real numbers (not booleans)
+    and must determine C12, C44 and one of C45 / C11 (the constraint
+    C11 = C12 + C44 + C45 supplies the missing one).
     """
     if report.space != "major3" or report.dim != 3:
         raise ValueError(
             f"expected the isotropic 45-constant report, got space {report.space!r} "
             f"with dim {report.dim}"
         )
-    try:
-        lam = float(values["C12"])
-        c44 = float(values["C44"])
-    except KeyError as exc:
-        raise KeyError(f"missing required symbol {exc} in value assignment") from exc
+
+    def value(label: str) -> float:
+        if label not in values:
+            raise KeyError(f"missing required symbol {label!r} in value assignment")
+        v = values[label]
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+            raise ValueError(f"{label} must be a finite number, got {v!r} ({type(v).__name__})")
+        return float(v)
+
+    lam, c44 = value("C12"), value("C44")
     if "C45" in values:
-        c45 = float(values["C45"])
+        c45 = value("C45")
     elif "C11" in values:
-        c45 = float(values["C11"]) - lam - c44
+        c45 = value("C11") - lam - c44
     else:
         raise KeyError("assignment must provide C45 or C11")
     mu = (c44 + c45) / 2.0
     mu_c = (c44 - c45) / 2.0
+    if not all(map(math.isfinite, (c45, mu, mu_c))):
+        raise ValueError("the moduli overflow the double range")
     return lam, mu, mu_c
 
 

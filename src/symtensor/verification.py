@@ -19,10 +19,10 @@ import numpy as np
 from . import groups, voigt
 from .characters import (character_closed_form, character_direct,
                          cycle_index_character, fix_dimension)
-from .core import FlatTensor, kron_power
+from .core import FlatTensor, act
 from .groups import GroupElement, haar_rule, integrate, resolve_group
 from .projector import (averaged_projector, extract_isotropic_moduli,
-                        isotropic_nine_matrix, moduli_from_matrix,
+                        isotropic_nine_matrix, moduli_from_matrix, project,
                         structure_report)
 from .spaces import SPACES, symmetrize
 from .voigt import (EXTENDED18, EXTENDED18_ORDER, NINE_SLOT, VOIGT6, anti,
@@ -55,12 +55,6 @@ def _group(name: str, ambient: int) -> groups.SymmetryGroup:
 
 
 @lru_cache(maxsize=None)
-def _proj(space_name: str, group_name: str):
-    sp = SPACES[space_name]
-    return averaged_projector(sp, _group(group_name, sp.n))
-
-
-@lru_cache(maxsize=None)
 def _report(space_name: str, group_name: str):
     sp = SPACES[space_name]
     return structure_report(sp, _group(group_name, sp.n))
@@ -78,6 +72,11 @@ def _random_member(space_name: str, seed_offset: int = 0) -> FlatTensor:
     sp = SPACES[space_name]
     rng = np.random.default_rng(SEED + seed_offset)
     return symmetrize(sp, rng.normal(size=sp.n**sp.k))
+
+
+def _projected(space_name: str, group_name: str, seed_offset: int = 0) -> FlatTensor:
+    sp = SPACES[space_name]
+    return project(sp, _group(group_name, sp.n), _random_member(space_name, seed_offset))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +123,7 @@ PUBLISHED_CHARACTERS: dict[str, dict[int, tuple]] = {
 
 
 def _character_row(space_name: str) -> VerifyRow:
-    # the cycle-index character, the dense contraction and the published
+    # the cycle-index character, the direct contraction and the published
     # polynomial are three independent routes to the same class function
     def run():
         sp = SPACES[space_name]
@@ -433,9 +432,7 @@ def _check_pattern(space_name: str, group_name: str, pattern, expected_dim: int,
                    constraints=()) -> RowResult:
     rep = _report(space_name, group_name)
     row_map, col_map = voigt.STRUCTURE_MAPS[space_name]
-    t = _random_member(space_name)
-    proj = _proj(space_name, group_name).apply(t)
-    m = induced_matrix(row_map, col_map, proj)
+    m = induced_matrix(row_map, col_map, _projected(space_name, group_name))
     scale = float(np.max(np.abs(m))) or 1.0
     tol = 1e-9 * scale
 
@@ -485,9 +482,7 @@ def _v2bar_transversal_row(group_name: str, expected_dim: int) -> VerifyRow:
     # axis-transversal group is block diagonal.
     def run():
         rep = _report("v2bar", group_name)
-        t = _random_member("v2bar")
-        proj = _proj("v2bar", group_name).apply(t)
-        m = induced_matrix(EXTENDED18, EXTENDED18, proj)
+        m = induced_matrix(EXTENDED18, EXTENDED18, _projected("v2bar", group_name))
         scale = float(np.max(np.abs(m)))
         bounds = ((0, 5), (5, 10), (10, 15), (15, 18))
         nonzero = {(0, 0), (1, 1), (2, 2), (3, 3)}
@@ -527,19 +522,17 @@ def _projector_props_row(space_name: str, group_name: str) -> VerifyRow:
     def run():
         sp = SPACES[space_name]
         g = _group(group_name, sp.n)
-        a = _proj(space_name, group_name).matrix
+        a = averaged_projector(sp, g).matrix
         idem = float(np.max(np.abs(a @ a - a)))
         sym = float(np.max(np.abs(a - a.T)))
         eigs = np.linalg.eigvalsh((a + a.T) / 2.0)
         rank = int(np.sum(eigs > 0.5))
         dim = fix_dimension(sp, g)
         trace_gap = abs(float(np.trace(a)) - dim)
-        equiv = 0.0
-        for e in g.sample_elements():
-            kq = kron_power(e.matrix, sp.k).matrix
-            equiv = max(equiv,
-                        float(np.max(np.abs(kq @ a - a))),
-                        float(np.max(np.abs(a @ kq - a))))
+        gens = np.array([e.matrix for e in g.sample_elements()])
+        # Q^(x)k A - A, and A Q^(x)k - A as its transpose
+        equiv = max(float(np.max(np.abs(act(gens, sp.k, a) - a))),
+                    float(np.max(np.abs(act(gens.transpose(0, 2, 1), sp.k, a.T) - a.T))))
         ok = idem < 1e-9 and rank == dim and equiv < 1e-9 and sym < 1e-9 and trace_gap < 1e-6
         return _row(ok, f"idem/equiv < 1e-9, rank = {dim}",
                     f"idem {idem:.1e}, sym {sym:.1e}, rank {rank}, equiv {equiv:.1e}, "
@@ -549,17 +542,15 @@ def _projector_props_row(space_name: str, group_name: str) -> VerifyRow:
 
 
 def _oracle_row(space_name: str, group_name: str) -> VerifyRow:
-    # Joint null space of {kron_power(Q_g, k) - I} restricted to the space,
-    # assembled from generators only: independent of the averaging path.
+    # Joint null space of {Q_g^(x)k - I} restricted to the space, assembled
+    # from generators only: independent of the averaging path.
     def run():
         sp = SPACES[space_name]
         g = _group(group_name, sp.n)
         b = sp.basis
-        blocks = []
-        for e in g.sample_elements():
-            kq = kron_power(e.matrix, sp.k).matrix
-            blocks.append(b.T @ kq @ b - np.eye(b.shape[1]))
-        stack = np.vstack(blocks) if blocks else np.zeros((1, b.shape[1]))
+        gens = np.array([e.matrix for e in g.sample_elements()])
+        blocks = b.T @ act(gens, sp.k, b) - np.eye(b.shape[1])
+        stack = blocks.reshape(-1, b.shape[1])
         sv = np.linalg.svd(stack, compute_uv=False)
         rank = int(np.sum(sv > 1e-8 * max(1.0, sv[0] if sv.size else 1.0)))
         null_dim = b.shape[1] - rank
@@ -671,9 +662,7 @@ def _axl_row() -> VerifyRow:
 
 def _transiso_relation_row() -> VerifyRow:
     def run():
-        t = _random_member("ela3")
-        inv = _proj("ela3", "so2-e3").apply(t)
-        m = induced_matrix(VOIGT6, VOIGT6, inv)
+        m = induced_matrix(VOIGT6, VOIGT6, _projected("ela3", "so2-e3"))
         gap = abs(m[0, 0] - m[0, 1] - 2.0 * m[5, 5])
         return _row(gap < 1e-9, "C11 - C12 - 2 C66 = 0", f"{gap:.2e}")
 
@@ -712,9 +701,7 @@ def _moduli_rows() -> list:
 
     def run_invariant_matrix():
         # the projector's isotropic output is exactly the two-parameter family
-        t = _random_member("major3")
-        inv = _proj("major3", "so3").apply(t)
-        m = induced_matrix(NINE_SLOT, NINE_SLOT, inv)
+        m = induced_matrix(NINE_SLOT, NINE_SLOT, _projected("major3", "so3"))
         lam, mu, mu_c = moduli_from_matrix(m)
         gap = float(np.max(np.abs(m - isotropic_nine_matrix(lam, mu, mu_c))))
         return _row(gap < 1e-9, "9x9 matches the modulus form < 1e-9", f"{gap:.2e}")
@@ -733,7 +720,7 @@ def _moduli_rows() -> list:
 def _spot_rows() -> list:
     def run_v2bar():
         g = _random_member("v2bar", 7).reshaped()
-        proj = _proj("v2bar", "cubic").apply(_random_member("v2bar", 7)).reshaped()
+        proj = _projected("v2bar", "cubic", 7).reshaped()
 
         def c(t, idx):
             return t[tuple(i - 1 for i in idx)]
@@ -755,7 +742,7 @@ def _spot_rows() -> list:
 
     def run_v1bar():
         h = _random_member("v1bar", 8).reshaped()
-        proj = _proj("v1bar", "cubic").apply(_random_member("v1bar", 8)).reshaped()
+        proj = _projected("v1bar", "cubic", 8).reshaped()
 
         def c(t, idx):
             return t[tuple(i - 1 for i in idx)]

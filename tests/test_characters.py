@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from symtensor.characters import (QuadratureNotConvergedError,
                                   character_closed_form, character_direct,
                                   fix_dimension, power_traces)
-from symtensor.core import image_basis
+from symtensor.core import image_basis, kron_power
 from symtensor.groups import (GroupElement, make_continuous_group,
                               make_finite_group, resolve_group, rotation_z)
 from symtensor.projector import averaged_projector
@@ -74,6 +74,20 @@ class TestCharacters:
             a = character_direct(sp, GroupElement(q))
             b = character_direct(sp, GroupElement(r @ q @ r.T))
             assert abs(a - b) < 1e-9
+
+
+class TestDirectContraction:
+    @pytest.mark.parametrize("name", list(SPACES))
+    def test_matches_dense_trace(self, rng, name):
+        # chi(Q) = tr(kron_power(Q, k) Pi) with the dense symmetrizer Pi
+        sp = SPACES[name]
+        pi = sp.projector.matrix
+        for i in range(4):
+            q = haar_rotation(rng, sp.n)
+            if sp.n == 2 and i % 2:
+                q = q @ np.diag([1.0, -1.0])
+            dense = float(np.trace(kron_power(q, sp.k).matrix @ pi))
+            assert character_direct(sp, GroupElement(q)) == pytest.approx(dense, abs=1e-9)
 
 
 class TestFixDimension:

@@ -74,6 +74,14 @@ class TestDim:
                            "--degree", "13")
         assert code == 0 and out.strip() == "5"
 
+    @pytest.mark.parametrize("space,group", [("sym2", "z2"), ("ela3", "cubic"),
+                                             ("ela3", "trivial")])
+    def test_degree_under_finite_group_exits_2(self, capsys, space, group):
+        code, out, err = run(capsys, "dim", "--space", space, "--group", group,
+                             "--degree", "50")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "continuous groups" in err
+
     @pytest.mark.parametrize("group", ["so3", "cubic"])
     @pytest.mark.parametrize("degree", ["0", "-2"])
     def test_degree_below_one_exits_2(self, capsys, group, degree):
@@ -158,6 +166,10 @@ class TestProject:
         '{"space": 5, "coeffs": [1.0, 0.0, 0.0, 1.0]}',
         '{"n": null, "coeffs": [1.0, 0.0, 0.0, 1.0]}',
         '{"coeffs": {"a": 1.0}}',
+        '{"n": 2.9, "k": 2.5, "coeffs": [1.0, 0.0, 0.0, 1.0]}',
+        '{"n": 2.0, "k": 2, "coeffs": [1.0, 0.0, 0.0, 1.0]}',
+        '{"n": 2, "k": "2", "coeffs": [1.0, 0.0, 0.0, 1.0]}',
+        '{"n": true, "k": 2, "coeffs": [1.0, 0.0, 0.0, 1.0]}',
     ])
     def test_malformed_tensor_exits_5(self, tmp_path, capsys, text):
         src = tmp_path / "in.json"
@@ -197,6 +209,13 @@ class TestModuli:
         ("--values", '{"C12": null, "C44": 1, "C45": 1}', "NoneType"),
         ("--values", '{"C12": "one", "C44": 1, "C45": 1}', "'one'"),
         ("--input", '[{"C12": 1, "C44": 3, "C45": 1}]', "JSON object"),
+        ("--values", '{"C12": NaN, "C44": 1, "C45": 1}', "C12 must be a finite number"),
+        ("--values", '{"C12": 1, "C44": Infinity, "C45": 1}', "C44 must be a finite number"),
+        ("--values", '{"C12": 1, "C44": 3, "C11": -Infinity}', "C11 must be a finite number"),
+        ("--values", '{"C12": true, "C44": 1, "C45": 1}', "C12 must be a finite number"),
+        ("--input", '{"C12": 1, "C44": 1, "C45": false}', "C45 must be a finite number"),
+        ("--values", '{"C12": 1, "C44": 1e308, "C45": 1e308}', "overflow"),
+        ("--values", '{"C12": -1e308, "C44": -1e308, "C11": 1e308}', "overflow"),
     ])
     def test_malformed_values_exit_5(self, tmp_path, capsys, source, text, message):
         if source == "--input":
@@ -242,16 +261,19 @@ class TestVerifyPaper:
         from symtensor.spaces import SPACES, TensorSpace
         broken = TensorSpace("ela3", 3, 4, ((1, 0, 2, 3),))  # major symmetry dropped
         monkeypatch.setitem(SPACES, "ela3", broken)
-        for cache in (verification._proj, verification._report):
-            cache.cache_clear()
+        verification._report.cache_clear()
         try:
             code, out, _ = run(capsys, "verify-paper", "--rows", "characters")
             assert code == 1
             assert any(l.startswith("[FAIL] characters ela3") for l in out.splitlines())
         finally:
             monkeypatch.undo()
-            for cache in (verification._proj, verification._report):
-                cache.cache_clear()
+            verification._report.cache_clear()
+
+    @pytest.mark.parametrize("rows", [",", "", " , "])
+    def test_rows_naming_no_category_exit_2(self, capsys, rows):
+        code, out, err = run(capsys, "verify-paper", "--rows", rows)
+        assert code == 2 and out == "" and "names no category" in err
 
 
 class TestTolerance:
@@ -277,3 +299,41 @@ class TestTolerance:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad SYMTENSOR_TOL")
+
+
+class TestSlotwiseAction:
+    """No command path forms a dense Kronecker power or the dense symmetrizer."""
+
+    @pytest.fixture
+    def no_dense_operators(self, monkeypatch):
+        import sys
+        from symtensor import core
+        from symtensor.spaces import TensorSpace
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense operator built")
+
+        for name, module in list(sys.modules.items()):
+            if name == "symtensor" or name.startswith("symtensor."):
+                for attr, value in list(vars(module).items()):
+                    if value is core.kron_power:
+                        monkeypatch.setattr(module, attr, refuse)
+        # a data descriptor on the class outranks a value cached on the instance
+        monkeypatch.setattr(TensorSpace, "projector", property(refuse))
+
+    def test_verify_paper_rows(self, capsys, no_dense_operators):
+        code, out, _ = run(capsys, "verify-paper", "--rows", "characters,projector,oracle")
+        lines = [l for l in out.splitlines() if l.startswith("[")]
+        assert code == 0 and len(lines) > 100
+        assert all(l.startswith("[PASS]") for l in lines)
+
+    def test_project_v2bar_cubic(self, tmp_path, capsys, no_dense_operators):
+        from symtensor.spaces import SPACES, symmetrize
+        sp = SPACES["v2bar"]
+        t = symmetrize(sp, np.random.default_rng(3).normal(size=sp.n**sp.k))
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps({"space": "v2bar", "coeffs": t.coeffs.tolist()}))
+        code, out, err = run(capsys, "project", "--space", "v2bar", "--group", "cubic",
+                             "--input", str(src))
+        assert code == 0 and "invariance residual" in err
+        assert json.loads(out)["invariance_residual"] < 1e-12

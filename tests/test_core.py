@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from symtensor.core import (EQUALITY_TOL, FlatOperator, FlatTensor,
                             NonOrthogonalError, NotAProjectorError,
-                            TolerancePolicy, image_basis, kron_power,
-                            operator_trace, rational_snap)
+                            TolerancePolicy, act, image_basis, kron_power,
+                            rational_snap)
 from symtensor.spaces import SPACES
 
 from conftest import haar_rotation
@@ -44,7 +44,7 @@ class TestKronPower:
         op = kron_power(np.eye(3), 4)
         assert op.matrix.shape == (81, 81)
         assert np.array_equal(op.matrix, np.eye(81))
-        assert operator_trace(op) == 81.0
+        assert np.trace(op.matrix) == 81.0
 
     def test_diagonal_signs_by_hand(self):
         # oracle: hand expansion of Q_ia Q_jb for diagonal Q
@@ -91,11 +91,29 @@ class TestKronPower:
 
 class TestOperatorTrace:
     def test_identity_81(self):
-        assert operator_trace(kron_power(np.eye(3), 4)) == 81.0
+        assert np.trace(kron_power(np.eye(3), 4).matrix) == 81.0
 
     def test_symmetrizer_traces(self):
-        assert operator_trace(SPACES["ela3"].projector) == pytest.approx(21.0, abs=1e-9)
-        assert operator_trace(SPACES["v2"].projector) == pytest.approx(171.0, abs=1e-9)
+        assert np.trace(SPACES["ela3"].projector.matrix) == pytest.approx(21.0, abs=1e-9)
+        assert np.trace(SPACES["v2"].projector.matrix) == pytest.approx(171.0, abs=1e-9)
+
+
+class TestAct:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.integers(1, 7),
+           st.sampled_from([(), (3,), (2, 3)]), st.booleans())
+    def test_matches_kron_power(self, seed, n, k, tail, reflect):
+        # x is a vector, a matrix or a stack of matrices
+        rng = np.random.default_rng(seed)
+        mats = np.stack([haar_rotation(rng, n) for _ in range(3)])
+        if reflect and n == 2:
+            mats = mats @ np.diag([1.0, -1.0])
+        x = rng.normal(size=(n**k,) + tail)
+        got = act(mats, k, x)
+        assert got.shape == (3,) + x.shape
+        for q, moved in zip(mats, got):
+            expected = np.tensordot(kron_power(q, k).matrix, x, axes=1)
+            assert np.max(np.abs(moved - expected)) < 1e-12
 
 
 class TestImageBasis:
