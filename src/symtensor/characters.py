@@ -1,15 +1,15 @@
 """Characters of the tensor-space actions and the trace formula.
 
-For a group element Q acting on an order-k space with orbit basis B, the
-character is chi(Q) = tr(B^T Q^{(x)k} B), a direct slot-wise contraction.
-Since B B^T averages the index permutations of the space's group P, the
-character also follows from P's cycle index alone:
+For an orthogonal Q acting on an order-k space with orbit basis B, the
+character is chi(Q) = tr(B^T Q^{(x)k} B), read off the orbit table entry by
+entry.  Since B B^T averages the index permutations of the space's group P,
+it also follows from P's cycle index alone:
 
     chi(Q) = (1/|P|) sum_{sigma in P} prod_{cycles c of sigma} tr(Q^|c|),
 
-with every power trace read off tr(Q) by the Chebyshev recurrence, for a
-whole stack of matrices at once.  The dimension of the fixed-point subspace
-under a group is the Haar average of the character over the group's rule.
+with every power trace read off tr(Q) by the Chebyshev recurrence.  Both
+routes map an (..., n, n) stack to its (...) characters.  The dimension of
+the fixed-point subspace is the Haar average of the character.
 """
 
 from __future__ import annotations
@@ -18,19 +18,12 @@ import math
 
 import numpy as np
 
-from .core import act
-from .groups import GroupElement, SymmetryGroup, integrate
+from .groups import SymmetryGroup, integrate
 from .spaces import TensorSpace
 
 
 class QuadratureNotConvergedError(RuntimeError):
-    def __init__(self, value: float, residual: float):
-        self.value = value
-        self.residual = residual
-        super().__init__(
-            f"quadrature not converged: Haar average {value!r} is {residual:.3e} "
-            "away from the nearest integer"
-        )
+    """The Haar rule cannot be trusted to give the dimension."""
 
 
 def _check_ambient(space: TensorSpace, ambient: int) -> None:
@@ -60,14 +53,26 @@ def power_traces(mats: np.ndarray, top: int) -> np.ndarray:
     return out
 
 
-def character_direct(space: TensorSpace, q: GroupElement) -> float:
-    """chi(Q) = tr(B^T Q^{(x)k} B) by direct contraction, not the cycle index."""
-    _check_ambient(space, q.ambient)
-    b = space.basis
-    return float(np.sum(b * act(q.matrix[None], space.k, b)))
+def character_direct(space: TensorSpace, mats: np.ndarray) -> np.ndarray:
+    """chi(Q) at every matrix Q of an (..., n, n) stack, not from the cycle
+    index: sum over orbits O of (1/|O|) sum_{a, b in O} prod_s Q[a_s, b_s].
+    Memory grows as the stack size times sum_O |O|^2."""
+    n = mats.shape[-1]
+    _check_ambient(space, n)
+    sizes = np.bincount(space.orbits)
+    members = np.split(np.argsort(space.orbits, kind="stable"), np.cumsum(sizes)[:-1])
+    a = np.concatenate([np.repeat(m, m.size) for m in members])
+    b = np.concatenate([np.tile(m, m.size) for m in members])
+    weights = 1.0 / sizes[space.orbits[a]]
+    shape = (n,) * space.k
+    flat = mats.reshape(mats.shape[:-2] + (n * n,))
+    terms = np.ones(mats.shape[:-2] + a.shape)
+    for row, col in zip(np.unravel_index(a, shape), np.unravel_index(b, shape)):
+        terms *= flat[..., row * n + col]
+    return terms @ weights
 
 
-def cycle_index_character(space: TensorSpace, mats: np.ndarray) -> np.ndarray:
+def character_closed_form(space: TensorSpace, mats: np.ndarray) -> np.ndarray:
     """chi(Q) at every matrix Q of an (..., n, n) stack, from the cycle
     index of the space's permutation group."""
     _check_ambient(space, mats.shape[-1])
@@ -77,24 +82,30 @@ def cycle_index_character(space: TensorSpace, mats: np.ndarray) -> np.ndarray:
     return total / len(space.permutation_group)
 
 
-def character_closed_form(space: TensorSpace, q: GroupElement) -> float:
-    """chi(Q) from the cycle index of the space's permutation group."""
-    return float(cycle_index_character(space, q.matrix))
-
-
 def fix_dimension(space: TensorSpace, group: SymmetryGroup, degree: int | None = None) -> int:
     """Dimension of the fixed-point subspace via the trace formula.
 
     The character is a degree-k polynomial in the entries of Q, so the
-    default quadrature degree k + 2 leaves margin.  A Haar average further
-    than 1e-6 from an integer raises ``QuadratureNotConvergedError``.
+    default quadrature degree k + 2 leaves margin.  A ``degree`` for a
+    finite group raises ``ValueError``.  One below k, or a Haar average
+    further than 1e-6 from an integer, raises ``QuadratureNotConvergedError``
+    (a circle rule is a finite group: its average is always an integer).
     """
     _check_ambient(space, group.ambient)
     if degree is None:
         degree = space.k + 2
-    value = integrate(group, lambda mats: cycle_index_character(space, mats), degree)
+    elif group.is_finite:
+        raise ValueError("a quadrature degree applies only to continuous groups; "
+                         "a finite group averages over its elements")
+    elif degree < space.k:
+        raise QuadratureNotConvergedError(
+            f"quadrature degree {degree} is below the order {space.k} of space "
+            f"{space.name}, whose character it cannot integrate exactly")
+    value = integrate(group, lambda mats: character_closed_form(space, mats), degree)
     nearest = round(value)
     residual = abs(value - nearest)
     if residual >= 1e-6:
-        raise QuadratureNotConvergedError(value, residual)
+        raise QuadratureNotConvergedError(
+            f"quadrature not converged: Haar average {value!r} is {residual:.3e} "
+            "away from the nearest integer")
     return int(nearest)

@@ -110,16 +110,12 @@ def cmd_dim(args) -> int:
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NAME
-    if args.degree is not None and group.is_finite:
-        print(f"error: --degree applies only to continuous groups; {args.group!r} is "
-              "finite and averages over its elements", file=sys.stderr)
-        return EXIT_NAME
     try:
         dim = fix_dimension(sp, group, degree=args.degree)
     except QuadratureNotConvergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_QUADRATURE
-    except ValueError as exc:  # a degree outside the rule's range
+    except ValueError as exc:  # a degree for a finite group or beyond the rule's range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NAME
     if args.format == "json":
@@ -262,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dim", help="fixed-subspace dimension via the trace formula")
     add_pair(p)
     p.add_argument("--degree", type=_degree, default=None,
-                   help="quadrature degree override for continuous groups "
-                        "(>= 1; at most 12 on so3); refused for finite groups")
+                   help="quadrature degree override for continuous groups (at most 12 "
+                        "on so3; below the space's order exits 3); refused for finite groups")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_dim)
 

@@ -18,7 +18,7 @@ exact for polynomials in the matrix entries up to a requested degree:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,8 +42,8 @@ REFLECTION_2D = np.array([[-1.0, 0.0], [0.0, 1.0]])
 FLIP_E1_3D = np.diag([1.0, -1.0, -1.0])
 
 
-def _checked_dets(mats: np.ndarray, what: str) -> np.ndarray:
-    """Determinants of a stack of matrices, each checked orthogonal and, in 3D, proper."""
+def _check_orthogonal(mats: np.ndarray, what: str) -> None:
+    """Check that each matrix of a stack is orthogonal and, in 3D, proper."""
     n = mats.shape[-1]
     residual = np.max(np.abs(np.swapaxes(mats, -1, -2) @ mats - np.eye(n)), initial=0.0)
     if not residual <= ORTHO_TOL:  # NaN fails too
@@ -53,7 +53,6 @@ def _checked_dets(mats: np.ndarray, what: str) -> np.ndarray:
         raise ValueError(f"{what} determinant must be +-1")
     if n == 3 and np.any(det < 0.0):
         raise ValueError("improper 3x3 elements are not admitted (use SO(3) rotations)")
-    return det
 
 
 def _frozen(a) -> np.ndarray:
@@ -68,15 +67,13 @@ class GroupElement:
 
     matrix: np.ndarray
     label: str = ""
-    det_sign: int = field(init=False)
 
     def __post_init__(self):
         m = _frozen(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 3):
             raise ValueError(f"group element must be a 2x2 or 3x3 matrix, got {m.shape}")
-        det = _checked_dets(m, f"group element {self.label!r}")
+        _check_orthogonal(m, f"group element {self.label!r}")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "det_sign", 1 if det > 0.0 else -1)
 
     @property
     def ambient(self) -> int:
@@ -98,7 +95,7 @@ class QuadratureRule:
             raise ValueError("all quadrature weights must be positive")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {weights.sum()!r}, expected 1")
-        _checked_dets(mats, "quadrature node")
+        _check_orthogonal(mats, "quadrature node")
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "weights", weights)
 

@@ -17,10 +17,9 @@ from typing import Callable
 import numpy as np
 
 from . import groups, voigt
-from .characters import (character_closed_form, character_direct,
-                         cycle_index_character, fix_dimension)
+from .characters import character_closed_form, character_direct, fix_dimension
 from .core import FlatTensor, act
-from .groups import GroupElement, haar_rule, integrate, resolve_group
+from .groups import haar_rule, integrate, resolve_group
 from .projector import (averaged_projector, extract_isotropic_moduli,
                         isotropic_nine_matrix, moduli_from_matrix, project,
                         structure_report)
@@ -129,17 +128,15 @@ def _character_row(space_name: str) -> VerifyRow:
         sp = SPACES[space_name]
         published = PUBLISHED_CHARACTERS[space_name]
         rng = np.random.default_rng(SEED)
-        worst = 0.0
-        for i in range(200):
-            q = _random_rotation(rng, sp.n)
-            if sp.n == 2 and i % 2 == 1:
-                q = q @ np.diag([1.0, -1.0])
-            e = GroupElement(q)
-            direct = character_direct(sp, e)
-            poly = np.polynomial.polynomial.polyval(np.trace(q), published[e.det_sign])
-            worst = max(worst, abs(direct - character_closed_form(sp, e)), abs(direct - poly))
-        eye = GroupElement(np.eye(sp.n))
-        chi_id = character_direct(sp, eye)
+        qs = np.stack([_random_rotation(rng, sp.n) for _ in range(200)])
+        if sp.n == 2:
+            qs[1::2] = qs[1::2] @ np.diag([1.0, -1.0])
+        coeffs = np.array([published[1 if det > 0.0 else -1] for det in np.linalg.det(qs)])
+        poly = np.polynomial.polynomial.polyval(np.trace(qs, axis1=1, axis2=2), coeffs.T,
+                                                tensor=False)
+        direct = character_direct(sp, qs)
+        worst = float(np.max(np.abs([direct - character_closed_form(sp, qs), direct - poly])))
+        chi_id = float(character_direct(sp, np.eye(sp.n)))
         ok = worst < 1e-9 and abs(chi_id - sp.dim) < 1e-9
         return _row(ok, f"|direct-closed|, |direct-published| < 1e-9, chi(I) = {sp.dim}",
                     f"worst gap = {worst:.2e}, chi(I) = {chi_id:.6f}")
@@ -153,12 +150,10 @@ def _class_function_row() -> VerifyRow:
         worst = 0.0
         for name in ("ela3", "major3", "v2bar"):
             sp = SPACES[name]
-            for _ in range(20):
-                q = _random_rotation(rng, 3)
-                r = _random_rotation(rng, 3)
-                a = GroupElement(q)
-                b = GroupElement(r @ q @ r.T)
-                worst = max(worst, abs(character_direct(sp, a) - character_direct(sp, b)))
+            draws = np.stack([_random_rotation(rng, 3) for _ in range(40)])
+            q, r = draws[0::2], draws[1::2]  # drawn q, r, q, r, ...
+            gap = character_direct(sp, q) - character_direct(sp, r @ q @ r.transpose(0, 2, 1))
+            worst = max(worst, float(np.max(np.abs(gap))))
         return _row(worst < 1e-9, "class-function residual < 1e-9", f"{worst:.2e}")
 
     return VerifyRow("characters: chi(R Q R^-1) = chi(Q)", "characters", run)
@@ -236,7 +231,7 @@ def _haar_doubling_row() -> VerifyRow:
                                           ("so2-e3", 3, "major3"), ("so3", 3, "major3")):
             g = _group(name, ambient)
             sp = SPACES[space_name]
-            f = lambda q: cycle_index_character(sp, q)
+            f = lambda q: character_closed_form(sp, q)
             coarse = integrate(g, f, sp.k)
             fine = integrate(g, f, 2 * sp.k + 1)  # doubled node counts
             worst = max(worst, abs(coarse - fine))

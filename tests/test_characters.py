@@ -7,8 +7,8 @@ from symtensor.characters import (QuadratureNotConvergedError,
                                   character_closed_form, character_direct,
                                   fix_dimension, power_traces)
 from symtensor.core import image_basis, kron_power
-from symtensor.groups import (GroupElement, make_continuous_group,
-                              make_finite_group, resolve_group, rotation_z)
+from symtensor.groups import (make_continuous_group, make_finite_group,
+                              resolve_group, rotation_z)
 from symtensor.projector import averaged_projector
 from symtensor.spaces import SPACES, TensorSpace
 
@@ -33,22 +33,22 @@ class TestPowerTraces:
 class TestCharacters:
     def test_identity_values(self):
         for name, sp in SPACES.items():
-            eye = GroupElement(np.eye(sp.n))
+            eye = np.eye(sp.n)
             assert character_direct(sp, eye) == pytest.approx(sp.dim, abs=1e-9)
             assert character_closed_form(sp, eye) == pytest.approx(sp.dim, abs=1e-12)
 
     def test_major3_identity_is_45(self):
-        eye = GroupElement(np.eye(3))
+        eye = np.eye(3)
         assert character_direct(SPACES["major3"], eye) == pytest.approx(45.0)
 
     def test_ela3_half_turn(self):
         # closed form at t = -1 gives 5; cross-checked by the 81x81 contraction
-        e = GroupElement(rotation_z(np.pi))
+        e = rotation_z(np.pi)
         assert character_closed_form(SPACES["ela3"], e) == pytest.approx(5.0, abs=1e-12)
         assert character_direct(SPACES["ela3"], e) == pytest.approx(5.0, abs=1e-10)
 
     def test_high2_reflection_branch(self):
-        refl = GroupElement(np.diag([-1.0, 1.0]))
+        refl = np.diag([-1.0, 1.0])
         assert character_closed_form(SPACES["high2"], refl) == pytest.approx(4.0)
         assert character_direct(SPACES["high2"], refl) == pytest.approx(4.0, abs=1e-12)
 
@@ -58,21 +58,20 @@ class TestCharacters:
                 q = haar_rotation(rng, sp.n)
                 if sp.n == 2 and i % 2:
                     q = q @ np.diag([1.0, -1.0])
-                e = GroupElement(q)
-                assert abs(character_direct(sp, e) - character_closed_form(sp, e)) < 1e-9
+                assert abs(character_direct(sp, q) - character_closed_form(sp, q)) < 1e-9
 
     def test_fallback_without_closed_form(self, rng):
         # a space outside the catalog takes its character from its own group
         custom = TensorSpace("pairline", 2, 2, ())
-        e = GroupElement(haar_rotation(rng, 2))
+        e = haar_rotation(rng, 2)
         assert character_closed_form(custom, e) == pytest.approx(character_direct(custom, e))
 
     def test_class_function(self, rng):
         sp = SPACES["ela3"]
         for _ in range(10):
             q, r = haar_rotation(rng, 3), haar_rotation(rng, 3)
-            a = character_direct(sp, GroupElement(q))
-            b = character_direct(sp, GroupElement(r @ q @ r.T))
+            a = character_direct(sp, q)
+            b = character_direct(sp, r @ q @ r.T)
             assert abs(a - b) < 1e-9
 
 
@@ -82,12 +81,34 @@ class TestDirectContraction:
         # chi(Q) = tr(kron_power(Q, k) Pi) with the dense symmetrizer Pi
         sp = SPACES[name]
         pi = sp.projector.matrix
-        for i in range(4):
-            q = haar_rotation(rng, sp.n)
-            if sp.n == 2 and i % 2:
-                q = q @ np.diag([1.0, -1.0])
+        qs = np.stack([haar_rotation(rng, sp.n) for _ in range(4)])
+        if sp.n == 2:
+            qs[1::2] = qs[1::2] @ np.diag([1.0, -1.0])
+        chis = character_direct(sp, qs)
+        assert chis.shape == (4,)
+        for q, chi in zip(qs, chis):
             dense = float(np.trace(kron_power(q, sp.k).matrix @ pi))
-            assert character_direct(sp, GroupElement(q)) == pytest.approx(dense, abs=1e-9)
+            assert chi == pytest.approx(dense, abs=1e-9)
+
+    def test_stack_without_act(self, monkeypatch):
+        # the orbit table alone: no Q^{(x)k} applied to the basis
+        import sys
+        from symtensor import core
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("core.act called")
+
+        original = core.act  # read once: the loop rebinds core.act itself
+        for name, module in list(sys.modules.items()):
+            if name == "symtensor" or name.startswith("symtensor."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, refuse)
+        rng = np.random.default_rng(5)
+        qs = np.stack([haar_rotation(rng, 3) for _ in range(200)])
+        chis = character_direct(SPACES["v2bar"], qs)
+        assert chis.shape == (200,)
+        assert chis == pytest.approx(character_closed_form(SPACES["v2bar"], qs), abs=1e-9)
 
 
 class TestFixDimension:
@@ -132,6 +153,31 @@ class TestFixDimension:
         with pytest.raises(QuadratureNotConvergedError):
             fix_dimension(sp, make_continuous_group("SO3"), degree=1)
 
+    @pytest.mark.parametrize("space,group,degree", [("ela3", "so2-e3", 1),
+                                                    ("v2bar", "o2-e3", 2),
+                                                    ("high2", "so2", 2)])
+    def test_degree_below_order_refused(self, space, group, degree):
+        # a circle rule of degree d is a finite group of order 2d + 2, so its
+        # average is an integer even where it is the wrong dimension
+        sp = SPACES[space]
+        with pytest.raises(QuadratureNotConvergedError,
+                           match=f"degree {degree} is below the order {sp.k}"):
+            fix_dimension(sp, resolve_group(group, sp.n), degree=degree)
+
+    @pytest.mark.parametrize("name", list(SPACES))
+    def test_degrees_from_order_match_default(self, name):
+        sp = SPACES[name]
+        for group in ("so2", "o2") if sp.n == 2 else ("so2-e3", "o2-e3", "so3"):
+            g = resolve_group(group, sp.n)
+            expected = fix_dimension(sp, g)
+            for degree in range(sp.k, sp.k + 3):
+                assert fix_dimension(sp, g, degree=degree) == expected
+
+    @pytest.mark.parametrize("degree", [1, 50])
+    def test_degree_under_finite_group_refused(self, degree):
+        with pytest.raises(ValueError, match="continuous groups"):
+            fix_dimension(SPACES["ela3"], resolve_group("cubic", 3), degree=degree)
+
 
 # catalog groups for the differential tests: a finite and a continuous
 # group per ambient dimension, with reflections among the 2D ones
@@ -155,12 +201,16 @@ class TestRandomSpaces:
     def test_three_paths_agree(self, sp, pick, seed):
         group = resolve_group(DIFFERENTIAL_GROUPS[sp.n][pick], sp.n)
         rng = np.random.default_rng(seed)
-        elements = [GroupElement(haar_rotation(rng, sp.n)), *group.sample_elements()]
+        mats = [haar_rotation(rng, sp.n), *(e.matrix for e in group.sample_elements())]
         if sp.n == 2:
-            elements.append(GroupElement(haar_rotation(rng, 2) @ np.diag([1.0, -1.0])))
-        for e in elements:
-            assert character_closed_form(sp, e) == pytest.approx(
-                character_direct(sp, e), abs=1e-9)
+            mats.append(haar_rotation(rng, 2) @ np.diag([1.0, -1.0]))
+        stack = np.stack(mats)
+        closed, direct = character_closed_form(sp, stack), character_direct(sp, stack)
+        assert closed.shape == direct.shape == (len(stack),)
+        assert closed == pytest.approx(direct, abs=1e-9)
+        for q, c, d in zip(stack, closed, direct):
+            assert character_closed_form(sp, q) == pytest.approx(c, abs=1e-12)
+            assert character_direct(sp, q) == pytest.approx(d, abs=1e-12)
         rank = len(image_basis(averaged_projector(sp, group)))
         assert fix_dimension(sp, group) == rank
         trace = float(np.trace(sp.projector.matrix))

@@ -74,6 +74,20 @@ class TestDim:
                            "--degree", "13")
         assert code == 0 and out.strip() == "5"
 
+    @pytest.mark.parametrize("space,group,degree,order", [("ela3", "so2-e3", "1", 4),
+                                                          ("v2bar", "o2-e3", "2", 6),
+                                                          ("high2", "so2", "2", 6)])
+    def test_degree_below_order_exits_3(self, capsys, space, group, degree, order):
+        code, out, err = run(capsys, "dim", "--space", space, "--group", group,
+                             "--degree", degree)
+        assert code == 3 and out == ""
+        assert f"degree {degree} is below the order {order}" in err
+
+    def test_degree_at_order(self, capsys):
+        code, out, _ = run(capsys, "dim", "--space", "ela3", "--group", "o2-e3",
+                           "--degree", "4")
+        assert code == 0 and out.strip() == "5"
+
     @pytest.mark.parametrize("space,group", [("sym2", "z2"), ("ela3", "cubic"),
                                              ("ela3", "trivial")])
     def test_degree_under_finite_group_exits_2(self, capsys, space, group):
@@ -313,10 +327,11 @@ class TestSlotwiseAction:
         def refuse(*args, **kwargs):
             raise AssertionError("dense operator built")
 
+        original = core.kron_power  # read once: the loop rebinds core.kron_power itself
         for name, module in list(sys.modules.items()):
             if name == "symtensor" or name.startswith("symtensor."):
                 for attr, value in list(vars(module).items()):
-                    if value is core.kron_power:
+                    if value is original:
                         monkeypatch.setattr(module, attr, refuse)
         # a data descriptor on the class outranks a value cached on the instance
         monkeypatch.setattr(TensorSpace, "projector", property(refuse))

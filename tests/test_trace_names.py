@@ -1,8 +1,12 @@
-"""Every name the benchmark's span tracer wraps must exist in the package.
+"""Every name the benchmark's span tracer wraps must exist in the package,
+and what the benchmark reads of the groups must stay where it reads it.
 
 ``bench/tracer.py`` wraps module-level functions, one cached property and
 one method by name; a rename in ``symtensor`` would make every traced
 benchmark run fail.  The tracer's table is read from its file, unchanged.
+``bench/test_bench.py`` pins one shared ``haar_rule`` binding, and
+``bench/common.projection_problems`` reads ``.matrix`` and ``.label`` of a
+group's sample elements and ``.matrix`` of a finite group's elements.
 """
 
 import importlib
@@ -34,3 +38,27 @@ def test_traced_projector_is_cached_property():
 def test_traced_report_method_exists():
     from symtensor.projector import StructureReport
     assert callable(StructureReport.to_text)
+
+
+def test_haar_rule_binding_shared():
+    from symtensor import groups, projector, verification
+    assert projector.haar_rule is groups.haar_rule is verification.haar_rule
+
+
+def _catalog_groups():
+    from symtensor.groups import GROUPS_2D, GROUPS_3D
+    return [(name, 2) for name in GROUPS_2D] + [(name, 3) for name in GROUPS_3D]
+
+
+@pytest.mark.parametrize("name,ambient", _catalog_groups())
+def test_group_elements_expose_what_the_bench_reads(name, ambient):
+    from symtensor.groups import resolve_group
+    group = resolve_group(name, ambient)
+    samples = group.sample_elements()
+    assert samples
+    for element in samples:
+        assert element.matrix.shape == (ambient, ambient)
+        assert isinstance(element.label, str)
+    if group.is_finite:
+        for element in group.elements:
+            assert element.matrix.shape == (ambient, ambient)
