@@ -4,9 +4,10 @@ Commands: ``dim``, ``structure``, ``project``, ``moduli``, ``maps``,
 ``verify-paper``.  Exit codes are stable: 0 success, 2 unknown name or
 configuration (also a bad SYMTENSOR_TOL or an unwritable output file),
 3 quadrature non-convergence, 4 internal consistency failure, 5 bad input
-(tensor file or moduli values).  The environment variable SYMTENSOR_TOL
-sets only the zero tolerance (rank cut, slot zero test), not the snap
-tolerances.
+(tensor file or moduli values), 6 a ``structure`` display printed with
+coefficients that matched no rational or surd form ("(unsnapped)").  The
+environment variable SYMTENSOR_TOL sets only the zero tolerance (rank cut,
+slot zero test), not the snap tolerances.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EXIT_NAME = 2
 EXIT_QUADRATURE = 3
 EXIT_INTERNAL = 4
 EXIT_INPUT = 5
+EXIT_UNSNAPPED = 6
 
 
 def _tolerance() -> TolerancePolicy:
@@ -148,6 +150,10 @@ def cmd_structure(args) -> int:
         print(report.to_latex())
     else:
         print(report.to_text())
+    if report.unsnapped:
+        print(f"error: {report.unsnapped} displayed coefficients matched no rational "
+              "or surd form and are printed unsnapped", file=sys.stderr)
+        return EXIT_UNSNAPPED
     return EXIT_OK
 
 

@@ -257,11 +257,12 @@ def rational_snap(x: float) -> SnappedValue:
 
     Denominators are bounded by ``SNAP_DENOMINATOR_BOUND``; a candidate
     is accepted when it matches ``x`` within ``EQUALITY_TOL``.  Values
-    with no match are returned verbatim and flagged unsnapped.
+    with no match, non-finite values and values of magnitude 1e6 or more
+    are returned verbatim and flagged unsnapped.
     """
     x = float(x)
-    if abs(x) >= 1e6:
-        raise ValueError(f"value {x} out of snapping range")
+    if not abs(x) < 1e6:  # inf and NaN too
+        return SnappedValue(value=x, text=f"{x!r} (unsnapped)", exact=False)
     for surd in (1, 2, 3):
         target = x / math.sqrt(surd)
         frac = Fraction(target).limit_denominator(SNAP_DENOMINATOR_BOUND)

@@ -136,6 +136,7 @@ class StructureReport:
     basis: tuple                    # orthonormal FlatTensor basis of the subspace
     constraints: tuple              # textual relations among displayed symbols
     free_labels: tuple
+    unsnapped: int = 0              # displayed coefficients left unsnapped; not in to_json
 
     def entry(self, row: int, col: int) -> StructureEntry:
         return self.entries[row][col]
@@ -219,13 +220,20 @@ def structure_report(space: TensorSpace, group: SymmetryGroup,
                      tol: TolerancePolicy = DEFAULT_TOL) -> StructureReport:
     """Classify every display slot of the general invariant tensor.
 
-    Free labels are chosen greedily in row-major order over the upper
-    triangle: the first slot introducing a new independent direction of
-    the invariant subspace becomes free; later slots are zero or rational
-    combinations of earlier free slots.  One constraint line is emitted
-    per distinct multi-term combination, solved for the earliest free
-    symbol it involves (the display convention of naming the dependent
-    slot with its own symbol).
+    Each slot is a linear functional on the invariant subspace.  Free
+    labels are chosen greedily in row-major order over the upper triangle,
+    in one Gram-Schmidt pass: a slot is free when its functional leaves
+    the span of the earlier free ones by more than
+    ``DEPENDENT_RESIDUAL_TOL`` (max-abs residual, relative to the largest
+    slot value).  One linear solve against the free slots then writes every
+    slot as a combination of them; coefficients at or below
+    ``10 * zero_tol`` are dropped and the rest snapped for display, and a
+    slot left with no term is zero.  One constraint line is emitted per
+    distinct multi-term combination, solved for the earliest free symbol
+    it involves (the display convention of naming the dependent slot with
+    its own symbol).  ``unsnapped`` counts the displayed coefficients, in
+    slot combinations and constraint terms, that matched no rational or
+    surd form.
     """
     map_row, map_col = _structure_maps(space)
     a = averaged_projector(space, group)
@@ -238,69 +246,67 @@ def structure_report(space: TensorSpace, group: SymmetryGroup,
         )
 
     rows, cols = map_row.length, map_col.length
-    # feature[r, c] = functional of the slot on the invariant subspace (0 if dim 0)
-    coeffs = np.array([t.coeffs for t in basis] or [np.zeros(space.n**space.k)])
-    stacked = coeffs.reshape(len(coeffs), map_row.matrix.shape[1], map_col.matrix.shape[1])
+    # feature[r, c] = functional of the slot on the invariant subspace (empty if dim 0)
+    stacked = np.array([t.coeffs for t in basis]).reshape(
+        dim, map_row.matrix.shape[1], map_col.matrix.shape[1])
     feature = (map_row.matrix @ stacked @ map_col.matrix.T).transpose(1, 2, 0)
-    scale = float(np.max(np.abs(feature))) or 1.0
+    scale = float(np.max(np.abs(feature), initial=0.0)) or 1.0
     wide = max(rows, cols) > 9
 
-    entries: list[list] = [[None] * cols for _ in range(rows)]
-    free_vectors: list[np.ndarray] = []
-    free_labels: list[str] = []
-    dependents: list[tuple] = []
-
     symmetric_display = rows == cols
-    for r in range(rows):
-        for c in range(r if symmetric_display else 0, cols):
-            vec = feature[r, c]
-            label = _slot_label(r, c, wide)
-            if np.max(np.abs(vec)) <= tol.zero_tol * scale:
-                entries[r][c] = StructureEntry("zero")
-                continue
-            if free_vectors:
-                fmat = np.column_stack(free_vectors)
-                coefs, *_ = np.linalg.lstsq(fmat, vec, rcond=None)
-                residual = float(np.max(np.abs(fmat @ coefs - vec)))
-            else:
-                coefs, residual = np.zeros(0), float(np.max(np.abs(vec)))
-            if residual > DEPENDENT_RESIDUAL_TOL * scale:
-                entries[r][c] = StructureEntry("free", label=label)
-                free_vectors.append(vec)
-                free_labels.append(label)
-                continue
-            combo = []
-            kept = np.zeros_like(coefs)
-            for m, coef in enumerate(coefs):
-                if abs(coef) <= 10 * tol.zero_tol:
-                    continue
-                kept[m] = coef
-                combo.append((rational_snap(float(coef)), free_labels[m]))
-            resid_after = float(np.max(np.abs(np.column_stack(free_vectors) @ kept - vec)))
-            if resid_after > DEPENDENT_RESIDUAL_TOL * scale:
-                raise InternalConsistencyError(
-                    f"dependent slot ({r + 1},{c + 1}) of ({space.name}, "
-                    f"{group.catalog_id}) has extraction residual {resid_after:.3e}"
-                )
-            if not combo:
-                entries[r][c] = StructureEntry("zero")
-                continue
-            entries[r][c] = StructureEntry("dependent", label=label, combo=tuple(combo))
-            if len(combo) >= 2:
-                dependents.append((label, combo))
+    slots = [(r, c) for r in range(rows) for c in range(r if symmetric_display else 0, cols)]
+    vecs = feature[tuple(np.array(slots).T)]
+    nonzero = np.max(np.abs(vecs), axis=1, initial=0.0) > tol.zero_tol * scale
+    vecs[~nonzero] = 0.0  # so a zero slot solves to no terms
 
-    if symmetric_display:
-        for r in range(rows):
-            for c in range(r):
-                entries[r][c] = entries[c][r]
-
-    if len(free_labels) != dim:
+    # free slots: the first to leave the span of the earlier ones (max-abs residual)
+    directions = np.zeros((0, dim))
+    free: list[int] = []
+    for i in np.flatnonzero(nonzero):
+        resid = vecs[i] - (directions @ vecs[i]) @ directions
+        if np.max(np.abs(resid)) > DEPENDENT_RESIDUAL_TOL * scale:
+            resid -= (directions @ resid) @ directions
+            directions = np.vstack([directions, resid / np.linalg.norm(resid)])
+            free.append(i)
+    if len(free) != dim:
         raise InternalConsistencyError(
-            f"greedy labeling found {len(free_labels)} free slots but the "
+            f"greedy labeling found {len(free)} free slots but the "
             f"subspace dimension is {dim}"
         )
 
-    constraints = _emit_constraints(dependents, free_labels)
+    combos = np.linalg.solve(vecs[free].T, vecs.T).T  # slot = combos[slot] @ free slots
+    combos[np.abs(combos) <= 10 * tol.zero_tol] = 0.0
+    residual = np.max(np.abs(combos @ vecs[free] - vecs), axis=1, initial=0.0)
+    bad = np.flatnonzero(residual > DEPENDENT_RESIDUAL_TOL * scale)
+    if bad.size:
+        r, c = slots[bad[0]]
+        raise InternalConsistencyError(
+            f"dependent slot ({r + 1},{c + 1}) of ({space.name}, "
+            f"{group.catalog_id}) has extraction residual {residual[bad[0]]:.3e}"
+        )
+
+    free_labels = [_slot_label(*slots[i], wide) for i in free]
+    entries: list[list] = [[None] * cols for _ in range(rows)]
+    dependents: list[tuple] = []
+    unsnapped = 0
+    for i, (r, c) in enumerate(slots):
+        label = _slot_label(r, c, wide)
+        if i in free:
+            entry = StructureEntry("free", label=label)
+        elif combos[i].any():
+            combo = tuple((rational_snap(float(combos[i, m])), free_labels[m])
+                          for m in np.flatnonzero(combos[i]))
+            entry = StructureEntry("dependent", label=label, combo=combo)
+            unsnapped += sum(not coef.exact for coef, _ in combo)
+            if len(combo) >= 2:
+                dependents.append((label, combo))
+        else:
+            entry = StructureEntry("zero")
+        entries[r][c] = entry
+        if symmetric_display:
+            entries[c][r] = entry
+
+    constraints, unsnapped_terms = _emit_constraints(dependents, free_labels)
     return StructureReport(
         space=space.name,
         group=group.catalog_id,
@@ -310,6 +316,7 @@ def structure_report(space: TensorSpace, group: SymmetryGroup,
         basis=tuple(basis),
         constraints=tuple(constraints),
         free_labels=tuple(free_labels),
+        unsnapped=unsnapped + unsnapped_terms,
     )
 
 
@@ -325,17 +332,19 @@ def _combo_key(combo) -> tuple:
     return tuple((round(float(c), 9), lbl) for c, lbl in combo)
 
 
-def _emit_constraints(dependents, free_labels) -> list[str]:
+def _emit_constraints(dependents, free_labels) -> tuple:
     """Solve each multi-term dependency for its earliest free symbol.
 
     A slot s with value sum_i alpha_i F_i is rewritten as
     F_0 = (1/alpha_0) s - sum_{i>0} (alpha_i/alpha_0) F_i and printed with
     the right-hand terms in display order.  Duplicate combinations (the
-    same relation showing up at several slots) are emitted once.
+    same relation showing up at several slots) are emitted once.  Returns
+    the lines and the number of their coefficients left unsnapped.
     """
     order = {lbl: pos for pos, lbl in enumerate(free_labels)}
     seen = set()
     out = []
+    unsnapped = 0
     for slot_label, combo in dependents:
         signature = _combo_key(combo)
         if signature in seen:
@@ -348,6 +357,7 @@ def _emit_constraints(dependents, free_labels) -> list[str]:
                 continue
             rhs.append((rational_snap(-float(coef) / float(lead_coef)), lbl))
         rhs.sort(key=lambda item: _label_sort_key(item[1]))
+        unsnapped += sum(not coef.exact for coef, _ in rhs)
         parts = []
         for coef, lbl in rhs:
             term = lbl if (coef.exact and abs(coef.numerator) == coef.denominator
@@ -357,7 +367,7 @@ def _emit_constraints(dependents, free_labels) -> list[str]:
             else:
                 parts.append(("+ " if float(coef) > 0 else "- ") + term)
         out.append(f"{lead_label} = " + " ".join(parts))
-    return out
+    return out, unsnapped
 
 
 # ---------------------------------------------------------------------------

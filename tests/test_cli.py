@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from symtensor.cli import main
+from symtensor.groups import resolve_group
+from symtensor.projector import structure_report
+from symtensor.spaces import SPACES
 
 
 def run(capsys, *argv):
@@ -134,6 +137,41 @@ class TestStructure:
     def test_unregistered_space_exits_2(self, capsys):
         code, _, err = run(capsys, "structure", "--space", "v1", "--group", "cubic")
         assert code == 2 and "slot map" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+    def test_unsnapped_display_exits_6(self, capsys, fmt):
+        code, out, err = run(capsys, "structure", "--space", "ela3", "--group", "so2-e3",
+                             "--axis", "0.3,0.1,1", "--format", fmt)
+        assert code == 6
+        assert "(unsnapped)" in out
+        if fmt == "json":
+            assert set(json.loads(out)) == {"space", "group", "dim", "shape", "entries",
+                                            "constraints"}
+        axis = np.array([0.3, 0.1, 1.0]) / np.linalg.norm([0.3, 0.1, 1.0])
+        count = structure_report(SPACES["ela3"], resolve_group("so2-e3", 3, axis=axis)).unsnapped
+        assert err.splitlines() == [f"error: {count} displayed coefficients matched no "
+                                    "rational or surd form and are printed unsnapped"]
+
+    @pytest.mark.parametrize("space,group,axis", [
+        ("ela3", "so2-e3", "1e-6,0,1"),
+        ("major3", "so2-e3", "1e-6,0,1"),
+        ("v2bar", "so2-e3", "1e-6,0,1"),
+        ("ela3", "so2-e3", "1e-7,1e-7,1"),
+        ("v2bar", "z4", "0.3,0.1,1"),
+        ("v2bar", "d2", "0.3,0.1,1"),
+    ])
+    def test_huge_coefficient_exits_6(self, capsys, space, group, axis):
+        # combinations of order 1e6 and more used to raise out of the snap
+        code, out, err = run(capsys, "structure", "--space", space, "--group", group,
+                             "--axis", axis)
+        assert code == 6 and out.startswith(f"space {space}")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_snapped_tilted_display_exits_0(self, capsys):
+        code, out, err = run(capsys, "structure", "--space", "ela3", "--group", "so2-e3",
+                             "--axis", "1,1,1")
+        assert code == 0 and err == ""
+        assert "with C11 = C12 - C14 + C15 + 2 C44 - 2 C45" in out
 
 
 class TestProject:

@@ -163,8 +163,11 @@ class TestRationalSnap:
         assert not snapped.exact and "unsnapped" in snapped.text
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            rational_snap(1e7)
+        # huge and non-finite values are shown raw, not refused
+        for value in (1e7, 2e6 + 0.3, -2e6 - 0.3, math.inf, -math.inf, math.nan):
+            snapped = rational_snap(value)
+            assert not snapped.exact and snapped.text == f"{value!r} (unsnapped)"
+            assert snapped.value == value or math.isnan(value)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(-500, 500), st.integers(1, 64))

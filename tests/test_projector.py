@@ -10,7 +10,14 @@ from symtensor.projector import (MembershipError, NoVoigtMapError,
                                  isotropic_nine_matrix, moduli_from_matrix,
                                  project, structure_report)
 from symtensor.spaces import SPACES, symmetrize
-from symtensor.voigt import MANDEL6, NINE_SLOT, induced_matrix
+from symtensor.verification import ALL_PAIRS
+from symtensor.voigt import MANDEL6, NINE_SLOT, STRUCTURE_MAPS, induced_matrix
+
+TILTED_CASES = [(space, group, axis) for space in ("ela3", "major3", "v1bar", "v2bar")
+                for group in ("so2-e3", "o2-e3", "d3", "z4")
+                for axis in ((1, 1, 1), (1, 2, 3))]
+DISPLAY_CASES = ([(s, g, None) for s, g in ALL_PAIRS if s in STRUCTURE_MAPS]
+                 + TILTED_CASES)
 
 
 class TestAveragedProjector:
@@ -208,6 +215,17 @@ class TestStructureReport:
         assert shear == [["C44", "C45", "C45"], ["C45", "C44", "C45"], ["C45", "C45", "C44"]]
         assert rep.constraints == ("C11 = C12 - C14 + C15 + 2 C44 - 2 C45",)
 
+    def test_unsnapped_coefficients_counted(self):
+        axis = np.array([0.3, 0.1, 1.0]) / np.linalg.norm([0.3, 0.1, 1.0])
+        rep = structure_report(SPACES["ela3"], resolve_group("so2-e3", 3, axis=axis))
+        n = rep.voigt_shape[0]
+        in_slots = sum(not coef.exact for r in range(n) for c in range(r, n)
+                       for coef, _ in rep.entry(r, c).combo)
+        in_constraints = sum(line.count("(unsnapped)") for line in rep.constraints)
+        assert in_slots > 0 and in_constraints > 0
+        assert rep.unsnapped == in_slots + in_constraints
+        assert "unsnapped" not in rep.to_json()
+
     def test_latex_has_sym_shorthand(self):
         rep = structure_report(SPACES["ela3"], make_finite_group("cubic_O"))
         tex = rep.to_latex()
@@ -220,6 +238,31 @@ class TestStructureReport:
         text_rows = rep.to_text().splitlines()[1:19]
         assert "\\text{sym}" not in rep.to_latex()
         assert [r.rstrip(" \\").split(" & ") for r in tex_rows] == [r.split() for r in text_rows]
+
+
+class TestDisplayDescribesInvariants:
+    """Each display, read as a recipe, reproduces a projected member of the space."""
+
+    @pytest.mark.parametrize("space_name,group_name,axis", DISPLAY_CASES,
+                             ids=[f"{s}-{g}" + (f"-axis{''.join(map(str, a))}" if a else "")
+                                  for s, g, a in DISPLAY_CASES])
+    def test_entries_follow_the_display(self, space_name, group_name, axis):
+        sp = SPACES[space_name]
+        axis = None if axis is None else np.array(axis, float) / np.linalg.norm(axis)
+        g = resolve_group(group_name, sp.n, axis=axis)
+        rep = structure_report(sp, g)
+        member = symmetrize(sp, np.random.default_rng(29).normal(size=sp.n**sp.k))
+        shown = induced_matrix(*STRUCTURE_MAPS[space_name], project(sp, g, member))
+        tol = 1e-8 * float(np.max(np.abs(shown)))
+        cells = [(r, c, e) for r, row in enumerate(rep.entries) for c, e in enumerate(row)]
+        free = {e.label: shown[r, c] for r, c, e in cells if e.kind == "free"}
+        assert sorted(free) == sorted(rep.free_labels)
+        for r, c, e in cells:
+            if e.kind == "zero":
+                assert abs(shown[r, c]) <= tol, (r, c)
+            elif e.kind == "dependent":
+                want = sum(coef.value * free[label] for coef, label in e.combo)
+                assert abs(shown[r, c] - want) <= tol, (r, c, e.combo)
 
 
 class TestIsotropicModuli:
