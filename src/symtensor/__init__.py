@@ -7,9 +7,8 @@ averaging, rendered in slot (Voigt-style) matrix form with
 independent-component labeling.
 """
 
-from .core import (DEFAULT_TOL, FlatOperator, FlatTensor, SnappedValue,
-                   TolerancePolicy, act, image_basis, kron_power,
-                   rational_snap)
+from .core import (FlatOperator, FlatTensor, SnappedValue, act, image_basis,
+                   kron_power, rational_snap)
 from .groups import (GroupElement, QuadratureRule, SymmetryGroup, closure_check,
                      haar_rule, integrate, make_continuous_group,
                      make_finite_group, resolve_group)

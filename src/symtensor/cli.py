@@ -2,26 +2,24 @@
 
 Commands: ``dim``, ``structure``, ``project``, ``moduli``, ``maps``,
 ``verify-paper``.  Exit codes are stable: 0 success, 2 unknown name or
-configuration (also a bad SYMTENSOR_TOL or an unwritable output file),
-3 quadrature non-convergence, 4 internal consistency failure, 5 bad input
-(tensor file or moduli values), 6 a ``structure`` display printed with
-coefficients that matched no rational or surd form ("(unsnapped)").  The
-environment variable SYMTENSOR_TOL sets only the zero tolerance (rank cut,
-slot zero test), not the snap tolerances.
+configuration (also an unwritable output file), 3 quadrature
+non-convergence, 4 internal consistency failure, 5 bad input (tensor file
+or moduli values), 6 a ``structure`` display printed with coefficients
+that matched no rational or surd form ("(unsnapped)").  Every numerical
+threshold is a fixed constant; none is read from the environment.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import spaces, voigt
 from .characters import QuadratureNotConvergedError, fix_dimension
-from .core import DEFAULT_TOL, FlatTensor, TolerancePolicy, act
+from .core import FlatTensor, act
 from .groups import GROUPS_2D, GROUPS_3D, resolve_group
 from .projector import (InternalConsistencyError, MembershipError,
                         NoVoigtMapError, extract_isotropic_moduli, project,
@@ -34,17 +32,6 @@ EXIT_QUADRATURE = 3
 EXIT_INTERNAL = 4
 EXIT_INPUT = 5
 EXIT_UNSNAPPED = 6
-
-
-def _tolerance() -> TolerancePolicy:
-    raw = os.environ.get("SYMTENSOR_TOL")
-    if not raw:
-        return DEFAULT_TOL
-    try:
-        return TolerancePolicy(zero_tol=float(raw))
-    except ValueError as exc:
-        print(f"error: bad SYMTENSOR_TOL: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_NAME)
 
 
 def _parse_axis(text):
@@ -90,7 +77,11 @@ def _read_tensor(path: str, sp) -> FlatTensor:
     if (n, k) != (sp.n, sp.k):
         raise ValueError(f"file is order {k} over R^{n}, space {sp.name} needs "
                          f"order {sp.k} over R^{sp.n}")
-    return FlatTensor(n, k, np.asarray(payload["coeffs"], dtype=float))
+    coeffs = payload["coeffs"]
+    if not isinstance(coeffs, list) or any(
+            isinstance(v, bool) or not isinstance(v, (int, float)) for v in coeffs):
+        raise ValueError("'coeffs' must be a flat JSON array of numbers")
+    return FlatTensor(n, k, np.asarray(coeffs, dtype=float))
 
 
 def _write_tensor(path, sp, tensor: FlatTensor, extra=None) -> None:
@@ -134,7 +125,7 @@ def cmd_structure(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NAME
     try:
-        report = structure_report(sp, group, tol=_tolerance())
+        report = structure_report(sp, group)
     except NoVoigtMapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NAME
@@ -164,8 +155,8 @@ def cmd_project(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NAME
     try:
-        tensor = _read_tensor(args.input, sp)
-    except (OSError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        tensor = _read_tensor(args.input, sp)  # JSONDecodeError is a ValueError
+    except (OSError, OverflowError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
@@ -202,7 +193,7 @@ def cmd_moduli(args) -> int:
         print(f"error: moduli values must be a JSON object of symbols and numbers, "
               f"got {type(values).__name__}", file=sys.stderr)
         return EXIT_INPUT
-    report = structure_report(spaces.lookup("major3"), resolve_group("so3", 3), tol=_tolerance())
+    report = structure_report(spaces.lookup("major3"), resolve_group("so3", 3))
     try:
         lam, mu, mu_c = extract_isotropic_moduli(report, values)
     except (KeyError, TypeError, ValueError) as exc:  # TypeError: a value that is no number

@@ -40,27 +40,6 @@ EQUALITY_TOL = 1e-9
 SNAP_DENOMINATOR_BOUND = 64
 
 
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Numerical tolerance shared across the library.
-
-    Attributes
-    ----------
-    zero_tol : float
-        Relative cutoff below which a coefficient or singular value is
-        treated as zero.
-    """
-
-    zero_tol: float = 1e-9
-
-    def __post_init__(self):
-        if not 0.0 < self.zero_tol <= 1e-6:
-            raise ValueError(f"zero_tol must lie in (0, 1e-6], got {self.zero_tol}")
-
-
-DEFAULT_TOL = TolerancePolicy()
-
-
 @dataclass(frozen=True, eq=False)
 class FlatTensor:
     """Order-``k`` tensor over R^``n`` as a flat coefficient vector.
@@ -197,25 +176,21 @@ def act(mats: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
     return np.matmul(a, right.reshape(m, p, q * r)).reshape((m,) + x.shape)
 
 
-def image_basis(a: FlatOperator, tol: TolerancePolicy = DEFAULT_TOL,
-                span: np.ndarray | None = None) -> list[FlatTensor]:
+def image_basis(a: FlatOperator, span: np.ndarray | None = None) -> list[FlatTensor]:
     """Orthonormal basis of the column space of a projector.
 
     The input must be idempotent within 1e-6.  The basis cardinality is the
-    numerical rank: singular values are kept while they exceed
-    ``tol.zero_tol`` relative to the largest one.  Given orthonormal columns
-    ``span`` with ``a = a span span^T``, the SVD runs on the thinner ``a span``.
+    rank, counted as the singular values above 1/2: those of an idempotent
+    operator are 0 or at least 1, even for an oblique projector whose
+    largest one is huge.  Given orthonormal columns ``span`` with
+    ``a = a span span^T``, the SVD runs on the thinner ``a span``.
     """
     res = a.idempotency_residual()
     if res >= 1e-6:
         raise NotAProjectorError(res)
     mat = a.matrix if span is None else a.matrix @ span
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    # idempotent operators have singular values >= 1 or ~ 0, so a leading
-    # singular value below 1/2 can only be roundoff around the zero operator
-    if s.size == 0 or s[0] < 0.5:
-        return []
-    rank = int(np.sum(s > tol.zero_tol * s[0]))
+    rank = int(np.sum(s > 0.5))
     return [FlatTensor(a.n, a.k, u[:, j]) for j in range(rank)]
 
 

@@ -17,13 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, FlatOperator, FlatTensor, TolerancePolicy,
-                   image_basis, kron_stack, rational_snap)
+from .core import FlatOperator, FlatTensor, image_basis, kron_stack, rational_snap
 from .characters import _check_ambient, fix_dimension
 from .groups import SymmetryGroup, haar_rule
 from .spaces import TensorSpace, membership_residual, symmetrize
 from .voigt import STRUCTURE_MAPS
 
+# structure_report: the slot zero test and the free-slot residual test,
+# both relative to the largest slot value
+SLOT_ZERO_TOL = 1e-9
 DEPENDENT_RESIDUAL_TOL = 1e-7
 
 
@@ -216,8 +218,7 @@ def _structure_maps(space: TensorSpace) -> tuple:
     return rows, cols
 
 
-def structure_report(space: TensorSpace, group: SymmetryGroup,
-                     tol: TolerancePolicy = DEFAULT_TOL) -> StructureReport:
+def structure_report(space: TensorSpace, group: SymmetryGroup) -> StructureReport:
     """Classify every display slot of the general invariant tensor.
 
     Each slot is a linear functional on the invariant subspace.  Free
@@ -227,17 +228,22 @@ def structure_report(space: TensorSpace, group: SymmetryGroup,
     ``DEPENDENT_RESIDUAL_TOL`` (max-abs residual, relative to the largest
     slot value).  One linear solve against the free slots then writes every
     slot as a combination of them; coefficients at or below
-    ``10 * zero_tol`` are dropped and the rest snapped for display, and a
+    ``10 * SLOT_ZERO_TOL`` are dropped and the rest snapped for display, and a
     slot left with no term is zero.  One constraint line is emitted per
     distinct multi-term combination, solved for the earliest free symbol
     it involves (the display convention of naming the dependent slot with
     its own symbol).  ``unsnapped`` counts the displayed coefficients, in
     slot combinations and constraint terms, that matched no rational or
     surd form.
+
+    The invariant subspace is the image of the averaged projector, whose
+    rank (its singular values above 1/2, see :func:`image_basis`) must
+    equal the trace-formula dimension.  A slot is zero when its functional
+    is at most ``SLOT_ZERO_TOL`` relative to the largest slot value.
     """
     map_row, map_col = _structure_maps(space)
     a = averaged_projector(space, group)
-    basis = image_basis(a, tol, space.basis)
+    basis = image_basis(a, space.basis)
     dim = fix_dimension(space, group)
     if len(basis) != dim:
         raise InternalConsistencyError(
@@ -256,7 +262,7 @@ def structure_report(space: TensorSpace, group: SymmetryGroup,
     symmetric_display = rows == cols
     slots = [(r, c) for r in range(rows) for c in range(r if symmetric_display else 0, cols)]
     vecs = feature[tuple(np.array(slots).T)]
-    nonzero = np.max(np.abs(vecs), axis=1, initial=0.0) > tol.zero_tol * scale
+    nonzero = np.max(np.abs(vecs), axis=1, initial=0.0) > SLOT_ZERO_TOL * scale
     vecs[~nonzero] = 0.0  # so a zero slot solves to no terms
 
     # free slots: the first to leave the span of the earlier ones (max-abs residual)
@@ -275,7 +281,7 @@ def structure_report(space: TensorSpace, group: SymmetryGroup,
         )
 
     combos = np.linalg.solve(vecs[free].T, vecs.T).T  # slot = combos[slot] @ free slots
-    combos[np.abs(combos) <= 10 * tol.zero_tol] = 0.0
+    combos[np.abs(combos) <= 10 * SLOT_ZERO_TOL] = 0.0
     residual = np.max(np.abs(combos @ vecs[free] - vecs), axis=1, initial=0.0)
     bad = np.flatnonzero(residual > DEPENDENT_RESIDUAL_TOL * scale)
     if bad.size:
@@ -395,7 +401,8 @@ def extract_isotropic_moduli(report: StructureReport, values: dict) -> tuple:
 
     ``values`` maps displayed symbols to finite real numbers (not booleans)
     and must determine C12, C44 and one of C45 / C11 (the constraint
-    C11 = C12 + C44 + C45 supplies the missing one).
+    C11 = C12 + C44 + C45 supplies the missing one).  Given both, they
+    must satisfy it within 1e-9 relative to max(1, |C12| + |C44| + |C45|).
     """
     if report.space != "major3" or report.dim != 3:
         raise ValueError(
@@ -414,6 +421,12 @@ def extract_isotropic_moduli(report: StructureReport, values: dict) -> tuple:
     lam, c44 = value("C12"), value("C44")
     if "C45" in values:
         c45 = value("C45")
+        if "C11" in values:
+            c11, expected = value("C11"), lam + c44 + c45
+            bound = max(1e-9, sum(1e-9 * abs(v) for v in (lam, c44, c45)))  # cannot overflow
+            if not math.isfinite(expected) or abs(c11 - expected) > bound:
+                raise ValueError(f"C11 = {c11!r} contradicts the constraint "
+                                 f"C11 = C12 + C44 + C45 = {expected!r}")
     elif "C11" in values:
         c45 = value("C11") - lam - c44
     else:

@@ -10,6 +10,7 @@ permutation operators over the group.  The dimension is the orbit count.
 
 from __future__ import annotations
 
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,9 +71,9 @@ class TensorSpace:
     name : str
         Catalog name.
     n : int
-        Ambient dimension.
+        Ambient dimension, at least 1.
     k : int
-        Tensor order.
+        Tensor order, at least 1.
     generators : tuple of tuple of int
         Index-position permutations (0-based) under which coefficients
         are invariant.
@@ -84,6 +85,9 @@ class TensorSpace:
     generators: tuple
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+                   for v in (self.n, self.k)):
+            raise ValueError(f"n and k must be positive integers, got n={self.n!r}, k={self.k!r}")
         object.__setattr__(
             self, "generators",
             tuple(_check_permutation(g, self.k) for g in self.generators),

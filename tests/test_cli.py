@@ -115,6 +115,10 @@ class TestStructure:
         assert code == 0
         assert "C11 = C12 + 2 C44" in out
 
+    def test_cubic_text(self, capsys):
+        code, out, _ = run(capsys, "structure", "--space", "ela3", "--group", "cubic")
+        assert code == 0 and "C44" in out
+
     def test_json_schema_roundtrip(self, capsys):
         code, out, _ = run(capsys, "structure", "--space", "major3", "--group", "o2-e3",
                            "--format", "json")
@@ -222,6 +226,12 @@ class TestProject:
         '{"n": 2.0, "k": 2, "coeffs": [1.0, 0.0, 0.0, 1.0]}',
         '{"n": 2, "k": "2", "coeffs": [1.0, 0.0, 0.0, 1.0]}',
         '{"n": true, "k": 2, "coeffs": [1.0, 0.0, 0.0, 1.0]}',
+        '{"space": "sym2", "coeffs": ["1", true, true, "2"]}',
+        '{"coeffs": ["1", "0", "0", "1"]}',
+        '{"coeffs": [true, false, false, true]}',
+        '{"coeffs": [[1.0, 0.0], [0.0, 1.0]]}',
+        '{"coeffs": "1 0 0 1"}',
+        '{"coeffs": [1%s, 0, 0, 1]}' % ("0" * 400),
     ])
     def test_malformed_tensor_exits_5(self, tmp_path, capsys, text):
         src = tmp_path / "in.json"
@@ -268,6 +278,9 @@ class TestModuli:
         ("--input", '{"C12": 1, "C44": 1, "C45": false}', "C45 must be a finite number"),
         ("--values", '{"C12": 1, "C44": 1e308, "C45": 1e308}', "overflow"),
         ("--values", '{"C12": -1e308, "C44": -1e308, "C11": 1e308}', "overflow"),
+        ("--values", '{"C12": 1, "C44": 3, "C45": 1, "C11": 100}', "contradicts"),
+        ("--values", '{"C12": 1e308, "C44": 1e308, "C45": 1, "C11": 5}', "contradicts"),
+        ("--values", '{"C12": 1e308, "C44": -1e308, "C45": 1e308, "C11": 5}', "contradicts"),
     ])
     def test_malformed_values_exit_5(self, tmp_path, capsys, source, text, message):
         if source == "--input":
@@ -326,31 +339,6 @@ class TestVerifyPaper:
     def test_rows_naming_no_category_exit_2(self, capsys, rows):
         code, out, err = run(capsys, "verify-paper", "--rows", rows)
         assert code == 2 and out == "" and "names no category" in err
-
-
-class TestTolerance:
-    def test_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("SYMTENSOR_TOL", "1e-8")
-        code, out, _ = run(capsys, "structure", "--space", "ela3", "--group", "cubic")
-        assert code == 0 and "C44" in out
-
-    def test_bad_env_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("SYMTENSOR_TOL", "0.5")
-        with pytest.raises(SystemExit):
-            main(["structure", "--space", "ela3", "--group", "cubic"])
-
-    @pytest.mark.parametrize("value", ["abc", "1e-3"])
-    @pytest.mark.parametrize("argv", [
-        ("structure", "--space", "ela3", "--group", "cubic"),
-        ("moduli", "--values", '{"C12": 1, "C44": 3, "C45": 1}'),
-    ])
-    def test_bad_env_exits_2(self, capsys, monkeypatch, value, argv):
-        monkeypatch.setenv("SYMTENSOR_TOL", value)
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: bad SYMTENSOR_TOL")
 
 
 class TestSlotwiseAction:

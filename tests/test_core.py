@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symtensor.core import (EQUALITY_TOL, FlatOperator, FlatTensor,
-                            NonOrthogonalError, NotAProjectorError,
-                            TolerancePolicy, act, image_basis, kron_power,
-                            rational_snap)
+                            NonOrthogonalError, NotAProjectorError, act,
+                            image_basis, kron_power, rational_snap)
 from symtensor.spaces import SPACES
 
 from conftest import haar_rotation
@@ -134,6 +133,14 @@ class TestImageBasis:
         mat = np.column_stack([b.coeffs for b in basis])
         assert np.allclose(mat.T @ mat, np.eye(6), atol=1e-12)
 
+    def test_oblique_projector_keeps_full_rank(self):
+        # exactly idempotent, singular values 1e10, 1 and 0: the rank is 2
+        p = np.array([[1.0, 1e10, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        basis = np.column_stack([b.coeffs for b in image_basis(FlatOperator(3, 1, p))])
+        assert basis.shape == (3, 2)
+        assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-12)
+        assert np.allclose(p @ basis, basis, atol=1e-12)
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_rank_stable_under_orthogonal_conjugation(self, seed):
@@ -175,12 +182,3 @@ class TestRationalSnap:
         snapped = rational_snap(p / q)
         assert snapped.exact
         assert abs(snapped.value - p / q) <= EQUALITY_TOL
-
-
-class TestTolerancePolicy:
-    def test_zero_tol_bounds(self):
-        with pytest.raises(ValueError):
-            TolerancePolicy(zero_tol=1e-5)
-        with pytest.raises(ValueError):
-            TolerancePolicy(zero_tol=0.0)
-        TolerancePolicy(zero_tol=1e-6)  # boundary is allowed

@@ -289,6 +289,9 @@ class TestIsotropicModuli:
         rep = structure_report(SPACES["major3"], make_continuous_group("SO3"))
         lam, mu, mu_c = extract_isotropic_moduli(rep, {"C12": 1.0, "C44": 3.0, "C11": 5.0})
         assert (lam, mu, mu_c) == (1.0, 2.0, 1.0)
+        # a C11 that agrees with C12 + C44 + C45 is accepted next to C45
+        values = {"C12": 1.0, "C44": 3.0, "C45": 1.0, "C11": 5.0 + 1e-12}
+        assert extract_isotropic_moduli(rep, values) == (1.0, 2.0, 1.0)
 
     def test_wrong_report_kind_rejected(self):
         rep = structure_report(SPACES["ela3"], make_continuous_group("SO3"))

@@ -118,6 +118,12 @@ class TestCatalog:
         with pytest.raises(ValueError, match="permutation"):
             TensorSpace("bad", 2, 2, ((0, 0),))
 
+    @pytest.mark.parametrize("n,k", [(3, -1), (3, 0), (0, 2), (-2, 2), (3, 2.0),
+                                     (2.5, 2), (True, 2), (3, "2")])
+    def test_order_and_dimension_must_be_positive_integers(self, n, k):
+        with pytest.raises(ValueError, match="positive integers"):
+            TensorSpace("x", n, k, ())
+
     def test_custom_space(self):
         # full symmetric order-2 plus nothing else; same as sym2
         sp = TensorSpace("mirror", 2, 2, ((1, 0),))
