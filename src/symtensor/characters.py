@@ -82,26 +82,18 @@ def character_closed_form(space: TensorSpace, mats: np.ndarray) -> np.ndarray:
     return total / len(space.permutation_group)
 
 
-def fix_dimension(space: TensorSpace, group: SymmetryGroup, degree: int | None = None) -> int:
+def fix_dimension(space: TensorSpace, group: SymmetryGroup) -> int:
     """Dimension of the fixed-point subspace via the trace formula.
 
-    The character is a degree-k polynomial in the entries of Q, so the
-    default quadrature degree k + 2 leaves margin.  A ``degree`` for a
-    finite group raises ``ValueError``.  One below k, or a Haar average
-    further than 1e-6 from an integer, raises ``QuadratureNotConvergedError``
-    (a circle rule is a finite group: its average is always an integer).
+    The character is a degree-k polynomial in the entries of Q, and the
+    Haar rule of degree k + 2 (as in ``averaged_projector``) integrates it
+    exactly.  The SO(3) rule stops at degree 12, so so3 takes orders
+    k <= 10; a higher order raises ``ValueError`` (ROADMAP item 2, exact
+    dimensions from the weight polynomial, lifts this).  A Haar average
+    further than 1e-6 from an integer raises ``QuadratureNotConvergedError``.
     """
     _check_ambient(space, group.ambient)
-    if degree is None:
-        degree = space.k + 2
-    elif group.is_finite:
-        raise ValueError("a quadrature degree applies only to continuous groups; "
-                         "a finite group averages over its elements")
-    elif degree < space.k:
-        raise QuadratureNotConvergedError(
-            f"quadrature degree {degree} is below the order {space.k} of space "
-            f"{space.name}, whose character it cannot integrate exactly")
-    value = integrate(group, lambda mats: character_closed_form(space, mats), degree)
+    value = integrate(group, lambda mats: character_closed_form(space, mats), space.k + 2)
     nearest = round(value)
     residual = abs(value - nearest)
     if residual >= 1e-6:

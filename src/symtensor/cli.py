@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Commands: ``dim``, ``structure``, ``project``, ``moduli``, ``maps``,
-``verify-paper``.  Exit codes are stable: 0 success, 2 unknown name or
-configuration (also an unwritable output file), 3 quadrature
-non-convergence, 4 internal consistency failure, 5 bad input (tensor file
-or moduli values), 6 a ``structure`` display printed with coefficients
-that matched no rational or surd form ("(unsnapped)").  Every numerical
-threshold is a fixed constant; none is read from the environment.
+``verify-paper``.  Exit codes are stable: 0 success, 1 a ``verify-paper``
+row failed, 2 unknown name or configuration (also an unwritable output
+file), 3 quadrature non-convergence (a Haar average off an integer), 4
+internal consistency failure, 5 bad input (tensor file or moduli values),
+6 a ``structure`` display printed with coefficients that matched no
+rational or surd form ("(unsnapped)").  Every numerical threshold is a
+fixed constant; none is read from the environment.
 """
 
 from __future__ import annotations
@@ -47,11 +48,12 @@ def _parse_axis(text):
     return axis / norm
 
 
-def _degree(text) -> int:
-    degree = int(text)
-    if degree < 1:
-        raise argparse.ArgumentTypeError(f"degree must be >= 1, got {degree}")
-    return degree
+def _fail(code: int, exc: Exception) -> int:
+    """Print ``exc`` as one ``error:`` line and return ``code``."""
+    # str() of a KeyError is the repr of its message, quotes included
+    message = exc.args[0] if isinstance(exc, KeyError) else exc
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def _resolve(args):
@@ -101,16 +103,13 @@ def cmd_dim(args) -> int:
     try:
         sp, group = _resolve(args)
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NAME
+        return _fail(EXIT_NAME, exc)
     try:
-        dim = fix_dimension(sp, group, degree=args.degree)
+        dim = fix_dimension(sp, group)
     except QuadratureNotConvergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_QUADRATURE
-    except ValueError as exc:  # a degree for a finite group or beyond the rule's range
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NAME
+        return _fail(EXIT_QUADRATURE, exc)
+    except ValueError as exc:  # an ambient mismatch or an order past the so3 degree cap
+        return _fail(EXIT_NAME, exc)
     if args.format == "json":
         print(json.dumps({"space": sp.name, "group": group.catalog_id, "dim": dim}))
     else:
@@ -122,19 +121,15 @@ def cmd_structure(args) -> int:
     try:
         sp, group = _resolve(args)
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NAME
+        return _fail(EXIT_NAME, exc)
     try:
         report = structure_report(sp, group)
     except NoVoigtMapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NAME
+        return _fail(EXIT_NAME, exc)
     except QuadratureNotConvergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_QUADRATURE
+        return _fail(EXIT_QUADRATURE, exc)
     except InternalConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _fail(EXIT_INTERNAL, exc)
     if args.format == "json":
         print(json.dumps(report.to_json()))
     elif args.format == "latex":
@@ -152,18 +147,15 @@ def cmd_project(args) -> int:
     try:
         sp, group = _resolve(args)
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NAME
+        return _fail(EXIT_NAME, exc)
     try:
         tensor = _read_tensor(args.input, sp)  # JSONDecodeError is a ValueError
     except (OSError, OverflowError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail(EXIT_INPUT, exc)
     try:
         projected = project(sp, group, tensor)
     except MembershipError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail(EXIT_INPUT, exc)
     moved = act(np.array([e.matrix for e in group.sample_elements()]), sp.k, projected.coeffs)
     residual = float(np.max(np.abs(moved - projected.coeffs)))
     try:
@@ -187,18 +179,15 @@ def cmd_moduli(args) -> int:
             with open(args.input) as fh:
                 values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+            return _fail(EXIT_INPUT, exc)
     if not isinstance(values, dict):
         print(f"error: moduli values must be a JSON object of symbols and numbers, "
               f"got {type(values).__name__}", file=sys.stderr)
         return EXIT_INPUT
-    report = structure_report(spaces.lookup("major3"), resolve_group("so3", 3))
     try:
-        lam, mu, mu_c = extract_isotropic_moduli(report, values)
+        lam, mu, mu_c = extract_isotropic_moduli(values)
     except (KeyError, TypeError, ValueError) as exc:  # TypeError: a value that is no number
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail(EXIT_INPUT, exc)
     print(json.dumps({"lambda": lam, "mu": mu, "mu_c": mu_c}))
     return EXIT_OK
 
@@ -254,9 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dim", help="fixed-subspace dimension via the trace formula")
     add_pair(p)
-    p.add_argument("--degree", type=_degree, default=None,
-                   help="quadrature degree override for continuous groups (at most 12 "
-                        "on so3; below the space's order exits 3); refused for finite groups")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_dim)
 

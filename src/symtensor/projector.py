@@ -396,20 +396,16 @@ def isotropic_nine_matrix(lam: float, mu: float, mu_c: float) -> np.ndarray:
     return m
 
 
-def extract_isotropic_moduli(report: StructureReport, values: dict) -> tuple:
-    """(lambda, mu, mu_c) from a free-label assignment of the isotropic report.
+def extract_isotropic_moduli(values: dict) -> tuple:
+    """(lambda, mu, mu_c) from values of the isotropic 45-constant display.
 
-    ``values`` maps displayed symbols to finite real numbers (not booleans)
-    and must determine C12, C44 and one of C45 / C11 (the constraint
-    C11 = C12 + C44 + C45 supplies the missing one).  Given both, they
-    must satisfy it within 1e-9 relative to max(1, |C12| + |C44| + |C45|).
+    The labels are those of the major3 x so3 display (``structure --space
+    major3 --group so3``), which shows C11, C12, C44 and C45 tied by
+    C11 = C12 + C44 + C45.  ``values`` maps labels to finite real numbers
+    (not booleans) and must determine C12, C44 and one of C45 / C11 (the
+    constraint supplies the missing one).  Given both, they must satisfy
+    it within 1e-9 relative to max(1, |C12| + |C44| + |C45|).
     """
-    if report.space != "major3" or report.dim != 3:
-        raise ValueError(
-            f"expected the isotropic 45-constant report, got space {report.space!r} "
-            f"with dim {report.dim}"
-        )
-
     def value(label: str) -> float:
         if label not in values:
             raise KeyError(f"missing required symbol {label!r} in value assignment")

@@ -7,7 +7,7 @@ from symtensor.characters import (QuadratureNotConvergedError,
                                   character_closed_form, character_direct,
                                   fix_dimension, power_traces)
 from symtensor.core import image_basis, kron_power
-from symtensor.groups import (make_continuous_group, make_finite_group,
+from symtensor.groups import (integrate, make_continuous_group, make_finite_group,
                               resolve_group, rotation_z)
 from symtensor.projector import averaged_projector
 from symtensor.spaces import SPACES, TensorSpace
@@ -145,38 +145,23 @@ class TestFixDimension:
         with pytest.raises(ValueError):
             fix_dimension(SPACES["ela2"], make_finite_group("cubic_O"))
 
-    def test_non_convergence_detected(self):
-        # an SO(3) rule far too coarse for the degree-6 character leaves a
-        # non-integer average (coarse circle grids alias to exact subgroup
-        # averages instead, so only the polar direction can trip this)
-        sp = SPACES["v2bar"]
-        with pytest.raises(QuadratureNotConvergedError):
-            fix_dimension(sp, make_continuous_group("SO3"), degree=1)
-
-    @pytest.mark.parametrize("space,group,degree", [("ela3", "so2-e3", 1),
-                                                    ("v2bar", "o2-e3", 2),
-                                                    ("high2", "so2", 2)])
-    def test_degree_below_order_refused(self, space, group, degree):
-        # a circle rule of degree d is a finite group of order 2d + 2, so its
-        # average is an integer even where it is the wrong dimension
-        sp = SPACES[space]
-        with pytest.raises(QuadratureNotConvergedError,
-                           match=f"degree {degree} is below the order {sp.k}"):
-            fix_dimension(sp, resolve_group(group, sp.n), degree=degree)
+    def test_non_convergence_detected(self, monkeypatch):
+        # a Haar average off an integer is refused, not rounded
+        monkeypatch.setattr("symtensor.characters.integrate", lambda *args: 4.5)
+        with pytest.raises(QuadratureNotConvergedError, match="not converged"):
+            fix_dimension(SPACES["ela3"], resolve_group("so3", 3))
 
     @pytest.mark.parametrize("name", list(SPACES))
     def test_degrees_from_order_match_default(self, name):
+        # the Haar integral of the character is the same integer at every
+        # degree from the order k up, so fix_dimension needs no degree choice
         sp = SPACES[name]
         for group in ("so2", "o2") if sp.n == 2 else ("so2-e3", "o2-e3", "so3"):
             g = resolve_group(group, sp.n)
             expected = fix_dimension(sp, g)
             for degree in range(sp.k, sp.k + 3):
-                assert fix_dimension(sp, g, degree=degree) == expected
-
-    @pytest.mark.parametrize("degree", [1, 50])
-    def test_degree_under_finite_group_refused(self, degree):
-        with pytest.raises(ValueError, match="continuous groups"):
-            fix_dimension(SPACES["ela3"], resolve_group("cubic", 3), degree=degree)
+                value = integrate(g, lambda mats: character_closed_form(sp, mats), degree)
+                assert value == pytest.approx(expected, abs=1e-6)
 
 
 # catalog groups for the differential tests: a finite and a continuous
@@ -263,3 +248,8 @@ class TestRandomSpaces:
         # the default degree k + 2 exceeds 12; only SO(3) caps the degree
         space = TensorSpace(f"t{k}", n, k, ())
         assert fix_dimension(space, resolve_group(group, n)) == expected
+
+    def test_so3_order_beyond_ten_refused(self):
+        # the degree k + 2 = 13 is past the SO(3) rule's cap of 12
+        with pytest.raises(ValueError, match="12 on so3"):
+            fix_dimension(TensorSpace("t11", 3, 11, ()), resolve_group("so3", 3))

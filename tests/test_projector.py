@@ -267,36 +267,27 @@ class TestDisplayDescribesInvariants:
 
 class TestIsotropicModuli:
     def test_worked_example(self):
-        rep = structure_report(SPACES["major3"], make_continuous_group("SO3"))
-        assert extract_isotropic_moduli(rep, {"C12": 1, "C44": 3, "C45": 1}) == (1, 2, 1)
+        assert extract_isotropic_moduli({"C12": 1, "C44": 3, "C45": 1}) == (1, 2, 1)
 
     def test_symmetric_coupling_only(self):
-        rep = structure_report(SPACES["major3"], make_continuous_group("SO3"))
-        _, _, mu_c = extract_isotropic_moduli(rep, {"C12": 0.3, "C44": 1.7, "C45": 1.7})
+        _, _, mu_c = extract_isotropic_moduli({"C12": 0.3, "C44": 1.7, "C45": 1.7})
         assert mu_c == 0.0
 
     def test_roundtrip_random(self, rng):
-        rep = structure_report(SPACES["major3"], make_continuous_group("SO3"))
         for _ in range(5):
             lam, mu, mu_c = rng.normal(size=3)
             m = isotropic_nine_matrix(lam, mu, mu_c)
             got = moduli_from_matrix(m)
             assert np.allclose(got, (lam, mu, mu_c), atol=1e-12)
             values = {"C12": m[0, 1], "C44": m[3, 3], "C45": m[3, 4]}
-            assert np.allclose(extract_isotropic_moduli(rep, values), (lam, mu, mu_c), atol=1e-12)
+            assert np.allclose(extract_isotropic_moduli(values), (lam, mu, mu_c), atol=1e-12)
 
     def test_c11_supplies_missing_value(self):
-        rep = structure_report(SPACES["major3"], make_continuous_group("SO3"))
-        lam, mu, mu_c = extract_isotropic_moduli(rep, {"C12": 1.0, "C44": 3.0, "C11": 5.0})
+        lam, mu, mu_c = extract_isotropic_moduli({"C12": 1.0, "C44": 3.0, "C11": 5.0})
         assert (lam, mu, mu_c) == (1.0, 2.0, 1.0)
         # a C11 that agrees with C12 + C44 + C45 is accepted next to C45
         values = {"C12": 1.0, "C44": 3.0, "C45": 1.0, "C11": 5.0 + 1e-12}
-        assert extract_isotropic_moduli(rep, values) == (1.0, 2.0, 1.0)
-
-    def test_wrong_report_kind_rejected(self):
-        rep = structure_report(SPACES["ela3"], make_continuous_group("SO3"))
-        with pytest.raises(ValueError, match="45-constant"):
-            extract_isotropic_moduli(rep, {"C12": 1, "C44": 1, "C45": 1})
+        assert extract_isotropic_moduli(values) == (1.0, 2.0, 1.0)
 
     def test_projected_tensor_matches_modulus_form(self, rng):
         sp = SPACES["major3"]
