@@ -10,8 +10,7 @@ independent-component labeling.
 from .core import (FlatOperator, FlatTensor, SnappedValue, act, image_basis,
                    kron_power, rational_snap)
 from .groups import (GroupElement, QuadratureRule, SymmetryGroup, closure_check,
-                     haar_rule, integrate, make_continuous_group,
-                     make_finite_group, resolve_group)
+                     haar_rule, integrate, resolve_group)
 from .spaces import SPACES, TensorSpace, membership_residual, symmetrize
 from .characters import character_closed_form, character_direct, fix_dimension
 from .projector import (StructureEntry, StructureReport, averaged_projector,

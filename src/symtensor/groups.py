@@ -1,5 +1,10 @@
 """Closed subgroups of SO(3) and O(2) with normalized Haar integration.
 
+``resolve_group(name, ambient, axis)`` builds every catalog group from the
+name a user types (``z4``, ``cubic``, ``so2-e3``, ...).  A group's
+``catalog_id`` is that name, with the ambient appended for the cyclic and
+dihedral groups (``z4_3d``).
+
 Finite groups are explicit element lists (checked for closure at
 construction).  A Haar integral is a weighted sum over a quadrature rule,
 an (m, n, n) stack of orthogonal matrices with m weights, and integrands
@@ -17,6 +22,7 @@ exact for polynomials in the matrix entries up to a requested degree:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -27,14 +33,13 @@ from numpy.polynomial.legendre import leggauss
 ORTHO_TOL = 1e-12
 CLOSURE_TOL = 1e-10
 
-FINITE_CATALOG_IDS = ("Zn_2D", "Dn_2D", "Zn_3D", "Dn_3D", "cubic_O", "trivial")
-CONTINUOUS_IDS = ("SO2_2D", "O2_2D", "SO2_e3", "O2_e3", "SO3")
-# catalog name of each continuous group
-_CONTINUOUS_NAMES = {"SO2_2D": "so2", "O2_2D": "o2", "SO2_e3": "so2-e3",
-                     "O2_e3": "o2-e3", "SO3": "so3"}
-# (ambient, has an improper coset) of every group of rotations about one axis
-_AXIAL = {"Zn_2D": (2, False), "Dn_2D": (2, True), "Zn_3D": (3, False), "Dn_3D": (3, True),
-          "SO2_2D": (2, False), "O2_2D": (2, True), "SO2_e3": (3, False), "O2_e3": (3, True)}
+# every group of rotations about one axis, by catalog name: its order (0 for
+# a circle group) and whether it has an improper coset
+_AXIAL = {"z2": (2, False), "z3": (3, False), "z4": (4, False), "z6": (6, False),
+          "d2": (2, True), "d3": (3, True), "d4": (4, True), "d6": (6, True),
+          "so2": (0, False), "o2": (0, True), "so2-e3": (0, False), "o2-e3": (0, True)}
+# the ambient of each continuous group
+_CONTINUOUS = {"so2": 2, "o2": 2, "so2-e3": 3, "o2-e3": 3, "so3": 3}
 
 # Coset representatives for the improper halves, fixed so output is
 # deterministic: a reflection in 2D, a rotation by pi about e1 in 3D.
@@ -107,37 +112,32 @@ class QuadratureRule:
 class SymmetryGroup:
     """A closed subgroup of SO(3) or O(2).
 
-    ``kind`` is ``"finite"`` (explicit ``elements``) or ``"continuous"``
-    (``continuous_id`` from ``CONTINUOUS_IDS``).  ``generators`` is a small
-    generating (finite case) or sampling (continuous case) set used by
-    invariance checks and the linear-system oracle.  3D groups built about
-    a non-default axis carry the conjugating rotation in ``frame``.
+    A finite group lists its ``elements``; a continuous one has none, and
+    its ``catalog_id`` (``so2``, ``o2``, ``so2-e3``, ``o2-e3`` or ``so3``)
+    selects its Haar rule.  ``generators`` is a small generating (finite
+    case) or sampling (continuous case) set used by invariance checks and
+    the linear-system oracle.  3D groups built about a non-default axis
+    carry the conjugating rotation in ``frame``.
     """
 
     ambient: int
     catalog_id: str
-    kind: str
     elements: tuple = ()
-    continuous_id: str = ""
     generators: tuple = ()
     frame: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.kind not in ("finite", "continuous"):
-            raise ValueError(f"unknown group kind {self.kind!r}")
-        if self.kind == "finite":
-            if not self.elements:
-                raise ValueError("finite group needs at least the identity")
+        if self.elements:
             report = closure_check(self)
             if not report.passed:
                 raise ValueError(f"group {self.catalog_id!r} fails closure: {report.message}")
-        else:
-            if self.continuous_id not in CONTINUOUS_IDS:
-                raise ValueError(f"unknown continuous group id {self.continuous_id!r}")
+        elif _CONTINUOUS.get(self.catalog_id) != self.ambient:
+            raise ValueError(f"group {self.catalog_id!r} has no elements and is not a "
+                             f"continuous group on R^{self.ambient}")
 
     @property
     def is_finite(self) -> bool:
-        return self.kind == "finite"
+        return bool(self.elements)
 
     def order(self) -> int:
         if not self.is_finite:
@@ -145,10 +145,8 @@ class SymmetryGroup:
         return len(self.elements)
 
     def sample_elements(self) -> tuple:
-        """Elements used for invariance spot checks (generators if finite)."""
-        if self.is_finite:
-            return self.generators if self.generators else self.elements
-        return self.generators
+        """Elements used for invariance spot checks: the generators, else the elements."""
+        return self.generators or self.elements
 
 
 @dataclass(frozen=True)
@@ -191,17 +189,6 @@ def axis_aligner(axis) -> np.ndarray:
     return np.eye(3) + vx + vx @ vx / (1.0 + c)
 
 
-def _frame(group_id: str, axis) -> Optional[np.ndarray]:
-    """Conjugating rotation of a 3D axial group about ``axis``; None about e3."""
-    if axis is None:
-        return None
-    if group_id not in _AXIAL or _AXIAL[group_id][0] != 3:
-        raise ValueError(f"an axis applies only to the axial groups in 3D "
-                         f"(z*, d*, so2-e3, o2-e3), not to {group_id}")
-    frame = axis_aligner(axis)
-    return None if np.max(np.abs(frame - np.eye(3))) < 1e-15 else frame
-
-
 def _axial(ambient: int, theta: float, improper: bool, frame) -> np.ndarray:
     """Rotation by ``theta`` about the group's axis, times the coset
     representative if ``improper``."""
@@ -224,80 +211,6 @@ def _axial_matrices(ambient: int, count: int, improper: bool, frame) -> np.ndarr
                      for coset in (False, True)[:1 + improper] for j in range(count)])
 
 
-def make_finite_group(catalog_id: str, order_param: int = 1, axis=None,
-                      ambient: Optional[int] = None) -> SymmetryGroup:
-    """Build a finite catalog group.
-
-    ``Zn_2D``/``Dn_2D`` are the cyclic/dihedral groups of the plane (the
-    dihedral group of order n has cardinality 2n, obtained by adjoining the
-    reflection diag(-1, 1)).  ``Zn_3D``/``Dn_3D`` are their SO(3) embeddings
-    about ``axis`` (default e3); the dihedral extension adjoins the rotation
-    by pi about an in-plane axis.  ``cubic_O`` is the 24-element rotation
-    group of the cube.  ``trivial`` is {I} in R^ambient (default 3); other ids
-    refuse an ambient they do not act on.  Only the 3D embeddings take an ``axis``.
-    """
-    if catalog_id not in FINITE_CATALOG_IDS:
-        raise ValueError(f"unknown finite group id {catalog_id!r}")
-    if order_param < 1:
-        raise ValueError("order_param must be >= 1")
-    own = (ambient or 3) if catalog_id == "trivial" else _AXIAL.get(catalog_id, (3,))[0]
-    if ambient not in (None, own):
-        raise ValueError(f"group id {catalog_id!r} acts on R^{own}, not on R^{ambient}")
-    frame = _frame(catalog_id, axis)
-    n = order_param
-    if catalog_id == "trivial":
-        eye = np.eye(own)
-        return SymmetryGroup(own, "trivial", "finite",
-                             elements=(GroupElement(eye, "id"),),
-                             generators=(GroupElement(eye, "id"),))
-
-    if catalog_id in _AXIAL:
-        improper = _AXIAL[catalog_id][1]
-        els = tuple(GroupElement(q, f"{catalog_id}[{i}]")
-                    for i, q in enumerate(_axial_matrices(own, n, improper, frame)))
-        gens = (els[1 % n],) + ((els[n],) if improper else ())
-        return SymmetryGroup(own, f"{catalog_id[0].lower()}{n}_{own}d", "finite",
-                             elements=els, generators=gens, frame=frame)
-
-    # cubic_O: rotations of the cube = signed permutation matrices, det +1
-    els = []
-    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    for perm in perms:
-        base = np.zeros((3, 3))
-        for row, col in enumerate(perm):
-            base[row, col] = 1.0
-        for signs in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
-                      (-1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1)):
-            q = np.diag(signs).astype(float) @ base
-            if np.linalg.det(q) > 0.0:
-                els.append(GroupElement(q, f"signed_perm{perm}{signs}"))
-    gens = (GroupElement(rotation_z(np.pi / 2).round(12), "rot(e3,pi/2)"),
-            GroupElement(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-                         "rot(111,2pi/3)"))
-    return SymmetryGroup(3, "cubic", "finite", elements=tuple(els), generators=gens)
-
-
-def make_continuous_group(continuous_id: str, axis=None) -> SymmetryGroup:
-    """Build a continuous catalog group; so2-e3 and o2-e3 may turn about a
-    non-default ``axis``."""
-    if continuous_id not in CONTINUOUS_IDS:
-        raise ValueError(f"unknown continuous group id {continuous_id!r}")
-    frame = _frame(continuous_id, axis)
-    if continuous_id == "SO3":
-        ambient = 3
-        gens = (GroupElement(rotation_z(0.9), "rot(e3,0.9)"),
-                GroupElement(rotation_y(1.3), "rot(e2,1.3)"),
-                GroupElement(rotation_z(np.pi / 2).round(12) @ rotation_y(0.4), "mixed"))
-    else:
-        # a generic rotation, then a second one or the coset representative
-        ambient, improper = _AXIAL[continuous_id]
-        gens = tuple(GroupElement(_axial(ambient, theta, coset, frame)) for theta, coset
-                     in ((0.9, False), (0.0, True) if improper else (2.31, False)))
-    return SymmetryGroup(ambient, _CONTINUOUS_NAMES[continuous_id], "continuous",
-                         continuous_id=continuous_id,
-                         generators=gens, frame=frame)
-
-
 def closure_check(g) -> ClosureReport:
     """Verify a finite element list is closed under products and has the identity.
 
@@ -305,14 +218,9 @@ def closure_check(g) -> ClosureReport:
     ``GroupElement`` (useful for vetting a candidate list before it can
     be turned into a group at all).
     """
-    if isinstance(g, SymmetryGroup):
-        if g.kind != "finite":
-            raise ValueError("closure_check applies to finite groups only")
-        elements = g.elements
-    else:
-        elements = tuple(g)
-        if not elements:
-            return ClosureReport(False, "empty element list")
+    elements = g.elements if isinstance(g, SymmetryGroup) else tuple(g)
+    if not elements:
+        return ClosureReport(False, "empty element list")
     mats = np.stack([e.matrix for e in elements])
     if not np.any(np.max(np.abs(mats - np.eye(mats.shape[1])), axis=(1, 2)) < CLOSURE_TOL):
         return ClosureReport(False, "identity element missing")
@@ -348,12 +256,12 @@ def haar_rule(g: SymmetryGroup, max_poly_degree: int = 8) -> QuadratureRule:
     if g.is_finite:
         mats = np.stack([e.matrix for e in g.elements])
         return QuadratureRule(mats, np.full(len(mats), 1.0 / len(mats)))
-    cid = g.continuous_id
-    if max_poly_degree < 1 or (cid == "SO3" and max_poly_degree > 12):
+    name = g.catalog_id
+    if max_poly_degree < 1 or (name == "so3" and max_poly_degree > 12):
         raise ValueError(f"max_poly_degree must be >= 1 (and <= 12 on so3), got {max_poly_degree}")
     count = 2 * max_poly_degree + 2
-    if cid != "SO3":
-        mats = _axial_matrices(g.ambient, count, _AXIAL[cid][1], g.frame)
+    if name != "so3":
+        mats = _axial_matrices(g.ambient, count, _AXIAL[name][1], g.frame)
         return QuadratureRule(mats, np.full(len(mats), 1.0 / len(mats)))
 
     turns = np.stack([rotation_z(2 * np.pi * j / count) for j in range(count)])
@@ -380,14 +288,12 @@ def integrate(g: SymmetryGroup, f: Callable[[np.ndarray], np.ndarray],
 
 
 # ---------------------------------------------------------------------------
-# CLI-facing catalog resolution
-
-_FINITE_NAMES = {"z2": ("Zn", 2), "z3": ("Zn", 3), "z4": ("Zn", 4), "z6": ("Zn", 6),
-                 "d2": ("Dn", 2), "d3": ("Dn", 3), "d4": ("Dn", 4), "d6": ("Dn", 6)}
+# The catalog
 
 # catalog names per ambient dimension, in display order
-GROUPS_2D = ("trivial", *_FINITE_NAMES, "so2", "o2")
-GROUPS_3D = ("trivial", *_FINITE_NAMES, "cubic", "so2-e3", "o2-e3", "so3")
+GROUPS_2D = ("trivial", "z2", "z3", "z4", "z6", "d2", "d3", "d4", "d6", "so2", "o2")
+GROUPS_3D = ("trivial", "z2", "z3", "z4", "z6", "d2", "d3", "d4", "d6",
+             "cubic", "so2-e3", "o2-e3", "so3")
 CATALOG_NAMES = tuple(dict.fromkeys(GROUPS_2D + GROUPS_3D))
 
 
@@ -400,28 +306,68 @@ def _catalog_key(name: str) -> str:
 
 def group_kind(name: str) -> str:
     """``"finite"`` or ``"continuous"``, the kind of a catalog group, without building it."""
-    return "continuous" if _catalog_key(name) in _CONTINUOUS_NAMES.values() else "finite"
+    return "continuous" if _catalog_key(name) in _CONTINUOUS else "finite"
+
+
+def _cube_rotations() -> tuple:
+    """The rotations of the cube: the signed permutation matrices with det +1."""
+    els = []
+    for perm in itertools.permutations(range(3)):
+        base = np.eye(3)[list(perm)]
+        for signs in itertools.product((1, -1), repeat=3):
+            q = np.diag(signs).astype(float) @ base
+            if np.linalg.det(q) > 0.0:
+                els.append(GroupElement(q, f"signed_perm{perm}{signs}"))
+    return tuple(els)
 
 
 def resolve_group(name: str, ambient: int, axis=None) -> SymmetryGroup:
-    """Resolve a CLI catalog name against the requested ambient dimension.
+    """Build the catalog group ``name`` acting on R^ambient.
 
-    The cyclic/dihedral names build 2D groups for 2D spaces and the
-    corresponding SO(3) embeddings (about ``axis``, default e3) for 3D
-    spaces.  An ``axis`` for any other group raises ``ValueError``.
+    ``z<n>`` and ``d<n>`` are the cyclic and dihedral groups of order n of
+    the plane for 2D spaces (``d<n>`` adjoins the reflection diag(-1, 1))
+    and their SO(3) embeddings about ``axis`` (default e3) for 3D spaces
+    (``d<n>`` adjoins the half-turn about an in-plane axis).  ``so2`` and
+    ``o2`` act on the plane; ``so2-e3`` and ``o2-e3`` turn about ``axis``.
+    ``cubic`` is the 24-element rotation group of the cube, ``so3`` the full
+    rotation group and ``trivial`` is {I}.  An ambient other than 2 or 3,
+    or a group that does not act on it, raises ``KeyError``; an ``axis``
+    for any group but a 3D axial one raises ``ValueError``.
     """
     key = _catalog_key(name)
-    fitting = GROUPS_2D if ambient == 2 else GROUPS_3D
+    fitting = {2: GROUPS_2D, 3: GROUPS_3D}.get(ambient, ())
     if key not in fitting:
         raise KeyError(f"group {key!r} does not act on {ambient}D spaces; "
-                       f"groups for them: {', '.join(fitting)}")
+                       f"groups for them: {', '.join(fitting) or 'none'}")
+    frame = None
+    if axis is not None:
+        if ambient != 3 or key not in _AXIAL:
+            raise ValueError(f"an axis applies only to the axial groups in 3D "
+                             f"(z*, d*, so2-e3, o2-e3), not to {key}")
+        frame = axis_aligner(axis)
+        if np.max(np.abs(frame - np.eye(3))) < 1e-15:
+            frame = None  # the default axis e3
     if key == "trivial":
-        return make_finite_group("trivial", axis=axis, ambient=ambient)
+        eye = GroupElement(np.eye(ambient), "id")
+        return SymmetryGroup(ambient, key, elements=(eye,), generators=(eye,))
     if key == "cubic":
-        return make_finite_group("cubic_O", axis=axis)
-    if key in _FINITE_NAMES:
-        kind, order = _FINITE_NAMES[key]
-        suffix = "_2D" if ambient == 2 else "_3D"
-        return make_finite_group(kind + suffix, order_param=order, axis=axis, ambient=ambient)
-    continuous_id = next(c for c, n in _CONTINUOUS_NAMES.items() if n == key)
-    return make_continuous_group(continuous_id, axis=axis)
+        gens = (GroupElement(rotation_z(np.pi / 2).round(12), "rot(e3,pi/2)"),
+                GroupElement(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                             "rot(111,2pi/3)"))
+        return SymmetryGroup(3, key, elements=_cube_rotations(), generators=gens)
+    if key == "so3":
+        gens = (GroupElement(rotation_z(0.9), "rot(e3,0.9)"),
+                GroupElement(rotation_y(1.3), "rot(e2,1.3)"),
+                GroupElement(rotation_z(np.pi / 2).round(12) @ rotation_y(0.4), "mixed"))
+        return SymmetryGroup(3, key, generators=gens)
+    order, improper = _AXIAL[key]
+    if not order:
+        # a generic rotation, then a second one or the coset representative
+        gens = tuple(GroupElement(_axial(ambient, theta, coset, frame)) for theta, coset
+                     in ((0.9, False), (0.0, True) if improper else (2.31, False)))
+        return SymmetryGroup(ambient, key, generators=gens, frame=frame)
+    els = tuple(GroupElement(q, f"{key}[{i}]")
+                for i, q in enumerate(_axial_matrices(ambient, order, improper, frame)))
+    gens = (els[1],) + ((els[order],) if improper else ())
+    return SymmetryGroup(ambient, f"{key}_{ambient}d", elements=els, generators=gens,
+                         frame=frame)

@@ -24,9 +24,11 @@ from .spaces import TensorSpace, membership_residual, symmetrize
 from .voigt import STRUCTURE_MAPS
 
 # structure_report: the slot zero test and the free-slot residual test,
-# both relative to the largest slot value
+# both relative to the largest slot value, and the free-slot margin: a free
+# slot's residual is at least this share of the largest one still unvisited
 SLOT_ZERO_TOL = 1e-9
 DEPENDENT_RESIDUAL_TOL = 1e-7
+FREE_SLOT_RATIO = 1e-3
 
 
 class MembershipError(ValueError):
@@ -226,8 +228,11 @@ def structure_report(space: TensorSpace, group: SymmetryGroup) -> StructureRepor
     in one Gram-Schmidt pass: a slot is free when its functional leaves
     the span of the earlier free ones by more than
     ``DEPENDENT_RESIDUAL_TOL`` (max-abs residual, relative to the largest
-    slot value).  One linear solve against the free slots then writes every
-    slot as a combination of them; coefficients at or below
+    slot value) and by at least ``FREE_SLOT_RATIO`` times the largest such
+    residual among the slots not yet visited, so that a slot clearing the
+    cut by a hair, ahead of a far more independent one, cannot make the
+    solve ill-conditioned.  One linear solve against the free slots then
+    writes every slot as a combination of them; coefficients at or below
     ``10 * SLOT_ZERO_TOL`` are dropped and the rest snapped for display, and a
     slot left with no term is zero.  One constraint line is emitted per
     distinct multi-term combination, solved for the earliest free symbol
@@ -265,15 +270,22 @@ def structure_report(space: TensorSpace, group: SymmetryGroup) -> StructureRepor
     nonzero = np.max(np.abs(vecs), axis=1, initial=0.0) > SLOT_ZERO_TOL * scale
     vecs[~nonzero] = 0.0  # so a zero slot solves to no terms
 
-    # free slots: the first to leave the span of the earlier ones (max-abs residual)
+    # free slots: the first to leave the span of the earlier ones (max-abs
+    # residual), by a margin against the slots still to come
     directions = np.zeros((0, dim))
     free: list[int] = []
-    for i in np.flatnonzero(nonzero):
+    candidates = np.flatnonzero(nonzero)
+    for at, i in enumerate(candidates):
         resid = vecs[i] - (directions @ vecs[i]) @ directions
-        if np.max(np.abs(resid)) > DEPENDENT_RESIDUAL_TOL * scale:
-            resid -= (directions @ resid) @ directions
-            directions = np.vstack([directions, resid / np.linalg.norm(resid)])
-            free.append(i)
+        size = np.max(np.abs(resid))
+        if size <= DEPENDENT_RESIDUAL_TOL * scale:
+            continue
+        rest = vecs[candidates[at:]]
+        if size < FREE_SLOT_RATIO * np.max(np.abs(rest - (rest @ directions.T) @ directions)):
+            continue
+        resid -= (directions @ resid) @ directions
+        directions = np.vstack([directions, resid / np.linalg.norm(resid)])
+        free.append(i)
     if len(free) != dim:
         raise InternalConsistencyError(
             f"greedy labeling found {len(free)} free slots but the "

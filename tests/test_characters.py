@@ -7,8 +7,7 @@ from symtensor.characters import (QuadratureNotConvergedError,
                                   character_closed_form, character_direct,
                                   fix_dimension, power_traces)
 from symtensor.core import image_basis, kron_power
-from symtensor.groups import (integrate, make_continuous_group, make_finite_group,
-                              resolve_group, rotation_z)
+from symtensor.groups import integrate, resolve_group, rotation_z
 from symtensor.projector import averaged_projector
 from symtensor.spaces import SPACES, TensorSpace
 
@@ -113,14 +112,14 @@ class TestDirectContraction:
 
 class TestFixDimension:
     def test_orthotropic_nine(self):
-        assert fix_dimension(SPACES["ela3"], make_finite_group("Dn_3D", 2)) == 9
+        assert fix_dimension(SPACES["ela3"], resolve_group("d2", 3)) == 9
 
     def test_transversal_pair(self):
-        assert fix_dimension(SPACES["major3"], make_continuous_group("SO2_e3")) == 11
-        assert fix_dimension(SPACES["major3"], make_continuous_group("O2_e3")) == 8
+        assert fix_dimension(SPACES["major3"], resolve_group("so2-e3", 3)) == 11
+        assert fix_dimension(SPACES["major3"], resolve_group("o2-e3", 3)) == 8
 
     def test_cubic_gradient_spaces(self):
-        cubic = make_finite_group("cubic_O")
+        cubic = resolve_group("cubic", 3)
         assert fix_dimension(SPACES["v1"], cubic) == 3
         assert fix_dimension(SPACES["v2"], cubic) == 11
 
@@ -143,7 +142,7 @@ class TestFixDimension:
 
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError):
-            fix_dimension(SPACES["ela2"], make_finite_group("cubic_O"))
+            fix_dimension(SPACES["ela2"], resolve_group("cubic", 3))
 
     def test_non_convergence_detected(self, monkeypatch):
         # a Haar average off an integer is refused, not rounded

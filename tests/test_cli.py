@@ -56,12 +56,14 @@ class TestDim:
         assert code == 0 and out.strip() == "5"
 
     @pytest.mark.parametrize("space,group", [("sym2", "d4"), ("ela3", "so3"),
-                                             ("ela3", "cubic"), ("ela3", "trivial")])
+                                             ("ela3", "cubic"), ("ela3", "trivial"),
+                                             ("sym2", "z2")])
     def test_axis_without_axial_group_exits_2(self, capsys, space, group):
         for command in ("dim", "structure"):
             code, out, err = run(capsys, command, "--space", space, "--group", group,
                                  "--axis", "1,0,0")
             assert code == 2 and out == "" and "axis applies only" in err
+            assert err.endswith(f"not to {group}\n")
 
     @pytest.mark.parametrize("axis", ["nan,0,1", "0,inf,1", "1,1,-inf"])
     def test_non_finite_axis_exits_2(self, capsys, axis):
@@ -143,6 +145,14 @@ class TestStructure:
                              "--axis", axis)
         assert code == 6 and out.startswith(f"space {space}")
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_near_e3_axis_exits_6(self, capsys):
+        # a free slot that cleared the residual cut by a hair, next to a far
+        # more independent one, used to fail the extraction check (exit 4)
+        code, out, err = run(capsys, "structure", "--space", "v2bar", "--group", "so2-e3",
+                             "--axis", "0.001,0,1")
+        assert code == 6 and out.startswith("space v2bar") and "(unsnapped)" in out
+        assert len(err.splitlines()) == 1 and err.endswith("are printed unsnapped\n")
 
     def test_snapped_tilted_display_exits_0(self, capsys):
         code, out, err = run(capsys, "structure", "--space", "ela3", "--group", "so2-e3",

@@ -5,12 +5,20 @@ import numpy as np
 import pytest
 
 from symtensor.groups import (FLIP_E1_3D, GROUPS_2D, GROUPS_3D, REFLECTION_2D,
-                              GroupElement, QuadratureRule, axis_aligner,
+                              GroupElement, QuadratureRule, SymmetryGroup, axis_aligner,
                               closure_check, group_kind, haar_rule, integrate,
-                              make_continuous_group, make_finite_group,
                               resolve_group, rotation_2d, rotation_y, rotation_z)
 
 from conftest import haar_rotation
+
+# Test ids of the continuous groups, kept from the library's former internal
+# names so the suite's test names stay stable; the parameters are catalog names.
+TEST_ID = {"so2": "SO2_2D", "o2": "O2_2D", "so2-e3": "SO2_e3", "o2-e3": "O2_e3", "so3": "SO3"}
+
+
+def continuous(name, axis=None):
+    """The continuous catalog group ``name`` on the one ambient it acts on."""
+    return resolve_group(name, 2 if name in ("so2", "o2") else 3, axis=axis)
 
 
 def trace(q):
@@ -62,12 +70,12 @@ def brute_force_cube_rotations():
 
 class TestFiniteCatalog:
     def test_z2_is_plus_minus_identity(self):
-        g = make_finite_group("Zn_2D", 2)
+        g = resolve_group("z2", 2)
         mats = sorted((np.round(e.matrix).astype(int).tolist() for e in g.elements))
         assert mats == [[[-1, 0], [0, -1]], [[1, 0], [0, 1]]]
 
     def test_cubic_group_against_enumeration(self):
-        g = make_finite_group("cubic_O")
+        g = resolve_group("cubic", 3)
         assert g.order() == 24
         reference = brute_force_cube_rotations()
         assert len(reference) == 24
@@ -76,37 +84,30 @@ class TestFiniteCatalog:
             assert any(np.array_equal(e.matrix, m) for m in reference)
 
     def test_d4_2d_has_eight_elements(self):
-        assert make_finite_group("Dn_2D", 4).order() == 8
+        assert resolve_group("d4", 2).order() == 8
 
     def test_dn_counts(self):
         for n in (2, 3, 6):
-            assert make_finite_group("Dn_2D", n).order() == 2 * n
-            assert make_finite_group("Zn_3D", n).order() == n
+            assert resolve_group(f"d{n}", 2).order() == 2 * n
+            assert resolve_group(f"z{n}", 3).order() == n
 
     def test_axis_conjugation(self):
         axis = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
-        g = make_finite_group("Zn_3D", 3, axis=axis)
+        g = resolve_group("z3", 3, axis=axis)
         for e in g.elements:
             assert np.allclose(e.matrix @ axis, axis, atol=1e-12)
 
     def test_non_unit_axis_rejected(self):
         with pytest.raises(ValueError, match="unit"):
-            make_finite_group("Zn_3D", 2, axis=np.array([0.0, 0.0, 2.0]))
+            resolve_group("z2", 3, axis=np.array([0.0, 0.0, 2.0]))
 
-    def test_unknown_id_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            make_finite_group("Icosahedral", 1)
-
-    @pytest.mark.parametrize("cid,ambient", [("Zn_3D", 2), ("Dn_3D", 2), ("Zn_2D", 3),
-                                             ("Dn_2D", 3), ("cubic_O", 2)])
-    def test_ambient_must_match(self, cid, ambient):
-        with pytest.raises(ValueError, match=f"not on R\\^{ambient}"):
-            make_finite_group(cid, 2, ambient=ambient)
-
-    @pytest.mark.parametrize("cid,ambient", [("Zn_3D", 3), ("Dn_2D", 2), ("trivial", 2),
-                                             ("trivial", 3)])
-    def test_matching_ambient_accepted(self, cid, ambient):
-        assert make_finite_group(cid, 2, ambient=ambient).ambient == ambient
+    @pytest.mark.parametrize("name,ambient", [("z2", 3), ("d2", 2), ("trivial", 2),
+                                              ("trivial", 3)],
+                             ids=["Zn_3D-3", "Dn_2D-2", "trivial-2", "trivial-3"])
+    def test_matching_ambient_accepted(self, name, ambient):
+        g = resolve_group(name, ambient)
+        assert g.ambient == ambient
+        assert all(e.matrix.shape == (ambient, ambient) for e in g.elements)
 
     def test_nan_axis_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -115,11 +116,11 @@ class TestFiniteCatalog:
 
 class TestClosureCheck:
     def test_plus_minus_identity_passes(self):
-        g = make_finite_group("Zn_2D", 2)
+        g = resolve_group("z2", 2)
         assert closure_check(g).passed
 
     def test_cubic_full_product_table(self):
-        assert closure_check(make_finite_group("cubic_O")).passed
+        assert closure_check(resolve_group("cubic", 3)).passed
 
     def test_gap_reported_with_witness(self):
         # rot(2pi/3)^2 = rot(4pi/3) is missing from the set
@@ -150,31 +151,31 @@ class TestClosureCheck:
 
 
 class TestHaarRule:
-    @pytest.mark.parametrize("cid", ["SO2_2D", "O2_2D", "SO2_e3", "O2_e3", "SO3"])
-    def test_normalized(self, cid):
-        rule = haar_rule(make_continuous_group(cid), 8)
+    @pytest.mark.parametrize("name", list(TEST_ID), ids=TEST_ID.get)
+    def test_normalized(self, name):
+        rule = haar_rule(continuous(name), 8)
         assert abs(math.fsum(rule.weights) - 1.0) < 1e-12
         assert np.all(rule.weights > 0)
 
     def test_finite_uniform(self):
-        g = make_finite_group("cubic_O")
+        g = resolve_group("cubic", 3)
         rule = haar_rule(g)
         assert len(rule) == 24
         assert np.all(rule.weights == 1.0 / 24.0)
 
     def test_unsupported_degree(self):
         with pytest.raises(ValueError, match="degree"):
-            haar_rule(make_continuous_group("SO3"), 13)
+            haar_rule(resolve_group("so3", 3), 13)
 
-    @pytest.mark.parametrize("cid,axis", [("SO2_2D", None), ("O2_2D", None),
-                                          ("SO2_e3", (1.0, 2.0, 2.0)),
-                                          ("O2_e3", (0.0, -0.6, 0.8))])
+    @pytest.mark.parametrize("name,axis", [("so2", None), ("o2", None),
+                                           ("so2-e3", (1.0, 2.0, 2.0)),
+                                           ("o2-e3", (0.0, -0.6, 0.8))], ids=TEST_ID.get)
     @pytest.mark.parametrize("degree", [1, 4, 13])
-    def test_circle_rule_is_cyclic_or_dihedral_group(self, cid, axis, degree):
+    def test_circle_rule_is_cyclic_or_dihedral_group(self, name, axis, degree):
         axis = None if axis is None else np.array(axis) / np.linalg.norm(axis)
-        rule = haar_rule(make_continuous_group(cid, axis=axis), degree)
+        rule = haar_rule(continuous(name, axis=axis), degree)
         count = 2 * degree + 2
-        improper = cid.startswith("O2")
+        improper = name.startswith("o2")
         assert len(rule) == count * (2 if improper else 1)
         assert np.all(rule.weights == 1.0 / len(rule))
         mats = rule.matrices
@@ -200,20 +201,18 @@ class TestHaarRule:
                 assert np.allclose(coset @ axis, -axis, atol=1e-12)
             for q, r in zip(mats[count:], mats[:count]):
                 assert np.allclose(q, r @ coset, atol=1e-12)
-        # and exactly the element list of the catalog group of that order
-        finite_id = {"SO2_2D": "Zn_2D", "O2_2D": "Dn_2D", "SO2_e3": "Zn_3D", "O2_e3": "Dn_3D"}
-        finite = make_finite_group(finite_id[cid], count, axis=axis)
-        assert len(finite.elements) == len(mats)
-        for e, q in zip(finite.elements, mats):
-            assert np.array_equal(e.matrix, q)
+        # and exactly the cyclic or dihedral group of that order, element by element
+        frame = None if axis is None else axis_aligner(axis)
+        loop = axial_node_loop(2 if axis is None else 3, count, improper, frame)
+        assert mats.tobytes() == np.stack(loop).tobytes()
 
-    @pytest.mark.parametrize("cid", ["SO2_2D", "SO3"])
-    def test_degree_below_one(self, cid):
+    @pytest.mark.parametrize("name", ["so2", "so3"], ids=TEST_ID.get)
+    def test_degree_below_one(self, name):
         with pytest.raises(ValueError, match="degree"):
-            haar_rule(make_continuous_group(cid), 0)
+            haar_rule(continuous(name), 0)
 
     def test_o2_rule_covers_both_cosets(self):
-        rule = haar_rule(make_continuous_group("O2_2D"), 6)
+        rule = haar_rule(resolve_group("o2", 2), 6)
         dets = {round(float(d)) for d in np.linalg.det(rule.matrices)}
         assert dets == {-1, 1}
 
@@ -234,24 +233,24 @@ class TestHaarRule:
             QuadratureRule(np.array(mats, dtype=float), np.array(weights))
 
     def test_rule_arrays_are_read_only(self):
-        rule = haar_rule(make_continuous_group("SO2_2D"), 2)
+        rule = haar_rule(resolve_group("so2", 2), 2)
         assert not rule.matrices.flags.writeable and not rule.weights.flags.writeable
 
-    @pytest.mark.parametrize("cid,axis,degrees", [
-        ("SO2_2D", None, (1, 4, 13)), ("O2_2D", None, (1, 4, 13)),
-        ("SO2_e3", None, (1, 4, 13)), ("O2_e3", None, (1, 4, 13)),
-        ("SO2_e3", (1.0, 2.0, 2.0), (1, 4, 13)), ("O2_e3", (0.0, -0.6, 0.8), (1, 4, 13)),
-        ("SO3", None, (1, 4, 8, 12)),
-    ])
-    def test_rule_bitwise_equal_to_node_loop(self, cid, axis, degrees):
+    @pytest.mark.parametrize("name,axis,degrees", [
+        ("so2", None, (1, 4, 13)), ("o2", None, (1, 4, 13)),
+        ("so2-e3", None, (1, 4, 13)), ("o2-e3", None, (1, 4, 13)),
+        ("so2-e3", (1.0, 2.0, 2.0), (1, 4, 13)), ("o2-e3", (0.0, -0.6, 0.8), (1, 4, 13)),
+        ("so3", None, (1, 4, 8, 12)),
+    ], ids=TEST_ID.get)
+    def test_rule_bitwise_equal_to_node_loop(self, name, axis, degrees):
         axis = None if axis is None else np.array(axis) / np.linalg.norm(axis)
-        g = make_continuous_group(cid, axis=axis)
+        g = continuous(name, axis=axis)
         for degree in degrees:
             rule = haar_rule(g, degree)
-            if cid == "SO3":
+            if name == "so3":
                 nodes = so3_node_loop(degree)
             else:
-                ambient, improper = (2 if cid.endswith("2D") else 3), cid.startswith("O2")
+                ambient, improper = g.ambient, name.startswith("o2")
                 nodes = [(q, 1.0) for q in axial_node_loop(ambient, 2 * degree + 2, improper,
                                                            g.frame)]
                 nodes = [(q, 1.0 / len(nodes)) for q, _ in nodes]
@@ -272,9 +271,9 @@ class TestHaarRule:
             loop = axial_node_loop(ambient, count, improper, g.frame)
             assert rule.matrices.tobytes() == np.stack(loop).tobytes()
 
-    @pytest.mark.parametrize("cid", ["SO3", "O2_e3", "O2_2D"])
-    def test_rule_builds_no_group_element(self, monkeypatch, cid):
-        g = make_continuous_group(cid)
+    @pytest.mark.parametrize("name", ["so3", "o2-e3", "o2"], ids=TEST_ID.get)
+    def test_rule_builds_no_group_element(self, monkeypatch, name):
+        g = continuous(name)
         built = []
         original = GroupElement.__post_init__
 
@@ -289,16 +288,16 @@ class TestHaarRule:
 
 class TestIntegrate:
     def test_constant_is_normalization(self):
-        for cid in ("SO2_2D", "O2_2D", "SO3"):
-            assert integrate(make_continuous_group(cid), lambda e: 1.0, 6) == pytest.approx(1.0, abs=1e-12)
+        for name in ("so2", "o2", "so3"):
+            assert integrate(continuous(name), lambda e: 1.0, 6) == pytest.approx(1.0, abs=1e-12)
 
     def test_circle_example(self):
-        so2 = make_continuous_group("SO2_2D")
+        so2 = resolve_group("so2", 2)
         val = integrate(so2, lambda q: 3 * q[:, 0, 0] ** 2 - q[:, 1, 0] ** 2, 8)
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_so3_squared_trace(self):
-        so3 = make_continuous_group("SO3")
+        so3 = resolve_group("so3", 3)
         assert integrate(so3, lambda q: trace(q) ** 2, 6) == pytest.approx(1.0, abs=1e-10)
 
     def test_so3_squared_trace_monte_carlo(self, rng):
@@ -315,8 +314,8 @@ class TestIntegrate:
         def f(q):
             return np.sum(a * q, axis=(1, 2)) ** 3 + trace(q) ** 2
 
-        for cid in ("SO2_e3", "O2_e3", "SO3"):
-            g = make_continuous_group(cid)
+        for name in ("so2-e3", "o2-e3", "so3"):
+            g = continuous(name)
             h = g.sample_elements()[-1].matrix
             base = integrate(g, f, 8)
             left = integrate(g, lambda q: f(h @ q), 8)
@@ -324,7 +323,7 @@ class TestIntegrate:
             assert abs(base - left) < 1e-9 and abs(base - right) < 1e-9
 
     def test_node_doubling_plateau(self):
-        g = make_continuous_group("SO3")
+        g = resolve_group("so3", 3)
 
         def f(q):
             t = trace(q)
@@ -333,7 +332,7 @@ class TestIntegrate:
         assert abs(integrate(g, f, 4) - integrate(g, f, 9)) < 1e-10
 
     def test_finite_mean_bit_exact(self):
-        g = make_finite_group("Dn_3D", 4)
+        g = resolve_group("d4", 3)
 
         def f(q):
             return trace(q) ** 2 + q[:, 0, 1]
@@ -348,7 +347,8 @@ class TestResolveGroup:
         assert resolve_group("d2", 3).order() == 4
         assert resolve_group("d2", 2).order() == 4
         assert resolve_group("Z4", 2).order() == 4  # case-insensitive
-        assert resolve_group("so3", 3).continuous_id == "SO3"
+        assert resolve_group("so3", 3).catalog_id == "so3"
+        assert not resolve_group("so3", 3).is_finite
 
     def test_ambient_mismatches(self):
         with pytest.raises(KeyError):
@@ -357,6 +357,10 @@ class TestResolveGroup:
             resolve_group("cubic", 2)
         with pytest.raises(KeyError):
             resolve_group("so3", 2)
+        # no catalog group acts outside the plane and space
+        for name, ambient in (("so3", 4), ("cubic", 1), ("z2", 1), ("trivial", 4)):
+            with pytest.raises(KeyError, match=f"{name}' does not act on {ambient}D spaces"):
+                resolve_group(name, ambient)
 
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="unknown group"):
@@ -366,7 +370,7 @@ class TestResolveGroup:
                                               ("trivial", 2), ("trivial", 3),
                                               ("cubic", 3), ("so3", 3)])
     def test_axis_refused_without_an_axial_3d_group(self, name, ambient):
-        with pytest.raises(ValueError, match="axis applies only"):
+        with pytest.raises(ValueError, match=f"axis applies only.*, not to {name}$"):
             resolve_group(name, ambient, axis=np.array([1.0, 0.0, 0.0]))
 
     @pytest.mark.parametrize("name", ["z3", "d2", "so2-e3", "o2-e3"])
@@ -399,6 +403,12 @@ class TestGroupElementValidation:
         for bad in (np.full((n, n), np.nan), np.diag([np.inf] + [1.0] * (n - 1))):
             with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not orthogonal"):
                 GroupElement(bad)
+
+    @pytest.mark.parametrize("ambient,name", [(3, "z4"), (3, "cubic"), (2, "so3"),
+                                              (3, "so2"), (2, "so2-e3")])
+    def test_group_without_elements_must_be_continuous(self, ambient, name):
+        with pytest.raises(ValueError, match=f"not a continuous group on R\\^{ambient}"):
+            SymmetryGroup(ambient, name)
 
     def test_planar_reflection_admitted(self):
         e = GroupElement(np.diag([-1.0, 1.0]))
