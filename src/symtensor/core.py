@@ -87,26 +87,39 @@ class FlatTensor:
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
 
 
+def _frozen(x) -> np.ndarray:
+    """Read-only float copy of an array."""
+    out = np.array(x, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class FlatOperator:
-    """Linear map on order-``k`` tensors, stored as an n^k x n^k matrix."""
+    """Linear map on order-``k`` tensors.
+
+    Without ``span``, ``matrix`` is the n^k x n^k operator itself.  Given
+    orthonormal columns ``span`` (n^k x d), ``matrix`` is d x d in span
+    coordinates and the operator is ``span @ matrix @ span.T``.
+    """
 
     n: int
     k: int
     matrix: np.ndarray
+    span: np.ndarray | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        dim = self.n**self.k
-        if m.shape != (dim, dim):
-            raise ValueError(f"operator matrix has shape {m.shape}, expected ({dim}, {dim})")
-        m = m.copy()
-        m.flags.writeable = False
+        width = self.n**self.k
+        if self.span is not None:
+            span = _frozen(self.span)
+            if span.ndim != 2 or span.shape[0] != width:
+                raise ValueError(f"span has shape {span.shape}, expected ({width}, d)")
+            object.__setattr__(self, "span", span)
+            width = span.shape[1]
+        m = _frozen(self.matrix)
+        if m.shape != (width, width):
+            raise ValueError(f"operator matrix has shape {m.shape}, expected ({width}, {width})")
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.n**self.k
 
     def apply(self, t: FlatTensor) -> FlatTensor:
         if (t.n, t.k) != (self.n, self.k):
@@ -114,7 +127,9 @@ class FlatOperator:
                 f"operator on order-{self.k} tensors over R^{self.n} cannot act on "
                 f"order-{t.k} tensor over R^{t.n}"
             )
-        return FlatTensor(self.n, self.k, self.matrix @ t.coeffs)
+        if self.span is None:
+            return FlatTensor(self.n, self.k, self.matrix @ t.coeffs)
+        return FlatTensor(self.n, self.k, self.span @ (self.matrix @ (self.span.T @ t.coeffs)))
 
     def idempotency_residual(self) -> float:
         return float(np.max(np.abs(self.matrix @ self.matrix - self.matrix)))
@@ -176,22 +191,24 @@ def act(mats: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
     return np.matmul(a, right.reshape(m, p, q * r)).reshape((m,) + x.shape)
 
 
-def image_basis(a: FlatOperator, span: np.ndarray | None = None) -> list[FlatTensor]:
+def image_basis(a: FlatOperator) -> list[FlatTensor]:
     """Orthonormal basis of the column space of a projector.
 
-    The input must be idempotent within 1e-6.  The basis cardinality is the
+    The matrix must be idempotent within 1e-6.  The basis cardinality is the
     rank, counted as the singular values above 1/2: those of an idempotent
     operator are 0 or at least 1, even for an oblique projector whose
-    largest one is huge.  Given orthonormal columns ``span`` with
-    ``a = a span span^T``, the SVD runs on the thinner ``a span``.
+    largest one is huge.  The check and the SVD run on ``a.matrix``; an
+    operator in span coordinates has its kept singular vectors lifted
+    through ``a.span``.
     """
     res = a.idempotency_residual()
     if res >= 1e-6:
         raise NotAProjectorError(res)
-    mat = a.matrix if span is None else a.matrix @ span
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(s > 0.5))
-    return [FlatTensor(a.n, a.k, u[:, j]) for j in range(rank)]
+    u, s, _ = np.linalg.svd(a.matrix, full_matrices=False)
+    kept = u[:, :int(np.sum(s > 0.5))]
+    if a.span is not None:
+        kept = a.span @ kept
+    return [FlatTensor(a.n, a.k, col) for col in kept.T]
 
 
 @dataclass(frozen=True)

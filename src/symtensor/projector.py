@@ -1,7 +1,8 @@
 """Group-averaging projection and symbolic structure reports.
 
 ``averaged_projector`` realizes the Haar/uniform average of the tensor
-action composed with the symmetrization identity; its image is the
+action composed with the symmetrization identity, as a dim x dim matrix in
+the space's orbit basis; its image, lifted through that basis, is the
 invariant subspace.  ``structure_report`` renders the general invariant
 tensor in the slot map registered for the space, classifying every slot
 as zero, an independent (free) component, or a rational combination of
@@ -24,8 +25,9 @@ from .spaces import TensorSpace, membership_residual, symmetrize
 from .voigt import STRUCTURE_MAPS
 
 # structure_report: the slot zero test and the free-slot residual test,
-# both relative to the largest slot value, and the free-slot margin: a free
-# slot's residual is at least this share of the largest one still unvisited
+# both relative to the largest slot value (the zero test also drops solve
+# coefficients, absolutely), and the free-slot margin: a free slot's
+# residual is at least this share of the largest one still unvisited
 SLOT_ZERO_TOL = 1e-9
 DEPENDENT_RESIDUAL_TOL = 1e-7
 FREE_SLOT_RATIO = 1e-3
@@ -70,14 +72,17 @@ def _averaged_action(space: TensorSpace, group: SymmetryGroup) -> np.ndarray:
 
 
 def averaged_projector(space: TensorSpace, group: SymmetryGroup) -> FlatOperator:
-    """Orthogonal projector onto the invariant subspace of the space.
+    """Orthogonal projector onto the invariant subspace, in orbit coordinates.
 
     The group average M of the tensor action commutes with the
-    symmetrization identity B B^T, so ``(M B) B^T`` is an idempotent
-    operator whose trace equals the fixed-subspace dimension.
+    symmetrization identity B B^T, so ``P = B^T (M B)`` (dim x dim) is an
+    idempotent matrix whose trace equals the fixed-subspace dimension.  It
+    is returned with its span B: as an operator on order-k tensors it is
+    ``B P B^T = (M B) B^T``.
     """
     m = _averaged_action(space, group)
-    return FlatOperator(space.n, space.k, (m @ space.basis) @ space.basis.T)
+    b = space.basis
+    return FlatOperator(space.n, space.k, b.T @ (m @ b), span=b)
 
 
 def project(space: TensorSpace, group: SymmetryGroup, t: FlatTensor) -> FlatTensor:
@@ -233,7 +238,7 @@ def structure_report(space: TensorSpace, group: SymmetryGroup) -> StructureRepor
     cut by a hair, ahead of a far more independent one, cannot make the
     solve ill-conditioned.  One linear solve against the free slots then
     writes every slot as a combination of them; coefficients at or below
-    ``10 * SLOT_ZERO_TOL`` are dropped and the rest snapped for display, and a
+    ``SLOT_ZERO_TOL`` are dropped and the rest snapped for display, and a
     slot left with no term is zero.  One constraint line is emitted per
     distinct multi-term combination, solved for the earliest free symbol
     it involves (the display convention of naming the dependent slot with
@@ -241,14 +246,14 @@ def structure_report(space: TensorSpace, group: SymmetryGroup) -> StructureRepor
     slot combinations and constraint terms, that matched no rational or
     surd form.
 
-    The invariant subspace is the image of the averaged projector, whose
-    rank (its singular values above 1/2, see :func:`image_basis`) must
-    equal the trace-formula dimension.  A slot is zero when its functional
+    The invariant subspace is the image of the averaged projector.  Its
+    idempotency check, rank (singular values above 1/2, see
+    :func:`image_basis`) and SVD run on the dim x dim orbit-coordinate
+    matrix, and the rank must equal the trace-formula dimension.  A slot is zero when its functional
     is at most ``SLOT_ZERO_TOL`` relative to the largest slot value.
     """
     map_row, map_col = _structure_maps(space)
-    a = averaged_projector(space, group)
-    basis = image_basis(a, space.basis)
+    basis = image_basis(averaged_projector(space, group))
     dim = fix_dimension(space, group)
     if len(basis) != dim:
         raise InternalConsistencyError(
@@ -293,7 +298,7 @@ def structure_report(space: TensorSpace, group: SymmetryGroup) -> StructureRepor
         )
 
     combos = np.linalg.solve(vecs[free].T, vecs.T).T  # slot = combos[slot] @ free slots
-    combos[np.abs(combos) <= 10 * SLOT_ZERO_TOL] = 0.0
+    combos[np.abs(combos) <= SLOT_ZERO_TOL] = 0.0
     residual = np.max(np.abs(combos @ vecs[free] - vecs), axis=1, initial=0.0)
     bad = np.flatnonzero(residual > DEPENDENT_RESIDUAL_TOL * scale)
     if bad.size:

@@ -20,7 +20,7 @@ from . import groups, voigt
 from .characters import character_closed_form, character_direct, fix_dimension
 from .core import FlatTensor, act
 from .groups import haar_rule, integrate, resolve_group
-from .projector import (averaged_projector, extract_isotropic_moduli,
+from .projector import (_averaged_action, extract_isotropic_moduli,
                         isotropic_nine_matrix, moduli_from_matrix, project,
                         structure_report)
 from .spaces import SPACES, symmetrize
@@ -517,7 +517,9 @@ def _projector_props_row(space_name: str, group_name: str) -> VerifyRow:
     def run():
         sp = SPACES[space_name]
         g = _group(group_name, sp.n)
-        a = averaged_projector(sp, g).matrix
+        # the dense n^k x n^k projector (M B) B^T, checked apart from the
+        # dim x dim form that structure_report ranks
+        a = (_averaged_action(sp, g) @ sp.basis) @ sp.basis.T
         idem = float(np.max(np.abs(a @ a - a)))
         sym = float(np.max(np.abs(a - a.T)))
         eigs = np.linalg.eigvalsh((a + a.T) / 2.0)

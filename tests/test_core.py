@@ -115,6 +115,23 @@ class TestAct:
             assert np.max(np.abs(moved - expected)) < 1e-12
 
 
+class TestSpanOperator:
+    def test_matrix_must_fit_span_width(self):
+        span = SPACES["sym2"].basis  # 4 x 3
+        with pytest.raises(ValueError, match="expected \\(3, 3\\)"):
+            FlatOperator(2, 2, np.eye(4), span=span)
+        with pytest.raises(ValueError, match="span has shape"):
+            FlatOperator(2, 2, np.eye(3), span=span[:3])
+
+    def test_apply_is_the_dense_lift(self, rng):
+        span = SPACES["ela3"].basis
+        p = rng.normal(size=(21, 21))
+        op = FlatOperator(3, 4, p, span=span)
+        t = FlatTensor(3, 4, rng.normal(size=81))
+        dense = span @ p @ span.T @ t.coeffs
+        assert np.max(np.abs(op.apply(t).coeffs - dense)) < 1e-12
+
+
 class TestImageBasis:
     def test_identity_full_rank(self):
         op = FlatOperator(2, 2, np.eye(4))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symtensor.core import FlatTensor, image_basis, kron_power
+from symtensor.core import FlatOperator, FlatTensor, image_basis, kron_power
 from symtensor.characters import fix_dimension
 from symtensor.groups import resolve_group
 from symtensor.projector import (MembershipError, NoVoigtMapError,
@@ -13,10 +13,15 @@ from symtensor.verification import ALL_PAIRS
 from symtensor.voigt import MANDEL6, NINE_SLOT, STRUCTURE_MAPS, induced_matrix
 
 TILTED_CASES = [(space, group, axis) for space in ("ela3", "major3", "v1bar", "v2bar")
-                for group in ("so2-e3", "o2-e3", "d3", "z4")
+                for group in ("so2-e3", "o2-e3", "d3", "z4", "z6")
                 for axis in ((1, 1, 1), (1, 2, 3), (0.001, 0, 1))]
 DISPLAY_CASES = ([(s, g, None) for s, g in ALL_PAIRS if s in STRUCTURE_MAPS]
                  + TILTED_CASES)
+
+
+def _dense(a: FlatOperator) -> np.ndarray:
+    """The n^k x n^k matrix ``span @ matrix @ span.T`` of an operator in span coordinates."""
+    return a.span @ a.matrix @ a.span.T
 
 
 class TestAveragedProjector:
@@ -24,7 +29,7 @@ class TestAveragedProjector:
         for name in ("sym2", "ela3"):
             sp = SPACES[name]
             a = averaged_projector(sp, resolve_group("trivial", sp.n))
-            assert np.allclose(a.matrix, sp.projector.matrix, atol=1e-12)
+            assert np.allclose(_dense(a), sp.projector.matrix, atol=1e-12)
 
     def test_sym2_so2_averages_to_spherical_part(self, rng):
         # oracle from the worked circle-average formulas: diagonal slots go
@@ -66,7 +71,7 @@ class TestAveragedProjector:
     def test_equivariance(self, rng):
         sp = SPACES["ela3"]
         g = resolve_group("cubic", 3)
-        a = averaged_projector(sp, g).matrix
+        a = _dense(averaged_projector(sp, g))
         for e in g.generators:
             kq = kron_power(e.matrix, 4).matrix
             assert np.max(np.abs(kq @ a - a)) < 1e-9
@@ -189,7 +194,16 @@ class TestStructureReport:
         g = resolve_group(group_name, sp.n)
         rep = structure_report(sp, g)
         span = sum(np.outer(t.coeffs, t.coeffs) for t in rep.basis)
-        assert np.max(np.abs(span - averaged_projector(sp, g).matrix)) <= 1e-12
+        a = averaged_projector(sp, g)
+        dense = _dense(a)
+        assert np.max(np.abs(span - dense)) <= 1e-12
+        # the orbit-coordinate basis spans what the dense form's own SVD finds
+        from_dense = image_basis(FlatOperator(sp.n, sp.k, dense))
+        from_orbits = image_basis(a)
+        assert len(from_orbits) == len(from_dense) == rep.dim
+        for basis in (from_orbits, from_dense):
+            stacked = np.array([t.coeffs for t in basis]).reshape(-1, sp.n**sp.k)
+            assert np.max(np.abs(stacked.T @ stacked - dense)) <= 1e-12
 
     @pytest.mark.parametrize("space_name,tied,count,gone", [
         ("ela3", "C44", 3, ("C55", "C66")),     # the shear diagonal

@@ -7,6 +7,9 @@ benchmark run fail.  The tracer's table is read from its file, unchanged.
 ``bench/test_bench.py`` pins one shared ``haar_rule`` binding, and
 ``bench/common.projection_problems`` reads ``.matrix`` and ``.label`` of a
 group's sample elements and ``.matrix`` of a finite group's elements.
+The tracer's counters read ``len`` of a Haar rule, ``.exact`` of a snapped
+value and ``a.matrix.shape[0]`` of the operator whose SVD ``image_basis``
+runs.
 """
 
 import importlib
@@ -43,6 +46,38 @@ def test_traced_report_method_exists():
 def test_haar_rule_binding_shared():
     from symtensor import groups, projector, verification
     assert projector.haar_rule is groups.haar_rule is verification.haar_rule
+
+
+def test_counted_results_expose_what_the_tracer_reads():
+    from symtensor.core import rational_snap
+    from symtensor.groups import haar_rule, resolve_group
+    assert rational_snap(0.5).exact is True
+    assert len(haar_rule(resolve_group("so2-e3", 3), 4)) > 0
+
+
+def test_image_basis_argument_has_the_svd_size(monkeypatch):
+    import numpy as np
+    from symtensor import core, projector
+    from symtensor.groups import resolve_group
+    from symtensor.spaces import SPACES
+
+    calls = []
+    svd, image_basis = np.linalg.svd, projector.image_basis
+
+    def recording_svd(m, *args, **kwargs):
+        calls[-1]["svd"].append(np.shape(m))
+        return svd(m, *args, **kwargs)
+
+    def recording_image_basis(*args, **kwargs):
+        # the argument as the tracer's SVD counter reads it
+        calls.append({"a": (args[0] if args else kwargs["a"]).matrix.shape[0], "svd": []})
+        return image_basis(*args, **kwargs)
+
+    monkeypatch.setattr(core.np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(projector, "image_basis", recording_image_basis)
+    space = SPACES["v2bar"]
+    projector.structure_report(space, resolve_group("cubic", 3))
+    assert calls == [{"a": space.basis.shape[1], "svd": [(space.basis.shape[1],) * 2]}]
 
 
 def _catalog_groups():
