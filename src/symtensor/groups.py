@@ -8,22 +8,28 @@ dihedral groups (``z4_3d``).
 Finite groups are explicit element lists (checked for closure at
 construction).  A Haar integral is a weighted sum over a quadrature rule,
 an (m, n, n) stack of orthogonal matrices with m weights, and integrands
-are evaluated on the whole stack at once.  Continuous groups get rules
-exact for polynomials in the matrix entries up to a requested degree:
+are evaluated on the whole stack at once.  Continuous groups get the
+smallest rules of their kind that are exact for polynomials in the matrix
+entries up to a requested degree d:
 
 * the circle groups (SO(2), O(2) and their SO(3) embeddings about an
   axis) use the element list of the cyclic or dihedral group of order
-  2*degree + 2 about the same axis, with uniform weights: the trapezoid
-  rule, exact for trigonometric polynomials below the node count,
-* SO(3) uses a product rule over Euler-type angles with uniform grids in
-  the two circle angles and Gauss-Legendre nodes in u = cos(theta), which
-  absorbs the sin(theta) Jacobian of the invariant volume element.
+  d + 1 about the same axis, with uniform weights: the trapezoid rule,
+  whose N nodes integrate e^{i m theta} exactly for |m| < N, and a
+  degree-d polynomial in the entries has frequencies |m| <= d,
+* SO(3) uses a product rule over Euler angles: d + 1 uniform nodes in
+  each of the two circle angles and d // 2 + 1 Gauss-Legendre nodes in
+  u = cos(theta), which absorbs the sin(theta) Jacobian of the invariant
+  volume element.  The circle angles leave only D^l_00 = P_l(cos theta)
+  with l <= d, and that many Gauss-Legendre nodes are exact up to degree
+  2 (d // 2) + 1 >= d in u.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -239,33 +245,41 @@ def closure_check(g) -> ClosureReport:
     return ClosureReport(True, "closed under multiplication; identity present")
 
 
+def _check_degree(degree) -> None:
+    if isinstance(degree, bool) or not isinstance(degree, numbers.Integral) or degree < 1:
+        raise ValueError(f"degree must be an integer >= 1, got {degree!r}")
+
+
 def haar_rule(g: SymmetryGroup, max_poly_degree: int = 8) -> QuadratureRule:
     """Quadrature rule realizing the normalized Haar measure on ``g``.
 
     Finite groups get their element list with uniform weights 1/|G|.  A
     circle group gets the elements of the cyclic (SO(2)-type) or dihedral
-    (O(2)-type) group of order 2*degree + 2 about its axis, with uniform
+    (O(2)-type) group of order degree + 1 about its axis, with uniform
     weights.  SO(3) uses the product rule over (phi, theta, psi) in
     [0,2pi] x [0,pi] x [0,2pi] with the invariant density
-    sin(theta)/(8 pi^2): uniform grids in phi and psi and Gauss-Legendre
-    nodes in u = cos(theta), node Rz(phi) Ry(arccos u) Rz(psi) in (phi, u,
-    psi) order; its (2*degree + 2)^2 (degree + 1) nodes cap its degree at
-    12.  Exact (up to roundoff) for polynomials in the matrix entries of
-    total degree <= max_poly_degree.
+    sin(theta)/(8 pi^2): degree + 1 uniform nodes in phi and in psi and
+    degree // 2 + 1 Gauss-Legendre nodes in u = cos(theta), node Rz(phi)
+    Ry(arccos u) Rz(psi) in (phi, u, psi) order.  Each is exact (up to
+    roundoff) for polynomials in the matrix entries of total degree <=
+    max_poly_degree, with the fewest nodes of its kind (see the module
+    docstring).  The degree must be an integer >= 1, and at most 12 on
+    so3: orders k <= 10 at the degree k + 2 the library integrates at.
     """
+    _check_degree(max_poly_degree)
     if g.is_finite:
         mats = np.stack([e.matrix for e in g.elements])
         return QuadratureRule(mats, np.full(len(mats), 1.0 / len(mats)))
     name = g.catalog_id
-    if max_poly_degree < 1 or (name == "so3" and max_poly_degree > 12):
-        raise ValueError(f"max_poly_degree must be >= 1 (and <= 12 on so3), got {max_poly_degree}")
-    count = 2 * max_poly_degree + 2
+    if name == "so3" and max_poly_degree > 12:
+        raise ValueError(f"max_poly_degree must be <= 12 on so3, got {max_poly_degree}")
+    count = max_poly_degree + 1
     if name != "so3":
         mats = _axial_matrices(g.ambient, count, _AXIAL[name][1], g.frame)
         return QuadratureRule(mats, np.full(len(mats), 1.0 / len(mats)))
 
     turns = np.stack([rotation_z(2 * np.pi * j / count) for j in range(count)])
-    u_nodes, u_weights = leggauss(max_poly_degree + 1)
+    u_nodes, u_weights = leggauss(max_poly_degree // 2 + 1)
     tilts = np.stack([rotation_y(float(np.arccos(u))) for u in u_nodes])
     mats = (turns[:, None] @ tilts)[:, :, None] @ turns
     weights = np.broadcast_to(u_weights[:, None] / (2 * count * count), mats.shape[:3])
@@ -275,12 +289,14 @@ def haar_rule(g: SymmetryGroup, max_poly_degree: int = 8) -> QuadratureRule:
 def integrate(g: SymmetryGroup, f: Callable[[np.ndarray], np.ndarray],
               degree: int = 8) -> float:
     """Haar integral over ``g`` of ``f``, a map from an (m, n, n) stack to its m
-    values; exact for polynomials in the matrix entries of degree <= ``degree``.
+    values; exact for polynomials in the matrix entries of degree <= ``degree``,
+    an integer >= 1.
 
     Finite groups take the arithmetic mean over the element list; the
     quadrature path accumulates with exact summation in node order, so
     repeated runs are bit-identical.
     """
+    _check_degree(degree)
     if g.is_finite:
         return math.fsum(f(np.stack([e.matrix for e in g.elements]))) / len(g.elements)
     rule = haar_rule(g, degree)

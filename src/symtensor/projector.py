@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FlatOperator, FlatTensor, image_basis, kron_stack, rational_snap
+from .core import FlatOperator, FlatTensor, act, image_basis, kron_stack, rational_snap
 from .characters import _check_ambient, fix_dimension
 from .groups import SymmetryGroup, haar_rule
 from .spaces import TensorSpace, membership_residual, symmetrize
@@ -56,7 +56,9 @@ def _averaged_action(space: TensorSpace, group: SymmetryGroup) -> np.ndarray:
     Built stage-wise: per-node Kronecker factors of half the order (the
     lower half is empty for k = 1, and is the upper half for even k) are
     combined through one matrix product, which keeps the order-6 cases
-    (729 x 729 over thousands of quadrature nodes) fast.
+    (729 x 729 over up to 405 so3 nodes) fast.  The one builder of this
+    n^k x n^k matrix, for ``averaged_projector`` and the dense checks of
+    the verification table; ``project`` applies the rule without it.
     """
     _check_ambient(space, group.ambient)
     k = space.k
@@ -86,13 +88,20 @@ def averaged_projector(space: TensorSpace, group: SymmetryGroup) -> FlatOperator
 
 
 def project(space: TensorSpace, group: SymmetryGroup, t: FlatTensor) -> FlatTensor:
-    """Group average ``M (B (B^T t))`` of a tensor already lying in the space."""
+    """Group average ``M (B (B^T t))`` of a tensor already lying in the space.
+
+    The Haar rule of degree k + 2 is applied to the one vector ``B B^T t``:
+    ``sum_m w_m Q_m^{(x)k} (B B^T t)``, through ``core.act``, so the n^k x
+    n^k average M of ``_averaged_action`` is never formed.
+    """
     res = membership_residual(space, t)
     scale = max(1.0, t.norm_inf())
     if res >= 1e-9 * scale:
         raise MembershipError(res)
-    action = _averaged_action(space, group)
-    return FlatTensor(space.n, space.k, action @ symmetrize(space, t).coeffs)
+    _check_ambient(space, group.ambient)
+    rule = haar_rule(group, space.k + 2)
+    moved = act(rule.matrices, space.k, symmetrize(space, t).coeffs)
+    return FlatTensor(space.n, space.k, rule.weights @ moved)
 
 
 @dataclass(frozen=True)

@@ -240,6 +240,43 @@ def _haar_doubling_row() -> VerifyRow:
     return VerifyRow("haar: node-doubling stability", "haar", run)
 
 
+def _trace_moment(name: str, d: int) -> float:
+    """Haar mean of (tr Q)^d in closed form, from the weight polynomial.
+
+    On a rotation by theta, tr Q is z + 1/z (2D) or 1/z + 1 + z (3D) with
+    z = e^{i theta}, so the circle mean is the constant term c_0 of its
+    d-th power (a central binomial or trinomial coefficient) and the SO(3)
+    mean is c_0 - c_1 (Weyl), the Riordan number.  The improper coset of
+    o2 (reflections) has trace 0, that of o2-e3 (half-turns) trace -1.
+    """
+    weights = np.ones(1, dtype=np.int64)
+    step = [1, 0, 1] if name in ("so2", "o2") else [1, 1, 1]
+    for _ in range(d):
+        weights = np.convolve(weights, step)
+    c0, c1 = int(weights[d]), int(weights[d + 1])
+    if name == "so3":
+        return c0 - c1
+    if name in ("o2", "o2-e3"):
+        return (c0 + (0 if name == "o2" else (-1) ** d)) / 2
+    return c0
+
+
+def _haar_moment_row() -> VerifyRow:
+    def run():
+        worst = 0.0
+        for name, ambient, top in (("so2", 2, 16), ("o2", 2, 16), ("so2-e3", 3, 16),
+                                   ("o2-e3", 3, 16), ("so3", 3, 12)):
+            g = _group(name, ambient)
+            for d in range(1, top + 1):
+                exact = _trace_moment(name, d)
+                value = integrate(g, lambda q: np.einsum("mii->m", q) ** d, d)
+                worst = max(worst, abs(value - exact) / max(1.0, abs(exact)))
+        return _row(worst < 1e-9, "rule of degree d integrates (tr Q)^d (rel < 1e-9)",
+                    f"{worst:.2e}")
+
+    return VerifyRow("haar: moments of tr Q at the boundary degree", "haar", run)
+
+
 def _haar_finite_mean_row() -> VerifyRow:
     def run():
         g = _group("cubic", 3)
@@ -776,6 +813,7 @@ def build_rows() -> list:
         _haar_invariance_row("o2-e3", 3),
         _haar_invariance_row("so3", 3),
         _haar_doubling_row(),
+        _haar_moment_row(),
         _haar_finite_mean_row(),
     ]
     rows += [

@@ -26,10 +26,11 @@ def trace(q):
 
 
 def so3_node_loop(degree):
-    """The SO(3) product rule built one node at a time, in (phi, u, psi) order."""
-    count = 2 * degree + 2
+    """The SO(3) product rule built one node at a time, in (phi, u, psi) order:
+    degree + 1 angles each in phi and psi, degree // 2 + 1 Gauss-Legendre nodes in u."""
+    count = degree + 1
     angles = [2 * np.pi * j / count for j in range(count)]
-    u_nodes, u_weights = np.polynomial.legendre.leggauss(degree + 1)
+    u_nodes, u_weights = np.polynomial.legendre.leggauss(degree // 2 + 1)
     nodes = []
     for phi in angles:
         rz_phi = rotation_z(phi)
@@ -174,7 +175,7 @@ class TestHaarRule:
     def test_circle_rule_is_cyclic_or_dihedral_group(self, name, axis, degree):
         axis = None if axis is None else np.array(axis) / np.linalg.norm(axis)
         rule = haar_rule(continuous(name, axis=axis), degree)
-        count = 2 * degree + 2
+        count = degree + 1
         improper = name.startswith("o2")
         assert len(rule) == count * (2 if improper else 1)
         assert np.all(rule.weights == 1.0 / len(rule))
@@ -210,6 +211,23 @@ class TestHaarRule:
     def test_degree_below_one(self, name):
         with pytest.raises(ValueError, match="degree"):
             haar_rule(continuous(name), 0)
+
+    @pytest.mark.parametrize("degree", [True, False, 2.5, 4.0, 0, -3, "4", None])
+    @pytest.mark.parametrize("name,ambient", [("so2", 2), ("so3", 3), ("cubic", 3)])
+    def test_degree_must_be_an_integer_at_least_one(self, name, ambient, degree):
+        g = resolve_group(name, ambient)
+        with pytest.raises(ValueError, match="degree must be an integer >= 1"):
+            haar_rule(g, degree)
+        with pytest.raises(ValueError, match="degree must be an integer >= 1"):
+            integrate(g, lambda q: trace(q), degree)
+
+    @pytest.mark.parametrize("name", list(TEST_ID), ids=TEST_ID.get)
+    def test_numpy_integer_degree_accepted(self, name):
+        g = continuous(name)
+        rule = haar_rule(g, np.int64(5))
+        assert rule.matrices.tobytes() == haar_rule(g, 5).matrices.tobytes()
+        assert integrate(g, lambda q: trace(q) ** 2, np.int64(5)) == integrate(
+            g, lambda q: trace(q) ** 2, 5)
 
     def test_o2_rule_covers_both_cosets(self):
         rule = haar_rule(resolve_group("o2", 2), 6)
@@ -249,9 +267,10 @@ class TestHaarRule:
             rule = haar_rule(g, degree)
             if name == "so3":
                 nodes = so3_node_loop(degree)
+                assert len(rule) == (degree + 1) ** 2 * (degree // 2 + 1)
             else:
                 ambient, improper = g.ambient, name.startswith("o2")
-                nodes = [(q, 1.0) for q in axial_node_loop(ambient, 2 * degree + 2, improper,
+                nodes = [(q, 1.0) for q in axial_node_loop(ambient, degree + 1, improper,
                                                            g.frame)]
                 nodes = [(q, 1.0 / len(nodes)) for q, _ in nodes]
             assert rule.matrices.tobytes() == np.stack([q for q, _ in nodes]).tobytes()
@@ -284,6 +303,69 @@ class TestHaarRule:
         monkeypatch.setattr(GroupElement, "__post_init__", counting)
         rule = haar_rule(g, 8)
         assert len(rule) > 0 and built == []
+
+
+# Riordan numbers (OEIS A005043), n = 0..12: the Haar moments of tr Q on SO(3)
+RIORDAN = (1, 0, 1, 1, 3, 6, 15, 36, 91, 232, 603, 1585, 4213)
+
+
+def central_trinomial(d):
+    """The constant term of (1/z + 1 + z)^d: the mean of (1 + 2 cos theta)^d."""
+    return sum(math.comb(d, 2 * j) * math.comb(2 * j, j) for j in range(d // 2 + 1))
+
+
+def trace_moment(name, d):
+    """Closed form of the Haar mean of (tr Q)^d on a continuous catalog group."""
+    if name == "so3":
+        return RIORDAN[d]
+    if name in ("so2", "o2"):
+        rotations = math.comb(d, d // 2) if d % 2 == 0 else 0
+    else:
+        rotations = central_trinomial(d)
+    if name in ("so2", "so2-e3"):
+        return rotations
+    # the coset half: reflections (trace 0) in 2D, half-turns (trace -1) in 3D
+    return (rotations + (0 if name == "o2" else (-1) ** d)) / 2
+
+
+class TestBoundaryExactness:
+    """A rule of degree d integrates (tr Q)^d, a polynomial of exactly that
+    degree, to its closed form: the node counts d + 1 and (d + 1)^2 (d // 2 + 1)
+    are enough at the boundary degree."""
+
+    def test_closed_forms(self):
+        assert [central_trinomial(d) for d in range(8)] == [1, 1, 3, 7, 19, 51, 141, 393]
+        # Weyl: the SO(3) moment is c_0 - c_1 of the weight polynomial (1/z + 1 + z)^d
+        for d in range(1, 13):
+            c1 = sum(math.comb(d, j) * math.comb(d - j, j + 1) for j in range(d))
+            assert RIORDAN[d] == central_trinomial(d) - c1
+
+    @pytest.mark.parametrize("name,axis,degrees", [
+        ("so3", None, range(1, 13)),
+        ("so2", None, range(1, 17)), ("o2", None, range(1, 17)),
+        ("so2-e3", None, range(1, 17)), ("so2-e3", (1.0, 2.0, 2.0), range(1, 17)),
+        ("o2-e3", None, range(1, 17)), ("o2-e3", (0.0, -0.6, 0.8), range(1, 17)),
+    ], ids=TEST_ID.get)
+    def test_trace_moment_at_rule_degree(self, name, axis, degrees):
+        axis = None if axis is None else np.array(axis) / np.linalg.norm(axis)
+        g = continuous(name, axis=axis)
+        for d in degrees:
+            exact = trace_moment(name, d)
+            value = integrate(g, lambda q: trace(q) ** d, d)
+            assert abs(value - exact) <= 1e-9 * max(1.0, abs(exact)), (d, value, exact)
+
+    @pytest.mark.parametrize("name", ["so2", "so2-e3", "so3"], ids=TEST_ID.get)
+    def test_one_degree_lower_is_not_exact(self, name):
+        # the rule of degree d - 1 misses a degree-d moment: on the circle
+        # groups (tr Q)^d, on SO(3) the mean 1/(d + 1) of Q_33^d = cos(theta)^d
+        g = continuous(name)
+        for d in (4, 6):
+            if name == "so3":
+                f, exact = (lambda q: q[:, 2, 2] ** d), 1.0 / (d + 1)
+            else:
+                f, exact = (lambda q: trace(q) ** d), trace_moment(name, d)
+            assert abs(integrate(g, f, d) - exact) < 1e-12 * max(1.0, exact)
+            assert abs(integrate(g, f, d - 1) - exact) > 1e-3
 
 
 class TestIntegrate:

@@ -4,7 +4,7 @@ import pytest
 from symtensor.core import FlatOperator, FlatTensor, image_basis, kron_power
 from symtensor.characters import fix_dimension
 from symtensor.groups import resolve_group
-from symtensor.projector import (MembershipError, NoVoigtMapError,
+from symtensor.projector import (MembershipError, NoVoigtMapError, _averaged_action,
                                  averaged_projector, extract_isotropic_moduli,
                                  isotropic_nine_matrix, moduli_from_matrix,
                                  project, structure_report)
@@ -17,6 +17,11 @@ TILTED_CASES = [(space, group, axis) for space in ("ela3", "major3", "v1bar", "v
                 for axis in ((1, 1, 1), (1, 2, 3), (0.001, 0, 1))]
 DISPLAY_CASES = ([(s, g, None) for s, g in ALL_PAIRS if s in STRUCTURE_MAPS]
                  + TILTED_CASES)
+PROJECT_CASES = [(s, g, None) for s, g in ALL_PAIRS] + TILTED_CASES
+
+
+def _case_ids(cases) -> list:
+    return [f"{s}-{g}" + (f"-axis{''.join(map(str, a))}" if a else "") for s, g, a in cases]
 
 
 def _dense(a: FlatOperator) -> np.ndarray:
@@ -99,6 +104,33 @@ class TestProject:
         for e in g.generators:
             moved = kron_power(e.matrix, 4).matrix @ out.coeffs
             assert np.max(np.abs(moved - out.coeffs)) < 1e-10
+
+    @pytest.mark.parametrize("space_name,group_name,axis", PROJECT_CASES,
+                             ids=_case_ids(PROJECT_CASES))
+    def test_equals_the_averaged_action(self, space_name, group_name, axis):
+        # the rule applied to B B^T t is the n^k x n^k average M applied to it
+        sp = SPACES[space_name]
+        axis = None if axis is None else np.array(axis, float) / np.linalg.norm(axis)
+        g = resolve_group(group_name, sp.n, axis=axis)
+        t = symmetrize(sp, 3.0 * np.random.default_rng(31).normal(size=sp.n**sp.k))
+        expected = _averaged_action(sp, g) @ symmetrize(sp, t).coeffs
+        gap = np.max(np.abs(project(sp, g, t).coeffs - expected))
+        assert gap <= 1e-12 * max(1.0, t.norm_inf())
+
+    @pytest.mark.parametrize("space_name,group_name", [
+        ("ela3", "so3"), ("v2bar", "so2-e3"), ("high2", "o2"), ("major3", "cubic")])
+    def test_builds_no_averaged_action(self, monkeypatch, space_name, group_name):
+        sp = SPACES[space_name]
+        g = resolve_group(group_name, sp.n)
+        t = symmetrize(sp, np.random.default_rng(37).normal(size=sp.n**sp.k))
+        expected = _averaged_action(sp, g) @ t.coeffs
+
+        def refuse(*args):
+            raise AssertionError("project built the n^k x n^k averaged action")
+
+        monkeypatch.setattr("symtensor.projector._averaged_action", refuse)
+        out = project(sp, g, t)
+        assert np.max(np.abs(out.coeffs - expected)) <= 1e-12 * max(1.0, t.norm_inf())
 
     def test_rejects_outside_space(self):
         arr = np.zeros((3, 3, 3, 3))
@@ -257,8 +289,7 @@ class TestDisplayDescribesInvariants:
     """Each display, read as a recipe, reproduces a projected member of the space."""
 
     @pytest.mark.parametrize("space_name,group_name,axis", DISPLAY_CASES,
-                             ids=[f"{s}-{g}" + (f"-axis{''.join(map(str, a))}" if a else "")
-                                  for s, g, a in DISPLAY_CASES])
+                             ids=_case_ids(DISPLAY_CASES))
     def test_entries_follow_the_display(self, space_name, group_name, axis):
         sp = SPACES[space_name]
         axis = None if axis is None else np.array(axis, float) / np.linalg.norm(axis)
