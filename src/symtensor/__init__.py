@@ -16,8 +16,6 @@ from .characters import character_closed_form, character_direct, fix_dimension
 from .projector import (StructureEntry, StructureReport, averaged_projector,
                         extract_isotropic_moduli, isotropic_nine_matrix,
                         moduli_from_matrix, project, structure_report)
-from .voigt import (anti, axl, extended_n_forward, induced_matrix,
-                    mandel_forward, nine_slot_forward, voigt_forward,
-                    voigt_inverse)
+from .voigt import anti, axl, induced_matrix
 
 __version__ = "0.1.0"

@@ -2,11 +2,12 @@
 
 Commands: ``dim``, ``structure``, ``project``, ``moduli``, ``maps``,
 ``verify-paper``.  Exit codes are stable: 0 success, 1 a ``verify-paper``
-row failed, 2 unknown name or configuration (also an unwritable output
-file), 3 quadrature non-convergence (a Haar average off an integer), 4
-internal consistency failure, 5 bad input (tensor file or moduli values),
-6 a ``structure`` display printed with coefficients that matched no
-rational or surd form ("(unsnapped)").  Every numerical threshold is a
+row failed, 2 unknown name or configuration (also an unwritable output:
+an output file that cannot be written, or a stdout closed by its reader),
+3 quadrature non-convergence (a Haar average off an integer), 4 internal
+consistency failure, 5 bad input (tensor file or moduli values), 6 a
+``structure`` display printed with coefficients that matched no rational
+or surd form ("(unsnapped)").  Every numerical threshold is a
 fixed constant; none is read from the environment.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -281,7 +283,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # buffered output meets a closed reader here
+    except BrokenPipeError:
+        # stdout now points at devnull, so the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: cannot write output: stdout was closed by its reader", file=sys.stderr)
+        code = EXIT_NAME
+    sys.exit(code)
 
 
 if __name__ == "__main__":

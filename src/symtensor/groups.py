@@ -86,10 +86,6 @@ class GroupElement:
         _check_orthogonal(m, f"group element {self.label!r}")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def ambient(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:

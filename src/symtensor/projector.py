@@ -25,8 +25,8 @@ from .spaces import TensorSpace, membership_residual, symmetrize
 from .voigt import STRUCTURE_MAPS
 
 # structure_report: the slot zero test and the free-slot residual test,
-# both relative to the largest slot value (the zero test also drops solve
-# coefficients, absolutely), and the free-slot margin: a free slot's
+# both relative to the 2-norm of the largest slot (the zero test also drops
+# solve coefficients, absolutely), and the free-slot margin: a free slot's
 # residual is at least this share of the largest one still unvisited
 SLOT_ZERO_TOL = 1e-9
 DEPENDENT_RESIDUAL_TOL = 1e-7
@@ -110,12 +110,14 @@ class StructureEntry:
 
     ``kind`` is ``"zero"``, ``"free"`` or ``"dependent"``.  Free entries
     carry their ``label``; dependent entries carry a combo of
-    (snapped coefficient, free label) pairs.
+    (snapped coefficient, free label) pairs, and a multi-term one the
+    ``symbol`` it shows: the label of the first slot with that combo.
     """
 
     kind: str
     label: str = ""
     combo: tuple = ()
+    symbol: str = ""
 
     def render(self) -> str:
         if self.kind == "zero":
@@ -127,7 +129,7 @@ class StructureEntry:
             if coef.exact and abs(coef.numerator) == coef.denominator and coef.surd == 1:
                 return label if coef.numerator > 0 else f"-{label}"
             return f"({coef.text}){label}"
-        return self.label  # StructureReport._cells ties repeated combinations
+        return self.symbol
 
     def to_json(self) -> dict:
         if self.kind == "dependent":
@@ -169,15 +171,8 @@ class StructureReport:
             "constraints": list(self.constraints),
         }
 
-    def _cells(self) -> list:
-        """Rendered entries; a repeated combination shows its first slot's symbol."""
-        first: dict = {}
-        return [[first.setdefault(_combo_key(e.combo), e.label)
-                 if e.kind == "dependent" and len(e.combo) > 1 else e.render()
-                 for e in row] for row in self.entries]
-
     def to_text(self) -> str:
-        cells = self._cells()
+        cells = [[e.render() for e in row] for row in self.entries]
         width = max(len(s) for row in cells for s in row)
         lines = ["  ".join(s.rjust(width) for s in row) for row in cells]
         out = [f"space {self.space}  group {self.group}  dim {self.dim}", *lines]
@@ -187,7 +182,7 @@ class StructureReport:
 
     def to_latex(self) -> str:
         rows, cols = self.voigt_shape
-        cells = self._cells()
+        cells = [[e.render() for e in row] for row in self.entries]
         if rows == cols > 1:  # a symmetric display shows its upper triangle only
             for r in range(1, rows):
                 cells[r][:r] = [""] * r
@@ -237,29 +232,33 @@ def _structure_maps(space: TensorSpace) -> tuple:
 def structure_report(space: TensorSpace, group: SymmetryGroup) -> StructureReport:
     """Classify every display slot of the general invariant tensor.
 
-    Each slot is a linear functional on the invariant subspace.  Free
-    labels are chosen greedily in row-major order over the upper triangle,
-    in one Gram-Schmidt pass: a slot is free when its functional leaves
-    the span of the earlier free ones by more than
-    ``DEPENDENT_RESIDUAL_TOL`` (max-abs residual, relative to the largest
-    slot value) and by at least ``FREE_SLOT_RATIO`` times the largest such
+    Each slot is a linear functional on the invariant subspace.  Every
+    size below is the 2-norm of a functional in the orthonormal basis, so
+    the display depends on the invariant subspace alone, not on which
+    basis of it the SVD returns.  Free labels are chosen greedily in
+    row-major order over the upper triangle, in one Gram-Schmidt pass: a
+    slot is free when its functional leaves the span of the earlier free
+    ones by more than ``DEPENDENT_RESIDUAL_TOL`` (relative to the largest
+    slot) and by at least ``FREE_SLOT_RATIO`` times the largest such
     residual among the slots not yet visited, so that a slot clearing the
     cut by a hair, ahead of a far more independent one, cannot make the
     solve ill-conditioned.  One linear solve against the free slots then
     writes every slot as a combination of them; coefficients at or below
     ``SLOT_ZERO_TOL`` are dropped and the rest snapped for display, and a
-    slot left with no term is zero.  One constraint line is emitted per
-    distinct multi-term combination, solved for the earliest free symbol
-    it involves (the display convention of naming the dependent slot with
-    its own symbol).  ``unsnapped`` counts the displayed coefficients, in
-    slot combinations and constraint terms, that matched no rational or
-    surd form.
+    slot left with no term is zero.  The display's tie convention is
+    decided here, at the first slot of each distinct multi-term
+    combination: every slot with that combination shows the first slot's
+    symbol, and the combination gets one constraint line, solved for the
+    earliest free symbol it involves.  ``unsnapped`` counts the displayed
+    coefficients, in slot combinations and constraint terms, that matched
+    no rational or surd form.
 
     The invariant subspace is the image of the averaged projector.  Its
     idempotency check, rank (singular values above 1/2, see
     :func:`image_basis`) and SVD run on the dim x dim orbit-coordinate
-    matrix, and the rank must equal the trace-formula dimension.  A slot is zero when its functional
-    is at most ``SLOT_ZERO_TOL`` relative to the largest slot value.
+    matrix, and the rank must equal the trace-formula dimension.  A slot
+    is zero when its functional is at most ``SLOT_ZERO_TOL`` relative to
+    the largest slot.
     """
     map_row, map_col = _structure_maps(space)
     basis = image_basis(averaged_projector(space, group))
@@ -275,27 +274,28 @@ def structure_report(space: TensorSpace, group: SymmetryGroup) -> StructureRepor
     stacked = np.array([t.coeffs for t in basis]).reshape(
         dim, map_row.matrix.shape[1], map_col.matrix.shape[1])
     feature = (map_row.matrix @ stacked @ map_col.matrix.T).transpose(1, 2, 0)
-    scale = float(np.max(np.abs(feature), initial=0.0)) or 1.0
+    scale = float(np.max(np.linalg.norm(feature, axis=2), initial=0.0)) or 1.0
     wide = max(rows, cols) > 9
 
     symmetric_display = rows == cols
     slots = [(r, c) for r in range(rows) for c in range(r if symmetric_display else 0, cols)]
     vecs = feature[tuple(np.array(slots).T)]
-    nonzero = np.max(np.abs(vecs), axis=1, initial=0.0) > SLOT_ZERO_TOL * scale
+    nonzero = np.linalg.norm(vecs, axis=1) > SLOT_ZERO_TOL * scale
     vecs[~nonzero] = 0.0  # so a zero slot solves to no terms
 
-    # free slots: the first to leave the span of the earlier ones (max-abs
-    # residual), by a margin against the slots still to come
+    # free slots: the first to leave the span of the earlier ones, by a
+    # margin against the slots still to come
     directions = np.zeros((0, dim))
     free: list[int] = []
     candidates = np.flatnonzero(nonzero)
     for at, i in enumerate(candidates):
         resid = vecs[i] - (directions @ vecs[i]) @ directions
-        size = np.max(np.abs(resid))
+        size = np.linalg.norm(resid)
         if size <= DEPENDENT_RESIDUAL_TOL * scale:
             continue
         rest = vecs[candidates[at:]]
-        if size < FREE_SLOT_RATIO * np.max(np.abs(rest - (rest @ directions.T) @ directions)):
+        left = np.linalg.norm(rest - (rest @ directions.T) @ directions, axis=1)
+        if size < FREE_SLOT_RATIO * np.max(left):
             continue
         resid -= (directions @ resid) @ directions
         directions = np.vstack([directions, resid / np.linalg.norm(resid)])
@@ -308,7 +308,7 @@ def structure_report(space: TensorSpace, group: SymmetryGroup) -> StructureRepor
 
     combos = np.linalg.solve(vecs[free].T, vecs.T).T  # slot = combos[slot] @ free slots
     combos[np.abs(combos) <= SLOT_ZERO_TOL] = 0.0
-    residual = np.max(np.abs(combos @ vecs[free] - vecs), axis=1, initial=0.0)
+    residual = np.linalg.norm(combos @ vecs[free] - vecs, axis=1)
     bad = np.flatnonzero(residual > DEPENDENT_RESIDUAL_TOL * scale)
     if bad.size:
         r, c = slots[bad[0]]
@@ -319,7 +319,7 @@ def structure_report(space: TensorSpace, group: SymmetryGroup) -> StructureRepor
 
     free_labels = [_slot_label(*slots[i], wide) for i in free]
     entries: list[list] = [[None] * cols for _ in range(rows)]
-    dependents: list[tuple] = []
+    ties: dict = {}  # each multi-term combination -> (slot, label, combo) of its first slot
     unsnapped = 0
     for i, (r, c) in enumerate(slots):
         label = _slot_label(r, c, wide)
@@ -328,17 +328,17 @@ def structure_report(space: TensorSpace, group: SymmetryGroup) -> StructureRepor
         elif combos[i].any():
             combo = tuple((rational_snap(float(combos[i, m])), free_labels[m])
                           for m in np.flatnonzero(combos[i]))
-            entry = StructureEntry("dependent", label=label, combo=combo)
+            symbol = (ties.setdefault(_combo_key(combo), (i, label, combo))[1]
+                      if len(combo) > 1 else "")
+            entry = StructureEntry("dependent", label=label, combo=combo, symbol=symbol)
             unsnapped += sum(not coef.exact for coef, _ in combo)
-            if len(combo) >= 2:
-                dependents.append((label, combo))
         else:
             entry = StructureEntry("zero")
         entries[r][c] = entry
         if symmetric_display:
             entries[c][r] = entry
 
-    constraints, unsnapped_terms = _emit_constraints(dependents, free_labels)
+    constraints, unsnapped_terms = _emit_constraints(ties.values(), dict(zip(free_labels, free)))
     return StructureReport(
         space=space.name,
         group=group.catalog_id,
@@ -352,46 +352,32 @@ def structure_report(space: TensorSpace, group: SymmetryGroup) -> StructureRepor
     )
 
 
-def _label_sort_key(label: str):
-    digits = label[1:].replace("_", " ").split()
-    if len(digits) == 1:
-        return (int(digits[0][0]), int(digits[0][1:]) if len(digits[0]) > 1 else 0)
-    return tuple(int(d) for d in digits)
-
-
 def _combo_key(combo) -> tuple:
     """Identity of a combination of free symbols, up to display rounding."""
     return tuple((round(float(c), 9), lbl) for c, lbl in combo)
 
 
-def _emit_constraints(dependents, free_labels) -> tuple:
-    """Solve each multi-term dependency for its earliest free symbol.
+def _emit_constraints(ties, free_slot) -> tuple:
+    """Solve each multi-term combination for its earliest free symbol.
 
-    A slot s with value sum_i alpha_i F_i is rewritten as
+    ``ties`` holds the (slot, label, combo) of the first slot of each
+    distinct combination, whose terms are in free-slot order;
+    ``free_slot`` maps each free label to its slot.  A slot s with value
+    sum_i alpha_i F_i is rewritten as
     F_0 = (1/alpha_0) s - sum_{i>0} (alpha_i/alpha_0) F_i and printed with
-    the right-hand terms in display order.  Duplicate combinations (the
-    same relation showing up at several slots) are emitted once.  Returns
-    the lines and the number of their coefficients left unsnapped.
+    the right-hand terms in slot order.  Returns the lines and the number
+    of their coefficients left unsnapped.
     """
-    order = {lbl: pos for pos, lbl in enumerate(free_labels)}
-    seen = set()
     out = []
     unsnapped = 0
-    for slot_label, combo in dependents:
-        signature = _combo_key(combo)
-        if signature in seen:
-            continue
-        seen.add(signature)
-        lead_coef, lead_label = min(combo, key=lambda item: order[item[1]])
-        rhs = [(rational_snap(1.0 / float(lead_coef)), slot_label)]
-        for coef, lbl in combo:
-            if lbl == lead_label:
-                continue
-            rhs.append((rational_snap(-float(coef) / float(lead_coef)), lbl))
-        rhs.sort(key=lambda item: _label_sort_key(item[1]))
-        unsnapped += sum(not coef.exact for coef, _ in rhs)
+    for slot, slot_label, combo in ties:
+        (lead_coef, lead_label), rest = combo[0], combo[1:]
+        rhs = sorted([(slot, rational_snap(1.0 / float(lead_coef)), slot_label)]
+                     + [(free_slot[lbl], rational_snap(-float(coef) / float(lead_coef)), lbl)
+                        for coef, lbl in rest], key=lambda term: term[0])
+        unsnapped += sum(not coef.exact for _, coef, _ in rhs)
         parts = []
-        for coef, lbl in rhs:
+        for _, coef, lbl in rhs:
             term = lbl if (coef.exact and abs(coef.numerator) == coef.denominator
                            and coef.surd == 1) else f"{coef.text.lstrip('-')} {lbl}"
             if not parts:

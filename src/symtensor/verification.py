@@ -24,7 +24,7 @@ from .projector import (_averaged_action, extract_isotropic_moduli,
                         isotropic_nine_matrix, moduli_from_matrix, project,
                         structure_report)
 from .spaces import SPACES, symmetrize
-from .voigt import (EXTENDED18, EXTENDED18_ORDER, NINE_SLOT, VOIGT6, anti,
+from .voigt import (EXTENDED18, EXTENDED18_ORDER, MANDEL6, NINE_SLOT, VOIGT6, anti,
                     axl, induced_matrix)
 
 SEED = 20240815
@@ -623,10 +623,10 @@ def _mandel_isometry_row() -> VerifyRow:
         rng = np.random.default_rng(SEED + 4)
         x = rng.normal(size=(3, 3))
         x = (x + x.T) / 2.0
-        mand = float(np.linalg.norm(voigt.mandel_forward(x)))
+        mand = float(np.linalg.norm(MANDEL6.forward(x)))
         frob = float(np.linalg.norm(x))
         gap = abs(mand - frob)
-        plain = float(np.linalg.norm(voigt.voigt_forward(x)))
+        plain = float(np.linalg.norm(VOIGT6.forward(x)))
         not_isometry = abs(plain - frob) > 1e-6
         return _row(gap < 1e-12 and not_isometry,
                     "mandel isometric, plain voigt not",
@@ -668,11 +668,11 @@ def _extended_order_row() -> VerifyRow:
             return _row(False, published, ours)
         # basis behaviour: sigma_111 -> slot 1, sigma_123 -> slot 16
         s111 = np.zeros((3, 3, 3)); s111[0, 0, 0] = 1.0
-        v = voigt.extended_n_forward(s111)
+        v = EXTENDED18.forward(s111)
         ok1 = abs(v[0] - 1.0) < 1e-14 and float(np.max(np.abs(np.delete(v, 0)))) < 1e-14
         s123 = np.zeros((3, 3, 3))
         s123[0, 1, 2] = s123[1, 0, 2] = 1.0 / math.sqrt(2.0)
-        v = voigt.extended_n_forward(s123)
+        v = EXTENDED18.forward(s123)
         ok2 = abs(v[15] - 1.0) < 1e-14 and float(np.max(np.abs(np.delete(v, 15)))) < 1e-14
         return _row(ok1 and ok2, "orthonormal basis maps to unit slots", (ok1, ok2))
 

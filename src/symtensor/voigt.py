@@ -206,42 +206,6 @@ STRUCTURE_MAPS: dict[str, tuple] = {
 }
 
 
-def voigt_forward(x) -> np.ndarray:
-    """Sym(3) -> R^6 with doubled off-diagonals."""
-    return VOIGT6.forward(x)
-
-
-def voigt_inverse(v) -> FlatTensor:
-    return VOIGT6.inverse(v)
-
-
-def mandel_forward(x) -> np.ndarray:
-    """Isometric Sym(3) -> R^6 (sqrt(2) off-diagonals)."""
-    return MANDEL6.forward(x)
-
-
-def mandel_inverse(v) -> FlatTensor:
-    return MANDEL6.inverse(v)
-
-
-def nine_slot_forward(x) -> np.ndarray:
-    """Any 3x3 matrix -> R^9 in the order (11, 22, 33, 23, 32, 13, 31, 12, 21)."""
-    return NINE_SLOT.forward(x)
-
-
-def nine_slot_inverse(v) -> FlatTensor:
-    return NINE_SLOT.inverse(v)
-
-
-def extended_n_forward(t) -> np.ndarray:
-    """Sym(3) (x) R^3 -> R^18 in the frozen 18-slot order."""
-    return EXTENDED18.forward(t)
-
-
-def extended_n_inverse(v) -> FlatTensor:
-    return EXTENDED18.inverse(v)
-
-
 def induced_matrix(map_row: VoigtMap, map_col: VoigtMap, t: FlatTensor) -> np.ndarray:
     """Matrix of an operator-valued tensor under a pair of slot maps.
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,6 +338,29 @@ class TestVerifyPaper:
     def test_rows_naming_no_category_exit_2(self, capsys, rows):
         code, out, err = run(capsys, "verify-paper", "--rows", rows)
         assert code == 2 and out == "" and "names no category" in err
+
+
+class TestClosedStdout:
+    """A stdout closed by its reader is an unwritable output: exit 2, one error line."""
+
+    @pytest.mark.parametrize("argv", [
+        ("maps", "--dump"),
+        ("structure", "--space", "v2bar", "--group", "trivial", "--format", "json"),
+        ("verify-paper", "--rows", "voigt"),
+        ("dim", "--space", "ela3", "--group", "so3"),  # still buffered at exit
+    ], ids=["maps-dump", "structure-json", "verify-paper", "dim"])
+    def test_exits_2_with_one_error_line(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        try:
+            done = subprocess.run([sys.executable, "-m", "symtensor.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env=env, timeout=300)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 class TestSlotwiseAction:

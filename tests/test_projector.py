@@ -260,6 +260,26 @@ class TestStructureReport:
         assert shear == [["C44", "C45", "C45"], ["C45", "C44", "C45"], ["C45", "C45", "C44"]]
         assert rep.constraints == ("C11 = C12 - C14 + C15 + 2 C44 - 2 C45",)
 
+    @pytest.mark.parametrize("space_name,group_name,axis", TILTED_CASES,
+                             ids=_case_ids(TILTED_CASES))
+    def test_free_slots_ignore_the_basis_rotation(self, monkeypatch, space_name,
+                                                  group_name, axis):
+        # the free slots depend on the invariant subspace alone, not on
+        # which orthonormal basis of it the SVD returns
+        sp = SPACES[space_name]
+        g = resolve_group(group_name, sp.n, axis=np.array(axis, float) / np.linalg.norm(axis))
+        want = structure_report(sp, g).free_labels
+        rng = np.random.default_rng(43)
+
+        def rotated(op):
+            basis = np.array([t.coeffs for t in image_basis(op)])
+            q, _ = np.linalg.qr(rng.normal(size=(len(basis), len(basis))))
+            return [FlatTensor(op.n, op.k, row) for row in q.T @ basis]
+
+        monkeypatch.setattr("symtensor.projector.image_basis", rotated)
+        for _ in range(3):
+            assert structure_report(sp, g).free_labels == want
+
     def test_unsnapped_coefficients_counted(self):
         axis = np.array([0.3, 0.1, 1.0]) / np.linalg.norm([0.3, 0.1, 1.0])
         rep = structure_report(SPACES["ela3"], resolve_group("so2-e3", 3, axis=axis))

@@ -3,6 +3,13 @@
 The file pins the dimension of every catalog pair and the structure JSON
 of every pair whose space has a slot map.  It is read here as plain JSON;
 nothing under ``bench/`` is imported or written.
+
+``reference_displays.json``, next to this file, pins the text and LaTeX
+displays of the same pairs byte for byte.  It maps each ``"space group"``
+key of the structures table to ``{"text": report.to_text(), "latex":
+report.to_latex()}``, written with ``json.dumps(..., indent=1,
+ensure_ascii=False)`` from ``structure_report`` at commit db1d613, before
+the display's tie convention moved into the slot loop.
 """
 
 import json
@@ -15,8 +22,9 @@ from symtensor.groups import resolve_group
 from symtensor.projector import structure_report
 from symtensor.spaces import SPACES
 
-REFERENCE = json.loads(
-    (Path(__file__).resolve().parents[1] / "bench" / "reference.json").read_text())
+HERE = Path(__file__).resolve().parent
+REFERENCE = json.loads((HERE.parent / "bench" / "reference.json").read_text())
+DISPLAYS = json.loads((HERE / "reference_displays.json").read_text(encoding="utf-8"))
 VALUE_TOL = 1e-9
 
 
@@ -42,6 +50,7 @@ def _split_values(payload):
 
 def test_reference_covers_the_catalog():
     assert len(REFERENCE["dims"]) == 124 and len(REFERENCE["structures"]) == 98
+    assert sorted(DISPLAYS) == sorted(REFERENCE["structures"])
 
 
 @pytest.mark.parametrize("key", sorted(REFERENCE["dims"]))
@@ -58,3 +67,5 @@ def test_structure_json(key):
     assert len(got_values) == len(want_values)
     assert all(abs(g - w) <= VALUE_TOL for g, w in zip(got_values, want_values))
     assert report.unsnapped == 0
+    assert report.to_text() == DISPLAYS[key]["text"]
+    assert report.to_latex() == DISPLAYS[key]["latex"]
