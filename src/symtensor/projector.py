@@ -283,23 +283,7 @@ def structure_report(space: TensorSpace, group: SymmetryGroup) -> StructureRepor
     nonzero = np.linalg.norm(vecs, axis=1) > SLOT_ZERO_TOL * scale
     vecs[~nonzero] = 0.0  # so a zero slot solves to no terms
 
-    # free slots: the first to leave the span of the earlier ones, by a
-    # margin against the slots still to come
-    directions = np.zeros((0, dim))
-    free: list[int] = []
-    candidates = np.flatnonzero(nonzero)
-    for at, i in enumerate(candidates):
-        resid = vecs[i] - (directions @ vecs[i]) @ directions
-        size = np.linalg.norm(resid)
-        if size <= DEPENDENT_RESIDUAL_TOL * scale:
-            continue
-        rest = vecs[candidates[at:]]
-        left = np.linalg.norm(rest - (rest @ directions.T) @ directions, axis=1)
-        if size < FREE_SLOT_RATIO * np.max(left):
-            continue
-        resid -= (directions @ resid) @ directions
-        directions = np.vstack([directions, resid / np.linalg.norm(resid)])
-        free.append(i)
+    free = _free_slots(vecs, np.flatnonzero(nonzero), scale)
     if len(free) != dim:
         raise InternalConsistencyError(
             f"greedy labeling found {len(free)} free slots but the "
@@ -350,6 +334,33 @@ def structure_report(space: TensorSpace, group: SymmetryGroup) -> StructureRepor
         free_labels=tuple(free_labels),
         unsnapped=unsnapped + unsnapped_terms,
     )
+
+
+def _free_slots(vecs: np.ndarray, candidates: np.ndarray, scale: float) -> list[int]:
+    """The free slots among ``candidates``, in order: each is the first to
+    leave the span of the earlier ones, by a margin against the slots still
+    to come (see :func:`structure_report`).
+
+    The candidates' residuals against the chosen directions are kept: a new
+    free slot's residual, orthogonalized once more, is the new direction,
+    and only the projection onto it is taken off the later residuals.
+    """
+    resid = vecs[candidates]
+    left = np.linalg.norm(resid, axis=1)
+    directions = np.zeros((0, vecs.shape[1]))
+    free: list[int] = []
+    for at, i in enumerate(candidates):
+        size = left[at]
+        if size <= DEPENDENT_RESIDUAL_TOL * scale or size < FREE_SLOT_RATIO * np.max(left[at:]):
+            continue
+        step = resid[at] - (directions @ resid[at]) @ directions
+        step /= np.linalg.norm(step)
+        directions = np.vstack([directions, step])
+        free.append(i)
+        later = resid[at + 1:]
+        later -= np.outer(later @ step, step)
+        left[at + 1:] = np.linalg.norm(later, axis=1)
+    return free
 
 
 def _combo_key(combo) -> tuple:

@@ -550,27 +550,69 @@ ALL_PAIRS = PAIRS_2D + PAIRS_3D
 FINITE_PAIRS = tuple((s, g) for s, g in ALL_PAIRS if groups.group_kind(g) == "finite")
 
 
+def _projector_checks(space, m: np.ndarray, gens: np.ndarray) -> dict:
+    """The checks of a projector row on the dense n^k x n^k projector
+    ``a = (M B) B^T``, computed through its factor ``X = M B`` (n^k x dim).
+
+    ``m`` is the group-averaged action (n^k x n^k) and ``gens`` a stack of
+    group elements (g x n x n).  Returns the largest entries ``idem`` of
+    |a^2 - a|, ``sym`` of |a - a^T| and ``equiv`` of |Q^(x)k a - a| and
+    |a Q^(x)k - a|, the trace ``trace``, the ``rank`` (eigenvalues of
+    (a + a^T)/2 above 1/2) and its certificate: the ``margin``
+    min |lambda - 1/2| over the eigenvalues of P_s and the ``off_span``
+    ||X_perp||_F.
+    """
+    # Column j of B^T has one entry, s_o = 1/sqrt|o| at the orbit o of j; P = B^T X.
+    # a = X[:, orbits] * s[orbits]: a gather, equal to the product bit for bit.
+    # a^2 - a = (X P - X) B^T, so max |a^2 - a| = max_{i,o} |(X P - X)[i, o]| s_o.
+    # tr a = tr P.
+    # Q^(x)k a - a = (Q^(x)k X - X) B^T, bounded like a^2 - a.
+    # a Q^(x)k - a = X V^T, with V = (Q^T)^(x)k B - B.
+    # (a + a^T)/2 = B P_s B^T + E, P_s = (P + P^T)/2, E = (X_perp B^T + B X_perp^T)/2,
+    #   X_perp = X - B P: X_perp is orthogonal to B, so ||E||_2 <= ||X_perp||_F / 2.
+    # Weyl: (a + a^T)/2 has as many eigenvalues above 1/2 as P_s when every
+    #   eigenvalue of P_s, and 0, lies farther than ||X_perp||_F / 2 from 1/2.
+    b, orbits = space.basis, space.orbits
+    s = np.max(b, axis=0)
+    x = m @ b
+    p = b.T @ x
+    a = np.take(x, orbits, axis=1)
+    a *= s[orbits]
+    sym = float(np.max(np.abs(a - a.T)))
+    del a  # at most one n^k x n^k array alive at a time below: peak memory
+    eigs = np.linalg.eigvalsh((p + p.T) / 2.0)
+    moved = act(gens, space.k, x) - x
+    v = act(gens.transpose(0, 2, 1), space.k, b) - b
+    return {
+        "idem": float(np.max(np.abs(x @ p - x) * s)),
+        "sym": sym,
+        "equiv": max([float(np.max(np.abs(moved) * s))]
+                     + [float(np.max(np.abs(x @ vg.T))) for vg in v]),
+        "trace": float(np.trace(p)),
+        "rank": int(np.sum(eigs > 0.5)),
+        "margin": float(np.min(np.abs(eigs - 0.5))),
+        "off_span": float(np.linalg.norm(x - b @ p)),
+    }
+
+
 def _projector_props_row(space_name: str, group_name: str) -> VerifyRow:
     def run():
         sp = SPACES[space_name]
         g = _group(group_name, sp.n)
-        # the dense n^k x n^k projector (M B) B^T, checked apart from the
-        # dim x dim form that structure_report ranks
-        a = (_averaged_action(sp, g) @ sp.basis) @ sp.basis.T
-        idem = float(np.max(np.abs(a @ a - a)))
-        sym = float(np.max(np.abs(a - a.T)))
-        eigs = np.linalg.eigvalsh((a + a.T) / 2.0)
-        rank = int(np.sum(eigs > 0.5))
-        dim = fix_dimension(sp, g)
-        trace_gap = abs(float(np.trace(a)) - dim)
+        # the dense projector (M B) B^T, checked apart from the dim x dim
+        # form that structure_report ranks
         gens = np.array([e.matrix for e in g.sample_elements()])
-        # Q^(x)k A - A, and A Q^(x)k - A as its transpose
-        equiv = max(float(np.max(np.abs(act(gens, sp.k, a) - a))),
-                    float(np.max(np.abs(act(gens.transpose(0, 2, 1), sp.k, a.T) - a.T))))
-        ok = idem < 1e-9 and rank == dim and equiv < 1e-9 and sym < 1e-9 and trace_gap < 1e-6
-        return _row(ok, f"idem/equiv < 1e-9, rank = {dim}",
-                    f"idem {idem:.1e}, sym {sym:.1e}, rank {rank}, equiv {equiv:.1e}, "
-                    f"trace gap {trace_gap:.1e}")
+        c = _projector_checks(sp, _averaged_action(sp, g), gens)
+        dim = fix_dimension(sp, g)
+        trace_gap = abs(c["trace"] - dim)
+        certified = min(c["margin"], 0.5) > c["off_span"] / 2.0
+        ok = (c["idem"] < 1e-9 and c["sym"] < 1e-9 and c["equiv"] < 1e-9
+              and certified and c["rank"] == dim and trace_gap < 1e-6)
+        rank = f"rank {c['rank']}" + ("" if certified else " uncertified")
+        return _row(ok, f"idem/sym/equiv < 1e-9, rank = {dim}, trace gap < 1e-6",
+                    f"idem {c['idem']:.1e}, sym {c['sym']:.1e}, {rank}, "
+                    f"equiv {c['equiv']:.1e}, trace gap {trace_gap:.1e}, "
+                    f"rank margin {c['margin']:.1e}, off-span {c['off_span']:.1e}")
 
     return VerifyRow(f"projector {space_name} x {group_name}", "projector", run)
 

@@ -4,7 +4,8 @@ import pytest
 from symtensor.core import FlatOperator, FlatTensor, image_basis, kron_power
 from symtensor.characters import fix_dimension
 from symtensor.groups import resolve_group
-from symtensor.projector import (MembershipError, NoVoigtMapError, _averaged_action,
+from symtensor.projector import (DEPENDENT_RESIDUAL_TOL, FREE_SLOT_RATIO, MembershipError,
+                                 NoVoigtMapError, _averaged_action, _free_slots,
                                  averaged_projector, extract_isotropic_moduli,
                                  isotropic_nine_matrix, moduli_from_matrix,
                                  project, structure_report)
@@ -22,6 +23,26 @@ PROJECT_CASES = [(s, g, None) for s, g in ALL_PAIRS] + TILTED_CASES
 
 def _case_ids(cases) -> list:
     return [f"{s}-{g}" + (f"-axis{''.join(map(str, a))}" if a else "") for s, g, a in cases]
+
+
+def _quadratic_free_slots(vecs, candidates, scale) -> list:
+    """The free-slot loop that projects each candidate, and every slot not
+    yet visited, onto all the chosen directions afresh at every step."""
+    directions = np.zeros((0, vecs.shape[1]))
+    free = []
+    for at, i in enumerate(candidates):
+        resid = vecs[i] - (directions @ vecs[i]) @ directions
+        size = np.linalg.norm(resid)
+        if size <= DEPENDENT_RESIDUAL_TOL * scale:
+            continue
+        rest = vecs[candidates[at:]]
+        left = np.linalg.norm(rest - (rest @ directions.T) @ directions, axis=1)
+        if size < FREE_SLOT_RATIO * np.max(left):
+            continue
+        resid -= (directions @ resid) @ directions
+        directions = np.vstack([directions, resid / np.linalg.norm(resid)])
+        free.append(i)
+    return free
 
 
 def _dense(a: FlatOperator) -> np.ndarray:
@@ -279,6 +300,25 @@ class TestStructureReport:
         monkeypatch.setattr("symtensor.projector.image_basis", rotated)
         for _ in range(3):
             assert structure_report(sp, g).free_labels == want
+
+    @pytest.mark.parametrize("space_name,group_name,axis", DISPLAY_CASES,
+                             ids=_case_ids(DISPLAY_CASES))
+    def test_free_slots_match_the_quadratic_loop(self, monkeypatch, space_name,
+                                                 group_name, axis):
+        sp = SPACES[space_name]
+        axis = None if axis is None else np.array(axis, float) / np.linalg.norm(axis)
+        g = resolve_group(group_name, sp.n, axis=axis)
+        calls = []
+
+        def both(vecs, candidates, scale):
+            calls.append((_free_slots(vecs, candidates, scale),
+                          _quadratic_free_slots(vecs, candidates, scale)))
+            return calls[-1][0]
+
+        monkeypatch.setattr("symtensor.projector._free_slots", both)
+        structure_report(sp, g)
+        assert len(calls) == 1
+        assert calls[0][0] == calls[0][1]
 
     def test_unsnapped_coefficients_counted(self):
         axis = np.array([0.3, 0.1, 1.0]) / np.linalg.norm([0.3, 0.1, 1.0])
