@@ -88,7 +88,7 @@ def fix_dimension(space: TensorSpace, group: SymmetryGroup) -> int:
     The character is a degree-k polynomial in the entries of Q, and the
     Haar rule of degree k + 2 (as in ``averaged_projector``) integrates it
     exactly.  The SO(3) rule stops at degree 12, so so3 takes orders
-    k <= 10; a higher order raises ``ValueError`` (ROADMAP item 1, exact
+    k <= 10; a higher order raises ``ValueError`` (ROADMAP item 4, exact
     dimensions from the weight polynomial, lifts this).  A Haar average
     further than 1e-6 from an integer raises ``QuadratureNotConvergedError``.
     """

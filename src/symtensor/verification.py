@@ -53,17 +53,16 @@ def _group(name: str, ambient: int) -> groups.SymmetryGroup:
     return resolve_group(name, ambient)
 
 
-@lru_cache(maxsize=None)
 def _report(space_name: str, group_name: str):
     sp = SPACES[space_name]
     return structure_report(sp, _group(group_name, sp.n))
 
 
-def _random_rotation(rng, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.normal(size=(n, n)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0.0:
-        q[:, [0, 1]] = q[:, [1, 0]]
+def _random_rotations(rng, count: int, n: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(count, n, n)))
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    flip = np.linalg.det(q) < 0.0
+    q[flip, :, :2] = q[flip, :, 1::-1]
     return q
 
 
@@ -128,7 +127,7 @@ def _character_row(space_name: str) -> VerifyRow:
         sp = SPACES[space_name]
         published = PUBLISHED_CHARACTERS[space_name]
         rng = np.random.default_rng(SEED)
-        qs = np.stack([_random_rotation(rng, sp.n) for _ in range(200)])
+        qs = _random_rotations(rng, 200, sp.n)
         if sp.n == 2:
             qs[1::2] = qs[1::2] @ np.diag([1.0, -1.0])
         coeffs = np.array([published[1 if det > 0.0 else -1] for det in np.linalg.det(qs)])
@@ -150,7 +149,7 @@ def _class_function_row() -> VerifyRow:
         worst = 0.0
         for name in ("ela3", "major3", "v2bar"):
             sp = SPACES[name]
-            draws = np.stack([_random_rotation(rng, 3) for _ in range(40)])
+            draws = _random_rotations(rng, 40, 3)
             q, r = draws[0::2], draws[1::2]  # drawn q, r, q, r, ...
             gap = character_direct(sp, q) - character_direct(sp, r @ q @ r.transpose(0, 2, 1))
             worst = max(worst, float(np.max(np.abs(gap))))
@@ -550,6 +549,11 @@ ALL_PAIRS = PAIRS_2D + PAIRS_3D
 FINITE_PAIRS = tuple((s, g) for s, g in ALL_PAIRS if groups.group_kind(g) == "finite")
 
 
+def _restricted_action(space, gens: np.ndarray) -> np.ndarray:
+    """``R = B^T Q^(x)k B`` (g x dim x dim): each of g elements acting in orbit coordinates."""
+    return space.basis.T @ act(gens, space.k, space.basis)
+
+
 def _projector_checks(space, m: np.ndarray, gens: np.ndarray) -> dict:
     """The checks of a projector row on the dense n^k x n^k projector
     ``a = (M B) B^T``, computed through its factor ``X = M B`` (n^k x dim).
@@ -562,18 +566,18 @@ def _projector_checks(space, m: np.ndarray, gens: np.ndarray) -> dict:
     min |lambda - 1/2| over the eigenvalues of P_s and the ``off_span``
     ||X_perp||_F.
     """
-    # Column j of B^T has one entry, s_o = 1/sqrt|o| at the orbit o of j; P = B^T X.
+    # Column j of B^T has one entry, s_o = 1/sqrt|o| at the orbit o of j; P = B^T X, tr a = tr P.
     # a = X[:, orbits] * s[orbits]: a gather, equal to the product bit for bit.
-    # a^2 - a = (X P - X) B^T, so max |a^2 - a| = max_{i,o} |(X P - X)[i, o]| s_o.
-    # tr a = tr P.
-    # Q^(x)k a - a = (Q^(x)k X - X) B^T, bounded like a^2 - a.
-    # a Q^(x)k - a = X V^T, with V = (Q^T)^(x)k B - B.
+    # max |Y B^T| = max_{i,o} |Y[i, o]| s_o (``peak``), for a^2 - a = (X P - X) B^T,
+    #   Q^(x)k a - a = (Q^(x)k X - X) B^T and a Q^(x)k - a = X (R - I) B^T: (Q^T)^(x)k
+    #   commutes with the space's index permutations, so (Q^T)^(x)k B = B R^T.
     # (a + a^T)/2 = B P_s B^T + E, P_s = (P + P^T)/2, E = (X_perp B^T + B X_perp^T)/2,
     #   X_perp = X - B P: X_perp is orthogonal to B, so ||E||_2 <= ||X_perp||_F / 2.
     # Weyl: (a + a^T)/2 has as many eigenvalues above 1/2 as P_s when every
     #   eigenvalue of P_s, and 0, lies farther than ||X_perp||_F / 2 from 1/2.
-    b, orbits = space.basis, space.orbits
+    b, orbits, k = space.basis, space.orbits, space.k
     s = np.max(b, axis=0)
+    peak = lambda y: float(np.max(np.abs(y) * s))
     x = m @ b
     p = b.T @ x
     a = np.take(x, orbits, axis=1)
@@ -581,13 +585,10 @@ def _projector_checks(space, m: np.ndarray, gens: np.ndarray) -> dict:
     sym = float(np.max(np.abs(a - a.T)))
     del a  # at most one n^k x n^k array alive at a time below: peak memory
     eigs = np.linalg.eigvalsh((p + p.T) / 2.0)
-    moved = act(gens, space.k, x) - x
-    v = act(gens.transpose(0, 2, 1), space.k, b) - b
     return {
-        "idem": float(np.max(np.abs(x @ p - x) * s)),
+        "idem": peak(x @ p - x),
         "sym": sym,
-        "equiv": max([float(np.max(np.abs(moved) * s))]
-                     + [float(np.max(np.abs(x @ vg.T))) for vg in v]),
+        "equiv": max(peak(act(gens, k, x) - x), peak(x @ _restricted_action(space, gens) - x)),
         "trace": float(np.trace(p)),
         "rank": int(np.sum(eigs > 0.5)),
         "margin": float(np.min(np.abs(eigs - 0.5))),
@@ -623,15 +624,15 @@ def _oracle_row(space_name: str, group_name: str) -> VerifyRow:
     def run():
         sp = SPACES[space_name]
         g = _group(group_name, sp.n)
-        b = sp.basis
         gens = np.array([e.matrix for e in g.sample_elements()])
-        blocks = b.T @ act(gens, sp.k, b) - np.eye(b.shape[1])
-        stack = blocks.reshape(-1, b.shape[1])
+        stack = (_restricted_action(sp, gens) - np.eye(sp.dim)).reshape(-1, sp.dim)
         sv = np.linalg.svd(stack, compute_uv=False)
         rank = int(np.sum(sv > 1e-8 * max(1.0, sv[0] if sv.size else 1.0)))
-        null_dim = b.shape[1] - rank
+        null_dim = sp.dim - rank
         dim = fix_dimension(sp, g)
-        return _row(null_dim == dim, f"null-space dim {dim}", null_dim)
+        return _row(null_dim == dim, f"null-space dim {dim}",
+                    f"{null_dim}, smallest kept sv {sv[:rank].min(initial=np.inf):.1e}, "
+                    f"largest dropped sv {sv[rank:].max(initial=0.0):.1e}")
 
     return VerifyRow(f"oracle {space_name} x {group_name}", "oracle", run)
 

@@ -321,18 +321,15 @@ class TestVerifyPaper:
 
     def test_fault_injection_fails_rows(self, capsys, monkeypatch):
         # corrupting a symmetrizer generator must surface as failed rows
-        import symtensor.verification as verification
         from symtensor.spaces import SPACES, TensorSpace
         broken = TensorSpace("ela3", 3, 4, ((1, 0, 2, 3),))  # major symmetry dropped
         monkeypatch.setitem(SPACES, "ela3", broken)
-        verification._report.cache_clear()
         try:
             code, out, _ = run(capsys, "verify-paper", "--rows", "characters")
             assert code == 1
             assert any(l.startswith("[FAIL] characters ela3") for l in out.splitlines())
         finally:
             monkeypatch.undo()
-            verification._report.cache_clear()
 
     @pytest.mark.parametrize("rows", [",", "", " , "])
     def test_rows_naming_no_category_exit_2(self, capsys, rows):
