@@ -170,7 +170,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_moduli(args) -> int:
-    if args.values:
+    if args.values is not None:
         try:
             values = json.loads(args.values)
         except json.JSONDecodeError as exc:
@@ -180,7 +180,7 @@ def cmd_moduli(args) -> int:
         try:
             with open(args.input) as fh:
                 values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError
             return _fail(EXIT_INPUT, exc)
     if not isinstance(values, dict):
         print(f"error: moduli values must be a JSON object of symbols and numbers, "
@@ -260,8 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("moduli", help="isotropic moduli of the 45-constant theory")
-    p.add_argument("--values", help="inline JSON, e.g. '{\"C12\":1,\"C44\":3,\"C45\":1}'")
-    p.add_argument("--input", help="JSON file with the label values")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--values", help="inline JSON, e.g. '{\"C12\":1,\"C44\":3,\"C45\":1}'")
+    source.add_argument("--input", help="JSON file with the label values")
     p.set_defaults(func=cmd_moduli)
 
     p = sub.add_parser("maps", help="slot-order tables of the vectorization maps")
@@ -275,10 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "moduli" and not (args.values or args.input):
-        parser.error("moduli needs --values or --input")
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -10,7 +10,6 @@ double precision; rational values are recovered only at display time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 import math
 
 import numpy as np
@@ -34,10 +33,12 @@ class NotAProjectorError(ValueError):
         super().__init__(f"operator is not idempotent: ||A^2 - A||_inf = {residual:.3e}")
 
 
-# rational_snap accepts a candidate within EQUALITY_TOL of the float, with
-# denominators up to SNAP_DENOMINATOR_BOUND
+# rational_snap accepts a candidate p/q * sqrt(s) within EQUALITY_TOL of the float: s = 1, 2, 3
+# by row of its grid, denominators q up to SNAP_DENOMINATOR_BOUND by column
 EQUALITY_TOL = 1e-9
 SNAP_DENOMINATOR_BOUND = 64
+_SNAP_ROOTS = np.sqrt([[1.0], [2.0], [3.0]])
+_SNAP_DENOMINATORS = np.arange(1.0, SNAP_DENOMINATOR_BOUND + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,25 +248,21 @@ def _format_snap(num: int, den: int, surd: int) -> str:
 def rational_snap(x: float) -> SnappedValue:
     """Snap a float to p/q, p/q*sqrt(2) or p/q*sqrt(3) for display.
 
-    Denominators are bounded by ``SNAP_DENOMINATOR_BOUND``; a candidate
-    is accepted when it matches ``x`` within ``EQUALITY_TOL``.  Values
-    with no match, non-finite values and values of magnitude 1e6 or more
-    are returned verbatim and flagged unsnapped.
+    The candidates are p/q * sqrt(s) for s = 1, 2, 3 and q up to
+    ``SNAP_DENOMINATOR_BOUND``, with p = rint(x q / sqrt(s)); the first in
+    (s, q) order within ``EQUALITY_TOL`` of ``x`` is taken.  Distinct such
+    fractions differ by at least 1/4032, so at most one per surd is that
+    close.  Values with no match, non-finite values and values of magnitude
+    1e6 or more are returned verbatim and flagged unsnapped.
     """
     x = float(x)
-    if not abs(x) < 1e6:  # inf and NaN too
-        return SnappedValue(value=x, text=f"{x!r} (unsnapped)", exact=False)
-    for surd in (1, 2, 3):
-        target = x / math.sqrt(surd)
-        frac = Fraction(target).limit_denominator(SNAP_DENOMINATOR_BOUND)
-        approx = float(frac) * math.sqrt(surd)
-        if abs(approx - x) <= EQUALITY_TOL:
-            return SnappedValue(
-                value=approx,
-                text=_format_snap(frac.numerator, frac.denominator, surd),
-                exact=True,
-                numerator=frac.numerator,
-                denominator=frac.denominator,
-                surd=surd,
-            )
+    if abs(x) < 1e6:  # not inf or NaN either
+        p = np.rint(x * _SNAP_DENOMINATORS / _SNAP_ROOTS)
+        hits = np.flatnonzero(np.abs(p / _SNAP_DENOMINATORS * _SNAP_ROOTS - x) <= EQUALITY_TOL)
+        if hits.size:
+            row, col = divmod(int(hits[0]), SNAP_DENOMINATOR_BOUND)
+            num, den, surd = int(p[row, col]), col + 1, row + 1
+            return SnappedValue(value=num / den * math.sqrt(surd),
+                                text=_format_snap(num, den, surd), exact=True,
+                                numerator=num, denominator=den, surd=surd)
     return SnappedValue(value=x, text=f"{x!r} (unsnapped)", exact=False)

@@ -567,7 +567,8 @@ def _projector_checks(space, m: np.ndarray, gens: np.ndarray) -> dict:
     ||X_perp||_F.
     """
     # Column j of B^T has one entry, s_o = 1/sqrt|o| at the orbit o of j; P = B^T X, tr a = tr P.
-    # a = X[:, orbits] * s[orbits]: a gather, equal to the product bit for bit.
+    # a[i, j] = X[i, o_j] s_{o_j} and rounding is monotone, so max |a - a^T| = max (hi - lo^T) bit
+    #   for bit, hi[o, q] and lo[o, q] the largest and least X[i, q] s_q over the rows i in orbit o.
     # max |Y B^T| = max_{i,o} |Y[i, o]| s_o (``peak``), for a^2 - a = (X P - X) B^T,
     #   Q^(x)k a - a = (Q^(x)k X - X) B^T and a Q^(x)k - a = X (R - I) B^T: (Q^T)^(x)k
     #   commutes with the space's index permutations, so (Q^T)^(x)k B = B R^T.
@@ -580,14 +581,14 @@ def _projector_checks(space, m: np.ndarray, gens: np.ndarray) -> dict:
     peak = lambda y: float(np.max(np.abs(y) * s))
     x = m @ b
     p = b.T @ x
-    a = np.take(x, orbits, axis=1)
-    a *= s[orbits]
-    sym = float(np.max(np.abs(a - a.T)))
-    del a  # at most one n^k x n^k array alive at a time below: peak memory
+    order = np.argsort(orbits, kind="stable")
+    rows, starts = x[order], np.searchsorted(orbits[order], np.arange(s.size))
+    hi = np.maximum.reduceat(rows, starts) * s
+    lo = np.minimum.reduceat(rows, starts) * s
     eigs = np.linalg.eigvalsh((p + p.T) / 2.0)
     return {
         "idem": peak(x @ p - x),
-        "sym": sym,
+        "sym": float(np.max(hi - lo.T)),
         "equiv": max(peak(act(gens, k, x) - x), peak(x @ _restricted_action(space, gens) - x)),
         "trace": float(np.trace(p)),
         "rank": int(np.sum(eigs > 0.5)),

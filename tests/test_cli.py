@@ -283,6 +283,27 @@ class TestModuli:
         code, _, err = run(capsys, "moduli", "--values", '{"C12": 1, "C44": 3}')
         assert code == 5 and err == "error: assignment must provide C45 or C11\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("--values", '{"C12":1,"C44":3,"C45":1}', "--input", "/nonexistent.json"),
+        (),
+    ])
+    def test_one_source_required(self, capsys, argv):
+        # --values and --input are alternatives: both, or neither, is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["moduli", *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_undecodable_input_exit_5(self, tmp_path, capsys):
+        path = tmp_path / "values.json"
+        path.write_bytes(b'\xff\xfe{"C12": 1, "C44": 3, "C45": 1}')
+        code, out, err = run(capsys, "moduli", "--input", str(path))
+        assert code == 5 and out == "" and err.startswith("error: ") and "utf-8" in err
+
+    def test_empty_values_is_bad_json(self, capsys):
+        code, out, err = run(capsys, "moduli", "--values", "")
+        assert code == 5 and out == "" and err.startswith("error: bad --values JSON")
+
     def test_no_structure_report(self, capsys, monkeypatch):
         # the moduli come from the values alone; no display is computed
         def refuse(*args, **kwargs):

@@ -1,13 +1,19 @@
+import json
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symtensor.core import (EQUALITY_TOL, FlatOperator, FlatTensor,
-                            NonOrthogonalError, NotAProjectorError, act,
-                            image_basis, kron_power, rational_snap)
+from symtensor import projector
+from symtensor.core import (EQUALITY_TOL, SNAP_DENOMINATOR_BOUND, FlatOperator,
+                            FlatTensor, NonOrthogonalError, NotAProjectorError,
+                            SnappedValue, _format_snap, act, image_basis,
+                            kron_power, rational_snap)
+from symtensor.groups import resolve_group
 from symtensor.spaces import SPACES
 
 from conftest import haar_rotation
@@ -168,6 +174,35 @@ class TestImageBasis:
         assert len(image_basis(conjugated)) == len(image_basis(SPACES["sym2"].projector))
 
 
+def _reference_snap(x: float) -> SnappedValue:
+    """The best-approximation rule: one ``Fraction.limit_denominator`` per surd."""
+    x = float(x)
+    if abs(x) < 1e6:
+        for surd in (1, 2, 3):
+            frac = Fraction(x / math.sqrt(surd)).limit_denominator(SNAP_DENOMINATOR_BOUND)
+            approx = float(frac) * math.sqrt(surd)
+            if abs(approx - x) <= EQUALITY_TOL:
+                return SnappedValue(approx, _format_snap(frac.numerator, frac.denominator, surd),
+                                    True, frac.numerator, frac.denominator, surd)
+    return SnappedValue(x, f"{x!r} (unsnapped)", False)
+
+
+def _catalog_snap_inputs(monkeypatch) -> list:
+    """Every float the 98 catalog structure reports snap, in call order."""
+    displays = json.loads((Path(__file__).parent / "reference_displays.json").read_text("utf-8"))
+    seen = []
+
+    def record(x):
+        seen.append(float(x))
+        return rational_snap(x)
+
+    monkeypatch.setattr(projector, "rational_snap", record)
+    for key in displays:
+        space, group = key.split()
+        projector.structure_report(SPACES[space], resolve_group(group, SPACES[space].n))
+    return seen
+
+
 class TestRationalSnap:
     @pytest.mark.parametrize("value,text", [
         (0.4999999999, "1/2"),
@@ -199,3 +234,18 @@ class TestRationalSnap:
         snapped = rational_snap(p / q)
         assert snapped.exact
         assert abs(snapped.value - p / q) <= EQUALITY_TOL
+
+    def test_bit_identical_to_limit_denominator(self, monkeypatch):
+        # the candidate grid against the best-approximation rule, field for field
+        # and ``value`` bit for bit, on every catalog input and a fixed sample
+        fields = lambda v: (v.value.hex(), v.text, v.exact, v.numerator, v.denominator, v.surd)
+        catalog = _catalog_snap_inputs(monkeypatch)
+        assert len(catalog) == 2485
+        p = np.arange(-64, 65)[:, None, None]
+        q = np.arange(1, SNAP_DENOMINATOR_BOUND + 1)[None, :, None]
+        lattice = np.unique(p / q * np.sqrt([1.0, 2.0, 3.0]))
+        normals = np.clip(np.random.default_rng(2024).normal(0.0, 30.0, 2000), -100.0, 100.0)
+        edges = [0.0, -0.0, EQUALITY_TOL, -2 * EQUALITY_TOL, 1e6, -1e6, 999999.9999999,
+                 math.inf, -math.inf, math.nan]
+        for x in [*catalog, *lattice, *normals, *edges]:
+            assert fields(rational_snap(x)) == fields(_reference_snap(x)), x
