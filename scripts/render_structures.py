@@ -17,7 +17,7 @@ GROUPS_3D = ("so3", "o2-e3", "so2-e3", "cubic", "d4", "d2")
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--format", choices=("text", "latex"), default="text")
-    parser.add_argument("--space", help="restrict to one space")
+    parser.add_argument("--space", choices=sorted(STRUCTURE_MAPS), help="restrict to one space")
     args = parser.parse_args()
 
     for name in sorted(STRUCTURE_MAPS):

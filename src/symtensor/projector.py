@@ -195,18 +195,16 @@ class StructureReport:
         return mat
 
 
-def _slot_label(row: int, col: int, wide: bool) -> str:
-    if wide:
-        return f"C{row + 1}_{col + 1}"
-    return f"C{row + 1}{col + 1}"
-
-
-def _structure_maps(space: TensorSpace) -> tuple:
-    """The slot maps registered under the space's name, checked against the space.
+def _display(space: TensorSpace) -> tuple:
+    """Compile the slot maps registered under the space's name into its display.
 
     Each displayed entry must read its tensor components from one orbit of
     the space's permutation group; a square display also mirrors its upper
-    triangle, so entries (r, c) and (c, r) must share that orbit.
+    triangle, so entries (r, c) and (c, r) must share that orbit.  An entry
+    is then its factor, the sum of its row slot's inverse scales times its
+    column slot's, times any one component it reads.  Returns the shape and,
+    per displayed slot (row-major, the upper triangle of a square display),
+    its (row, col), label, flat component index and factor.
     """
     if space.name not in STRUCTURE_MAPS:
         raise NoVoigtMapError(
@@ -218,15 +216,23 @@ def _structure_maps(space: TensorSpace) -> tuple:
     if (rows.n, cols.n, rows.order + cols.order) != (space.n, space.n, space.k):
         raise NoVoigtMapError(f"{misfit}: wrong ambient dimension or order")
     orbits = space.orbits.reshape((space.n,) * space.k)
+    square, wide = rows.length == cols.length, max(rows.length, cols.length) > 9
+    row_sum, col_sum = ([sum(s.inverse) for s in m.slots] for m in (rows, cols))
+    slots, labels, index, factor = [], [], [], []
     for r in range(rows.length):
-        for c in range(cols.length):
-            cells = {(r, c), (c, r)} if rows.length == cols.length else {(r, c)}
+        for c in range(r if square else 0, cols.length):
+            cells = {(r, c), (c, r)} if square else {(r, c)}
             comps = {orbits[ri + ci] for a, b in cells
                      for ri in rows.slots[a].pattern for ci in cols.slots[b].pattern}
             if len(comps) > 1:
                 raise NoVoigtMapError(f"{misfit}: entry ({r + 1},{c + 1}) reads "
                                       "components from more than one orbit")
-    return rows, cols
+            slots.append((r, c))
+            labels.append(f"C{r + 1}_{c + 1}" if wide else f"C{r + 1}{c + 1}")
+            index.append(rows.slots[r].pattern[0] + cols.slots[c].pattern[0])
+            factor.append(row_sum[r] * col_sum[c])
+    index = np.ravel_multi_index(np.array(index).T, orbits.shape)
+    return (rows.length, cols.length), slots, labels, index, np.array(factor)
 
 
 def structure_report(space: TensorSpace, group: SymmetryGroup) -> StructureReport:
@@ -260,7 +266,7 @@ def structure_report(space: TensorSpace, group: SymmetryGroup) -> StructureRepor
     is zero when its functional is at most ``SLOT_ZERO_TOL`` relative to
     the largest slot.
     """
-    map_row, map_col = _structure_maps(space)
+    (rows, cols), slots, labels, index, factor = _display(space)
     basis = image_basis(averaged_projector(space, group))
     dim = fix_dimension(space, group)
     if len(basis) != dim:
@@ -269,17 +275,10 @@ def structure_report(space: TensorSpace, group: SymmetryGroup) -> StructureRepor
             f"for ({space.name}, {group.catalog_id})"
         )
 
-    rows, cols = map_row.length, map_col.length
-    # feature[r, c] = functional of the slot on the invariant subspace (empty if dim 0)
-    stacked = np.array([t.coeffs for t in basis]).reshape(
-        dim, map_row.matrix.shape[1], map_col.matrix.shape[1])
-    feature = (map_row.matrix @ stacked @ map_col.matrix.T).transpose(1, 2, 0)
-    scale = float(np.max(np.linalg.norm(feature, axis=2), initial=0.0)) or 1.0
-    wide = max(rows, cols) > 9
-
-    symmetric_display = rows == cols
-    slots = [(r, c) for r in range(rows) for c in range(r if symmetric_display else 0, cols)]
-    vecs = feature[tuple(np.array(slots).T)]
+    # each slot's functional on the invariant subspace (no columns if dim 0)
+    coeffs = np.array([t.coeffs for t in basis]).reshape(dim, space.n ** space.k)
+    vecs = coeffs.T[index] * factor[:, None]
+    scale = float(np.max(np.linalg.norm(vecs, axis=1), initial=0.0)) or 1.0
     nonzero = np.linalg.norm(vecs, axis=1) > SLOT_ZERO_TOL * scale
     vecs[~nonzero] = 0.0  # so a zero slot solves to no terms
 
@@ -301,12 +300,11 @@ def structure_report(space: TensorSpace, group: SymmetryGroup) -> StructureRepor
             f"{group.catalog_id}) has extraction residual {residual[bad[0]]:.3e}"
         )
 
-    free_labels = [_slot_label(*slots[i], wide) for i in free]
+    free_labels = [labels[i] for i in free]
     entries: list[list] = [[None] * cols for _ in range(rows)]
     ties: dict = {}  # each multi-term combination -> (slot, label, combo) of its first slot
     unsnapped = 0
-    for i, (r, c) in enumerate(slots):
-        label = _slot_label(r, c, wide)
+    for i, ((r, c), label) in enumerate(zip(slots, labels)):
         if i in free:
             entry = StructureEntry("free", label=label)
         elif combos[i].any():
@@ -319,7 +317,7 @@ def structure_report(space: TensorSpace, group: SymmetryGroup) -> StructureRepor
         else:
             entry = StructureEntry("zero")
         entries[r][c] = entry
-        if symmetric_display:
+        if rows == cols:
             entries[c][r] = entry
 
     constraints, unsnapped_terms = _emit_constraints(ties.values(), dict(zip(free_labels, free)))
@@ -427,8 +425,14 @@ def extract_isotropic_moduli(values: dict) -> tuple:
     C11 = C12 + C44 + C45.  ``values`` maps labels to finite real numbers
     (not booleans) and must determine C12, C44 and one of C45 / C11 (the
     constraint supplies the missing one).  Given both, they must satisfy
-    it within 1e-9 relative to max(1, |C12| + |C44| + |C45|).
+    it within 1e-9 relative to max(1, |C12| + |C44| + |C45|).  Any other
+    symbol raises ``KeyError``.
     """
+    unknown = [repr(label) for label in values if label not in ("C11", "C12", "C44", "C45")]
+    if unknown:
+        raise KeyError(f"unknown symbol {', '.join(unknown)} in value assignment; "
+                       "known: C11, C12, C44, C45")
+
     def value(label: str) -> float:
         if label not in values:
             raise KeyError(f"missing required symbol {label!r} in value assignment")

@@ -268,6 +268,8 @@ class TestModuli:
         ("--values", '{"C12": 1, "C44": 3, "C45": 1, "C11": 100}', "contradicts"),
         ("--values", '{"C12": 1e308, "C44": 1e308, "C45": 1, "C11": 5}', "contradicts"),
         ("--values", '{"C12": 1e308, "C44": -1e308, "C45": 1e308, "C11": 5}', "contradicts"),
+        ("--values", '{"C12":1,"C44":3,"C54":1,"C11":5}', "unknown symbol 'C54'"),
+        ("--values", '{"C12":1,"C44":3,"C45":1,"lambda":9}', "unknown symbol 'lambda'"),
     ])
     def test_malformed_values_exit_5(self, tmp_path, capsys, source, text, message):
         if source == "--input":

@@ -5,7 +5,7 @@ from symtensor.core import FlatOperator, FlatTensor, image_basis, kron_power
 from symtensor.characters import fix_dimension
 from symtensor.groups import resolve_group
 from symtensor.projector import (DEPENDENT_RESIDUAL_TOL, FREE_SLOT_RATIO, MembershipError,
-                                 NoVoigtMapError, _averaged_action, _free_slots,
+                                 NoVoigtMapError, _averaged_action, _display, _free_slots,
                                  averaged_projector, extract_isotropic_moduli,
                                  isotropic_nine_matrix, moduli_from_matrix,
                                  project, structure_report)
@@ -19,6 +19,8 @@ TILTED_CASES = [(space, group, axis) for space in ("ela3", "major3", "v1bar", "v
 DISPLAY_CASES = ([(s, g, None) for s, g in ALL_PAIRS if s in STRUCTURE_MAPS]
                  + TILTED_CASES)
 PROJECT_CASES = [(s, g, None) for s, g in ALL_PAIRS] + TILTED_CASES
+COMPILE_CASES = ([(s, "trivial", None) for s in sorted(STRUCTURE_MAPS)]
+                 + [case for case in TILTED_CASES if case[0] in ("v1bar", "v2bar")])
 
 
 def _case_ids(cases) -> list:
@@ -228,6 +230,29 @@ class TestStructureReport:
         with pytest.raises(NoVoigtMapError, match=reason):
             structure_report(impostor, resolve_group("trivial", n))
 
+    @pytest.mark.parametrize("space_name,group_name,axis", COMPILE_CASES,
+                             ids=_case_ids(COMPILE_CASES))
+    def test_compiled_display_equals_the_slot_maps(self, space_name, group_name, axis):
+        # each compiled slot, one component times its factor, is the slot-map
+        # product map_row.matrix @ T @ map_col.matrix.T on every invariant tensor
+        sp = SPACES[space_name]
+        axis = None if axis is None else np.array(axis, float) / np.linalg.norm(axis)
+        g = resolve_group(group_name, sp.n, axis=axis)
+        map_row, map_col = STRUCTURE_MAPS[space_name]
+        (rows, cols), slots, _, index, factor = _display(sp)
+        assert (rows, cols) == (map_row.length, map_col.length)
+        basis = np.array([t.coeffs for t in image_basis(averaged_projector(sp, g))])
+        want = map_row.matrix @ basis.reshape(len(basis), map_row.matrix.shape[1], -1) \
+            @ map_col.matrix.T
+        got = basis[:, index] * factor
+        covered = np.zeros((rows, cols), int)
+        for at, (r, c) in enumerate(slots):
+            for a, b in {(r, c), (c, r)} if rows == cols else {(r, c)}:
+                covered[a, b] += 1
+                assert np.max(np.abs(got[:, at] - want[:, a, b])) \
+                    <= 1e-15 * np.max(np.abs(want)), (a, b)
+        assert (covered == 1).all()
+
     def test_unregistered_space_rejected(self):
         with pytest.raises(NoVoigtMapError):
             structure_report(SPACES["v1"], resolve_group("cubic", 3))
@@ -385,6 +410,14 @@ class TestIsotropicModuli:
             assert np.allclose(got, (lam, mu, mu_c), atol=1e-12)
             values = {"C12": m[0, 1], "C44": m[3, 3], "C45": m[3, 4]}
             assert np.allclose(extract_isotropic_moduli(values), (lam, mu, mu_c), atol=1e-12)
+
+    @pytest.mark.parametrize("values,unknown", [
+        ({"C12": 1, "C44": 3, "C54": 1, "C11": 5}, "'C54'"),
+        ({"C12": 1, "C44": 3, "C45": 1, "lambda": 9}, "'lambda'"),
+    ])
+    def test_unknown_symbol_rejected(self, values, unknown):
+        with pytest.raises(KeyError, match=f"unknown symbol {unknown}.*C11, C12, C44, C45"):
+            extract_isotropic_moduli(values)
 
     def test_c11_supplies_missing_value(self):
         lam, mu, mu_c = extract_isotropic_moduli({"C12": 1.0, "C44": 3.0, "C11": 5.0})

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -34,3 +36,10 @@ def test_render_structures_ties_shear_diagonal():
     shear = [line.split()[3:] for line in block.strip().splitlines()[4:7]]
     assert shear == [["C44", "0", "0"], ["0", "C44", "0"], ["0", "0", "C44"]]
     assert "with C11 = C12 + 2 C44" in block
+
+
+@pytest.mark.parametrize("space", ["v1", "nosuch", "ELA3"])
+def test_render_structures_refuses_unrenderable_space(space):
+    done = run_script("render_structures.py", "--space", space)
+    assert done.returncode == 2 and done.stdout == ""
+    assert f"invalid choice: '{space}'" in done.stderr and "ela3" in done.stderr
