@@ -5,10 +5,12 @@ name a user types (``z4``, ``cubic``, ``so2-e3``, ...).  A group's
 ``catalog_id`` is that name, with the ambient appended for the cyclic and
 dihedral groups (``z4_3d``).
 
-Finite groups are explicit element lists (checked for closure at
-construction).  A Haar integral is a weighted sum over a quadrature rule,
-an (m, n, n) stack of orthogonal matrices with m weights, and integrands
-are evaluated on the whole stack at once.  Continuous groups get the
+A finite group holds its elements as one read-only (m, n, n) matrix stack
+with one label per element.  Construction checks the whole stack at once:
+orthogonality and determinant in one stacked call, then the identity and
+all m^2 products as one product table.  A Haar integral is a weighted sum
+over a quadrature rule, an (m, n, n) stack of orthogonal matrices with m
+weights, and integrands are evaluated on the whole stack at once.  Continuous groups get the
 smallest rules of their kind that are exact for polynomials in the matrix
 entries up to a requested degree d:
 
@@ -27,6 +29,7 @@ entries up to a requested degree d:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -34,10 +37,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 ORTHO_TOL = 1e-12
 CLOSURE_TOL = 1e-10
+# Gram entries per pass of the closure check: one pass for every catalog
+# group (m^2 <= 576), bounded memory for a large user-built one
+_TABLE_BLOCK = 1 << 18
 
 # every group of rotations about one axis, by catalog name: its order (0 for
 # a circle group) and whether it has an improper coset
@@ -114,37 +119,62 @@ class QuadratureRule:
 class SymmetryGroup:
     """A closed subgroup of SO(3) or O(2).
 
-    A finite group lists its ``elements``; a continuous one has none, and
-    its ``catalog_id`` (``so2``, ``o2``, ``so2-e3``, ``o2-e3`` or ``so3``)
-    selects its Haar rule.  ``generators`` is a small generating (finite
-    case) or sampling (continuous case) set used by invariance checks and
-    the linear-system oracle.  3D groups built about a non-default axis
-    carry the conjugating rotation in ``frame``.
+    A finite group holds its elements as ``matrices``, a read-only
+    (m, n, n) stack, with one entry of ``labels`` per element; a continuous
+    one has none, and its ``catalog_id`` (``so2``, ``o2``, ``so2-e3``,
+    ``o2-e3`` or ``so3``) selects its Haar rule.  ``generators`` is a small
+    generating (finite case) or sampling (continuous case) set of
+    ``GroupElement`` used by invariance checks and the linear-system oracle.
+    3D groups built about a non-default axis carry the conjugating rotation
+    in ``frame``.
     """
 
     ambient: int
     catalog_id: str
-    elements: tuple = ()
+    matrices: Optional[np.ndarray] = None
+    labels: tuple = ()
     generators: tuple = ()
     frame: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.elements:
-            report = closure_check(self)
-            if not report.passed:
-                raise ValueError(f"group {self.catalog_id!r} fails closure: {report.message}")
-        elif _CONTINUOUS.get(self.catalog_id) != self.ambient:
-            raise ValueError(f"group {self.catalog_id!r} has no elements and is not a "
-                             f"continuous group on R^{self.ambient}")
+        name, n = self.catalog_id, self.ambient
+        if self.matrices is None:
+            if _CONTINUOUS.get(name) != n:
+                raise ValueError(f"group {name!r} has no elements and is not a "
+                                 f"continuous group on R^{n}")
+            return
+        mats, labels = _frozen(self.matrices), tuple(self.labels)
+        if n not in (2, 3):
+            raise ValueError(f"group {name!r}: finite groups act on R^2 or R^3, not R^{n}")
+        if mats.shape[1:] != (n, n):
+            raise ValueError(f"group {name!r} acts on R^{n}, but its elements "
+                             f"({', '.join(map(str, labels))}) form a stack of shape "
+                             f"{mats.shape}, not (m, {n}, {n})")
+        if len(labels) != len(mats):
+            raise ValueError(f"group {name!r} has {len(mats)} elements and {len(labels)} labels")
+        _check_orthogonal(mats, f"an element of group {name!r}")
+        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "labels", labels)
+        report = closure_check(self)
+        if not report.passed:
+            raise ValueError(f"group {name!r} fails closure: {report.message}")
 
     @property
     def is_finite(self) -> bool:
-        return bool(self.elements)
+        return self.matrices is not None
 
     def order(self) -> int:
         if not self.is_finite:
             raise ValueError("continuous groups have no finite order")
-        return len(self.elements)
+        return len(self.matrices)
+
+    @functools.cached_property
+    def elements(self) -> tuple:
+        """The finite group's elements as labelled ``GroupElement``s, built on
+        first use; () for a continuous group."""
+        if not self.is_finite:
+            return ()
+        return tuple(GroupElement(q, label) for q, label in zip(self.matrices, self.labels))
 
     def sample_elements(self) -> tuple:
         """Elements used for invariance spot checks: the generators, else the elements."""
@@ -213,32 +243,80 @@ def _axial_matrices(ambient: int, count: int, improper: bool, frame) -> np.ndarr
                      for coset in (False, True)[:1 + improper] for j in range(count)])
 
 
+def _table_failure(mats: np.ndarray, labels) -> Optional[tuple]:
+    """The first way a nonempty (m, n, n) stack of orthogonal matrices fails
+    to be a group, as (message, index pair of the witnesses or None), or
+    None if it is one.
+
+    The identity is checked first.  Then every product mats[i] @ mats[j]
+    is matched to its nearest element, the largest entry of the Gram matrix
+    ``prod @ mats.T`` (for orthogonal matrices |P - M|_F^2 = 2n - 2 <P, M>),
+    and must lie within CLOSURE_TOL of it in max-abs; the first miss in
+    row-major (i, j) order is reported.  Last, with every product in the
+    set, a row of that product table which is no permutation maps two
+    elements to one: they repeat.
+    """
+    m, n = mats.shape[:2]
+    if not np.any(np.max(np.abs(mats - np.eye(n)), axis=(1, 2)) < CLOSURE_TOL):
+        return "identity element missing", None
+    flat = mats.reshape(m, n * n)
+    table = np.empty((m, m), dtype=np.intp)
+    rows = max(1, _TABLE_BLOCK // (m * m))
+    for start in range(0, m, rows):
+        prods = mats[start:start + rows, None] @ mats  # prods[i, j] = mats[i] @ mats[j]
+        nearest = np.argmax(prods.reshape(-1, n * n) @ flat.T, axis=1).reshape(-1, m)
+        gap = np.max(np.abs(prods - mats[nearest]), axis=(2, 3))
+        missing = np.flatnonzero(~(gap < CLOSURE_TOL))  # NaN misses too
+        if missing.size:
+            i, j = divmod(int(missing[0]), m)
+            i += start
+            return f"product of elements {i} ({labels[i]}) and {j} ({labels[j]}) not in set", (i, j)
+        table[start:start + rows] = nearest
+    shuffled = np.flatnonzero(np.any(np.sort(table, axis=1) != np.arange(m), axis=1))
+    if shuffled.size:
+        row = table[shuffled[0]].tolist()
+        later = next(j for j in range(m) if row[j] in row[:j])
+        first = row.index(row[later])
+        return (f"elements {first} ({labels[first]}) and {later} ({labels[later]}) "
+                f"are the same element"), (first, later)
+    return None
+
+
 def closure_check(g) -> ClosureReport:
-    """Verify a finite element list is closed under products and has the identity.
+    """Verify a finite element list is a group: the identity is present, every
+    product is in the set (within CLOSURE_TOL, max-abs) and no element repeats.
 
     Accepts a finite ``SymmetryGroup`` or a plain sequence of
     ``GroupElement`` (useful for vetting a candidate list before it can
-    be turned into a group at all).
+    be turned into a group at all); a sequence mixing 2x2 and 3x3 elements
+    fails, naming the first element whose size differs from the first's.
+    A missing product names its first (i, j) in row-major order, and the
+    report's witness holds both elements.
     """
-    elements = g.elements if isinstance(g, SymmetryGroup) else tuple(g)
-    if not elements:
+    if isinstance(g, SymmetryGroup):
+        elements, mats, labels = None, g.matrices, g.labels
+    else:
+        elements = tuple(g)
+        labels = [e.label for e in elements]
+        odd = next((j for j, e in enumerate(elements)
+                    if e.matrix.shape != elements[0].matrix.shape), None)
+        if odd is not None:
+            a, b = elements[0], elements[odd]
+            return ClosureReport(False, f"elements 0 ({a.label}) and {odd} ({b.label}) are "
+                                        f"{len(a.matrix)}x{len(a.matrix)} and "
+                                        f"{len(b.matrix)}x{len(b.matrix)} matrices",
+                                 witness=(a, b))
+        mats = np.stack([e.matrix for e in elements]) if elements else None
+    if mats is None or not len(mats):
         return ClosureReport(False, "empty element list")
-    mats = np.stack([e.matrix for e in elements])
-    if not np.any(np.max(np.abs(mats - np.eye(mats.shape[1])), axis=(1, 2)) < CLOSURE_TOL):
-        return ClosureReport(False, "identity element missing")
-    for i, a in enumerate(elements):
-        # found[j, m]: the product a @ elements[j] matches elements[m]
-        found = np.max(np.abs((a.matrix @ mats)[:, None] - mats[None]), axis=(2, 3)) < CLOSURE_TOL
-        missing = np.flatnonzero(~found.any(axis=1))
-        if missing.size:
-            j = int(missing[0])
-            b = elements[j]
-            return ClosureReport(
-                False,
-                f"product of elements {i} ({a.label}) and {j} ({b.label}) not in set",
-                witness=(a, b),
-            )
-    return ClosureReport(True, "closed under multiplication; identity present")
+    failure = _table_failure(mats, labels)
+    if failure is None:
+        return ClosureReport(True, "closed under multiplication; identity present")
+    message, pair = failure
+    if pair is None:
+        return ClosureReport(False, message)
+    elements = g.elements if elements is None else elements
+    return ClosureReport(False, message, witness=(elements[pair[0]], elements[pair[1]]))
 
 
 def _check_degree(degree) -> None:
@@ -264,8 +342,7 @@ def haar_rule(g: SymmetryGroup, max_poly_degree: int = 8) -> QuadratureRule:
     """
     _check_degree(max_poly_degree)
     if g.is_finite:
-        mats = np.stack([e.matrix for e in g.elements])
-        return QuadratureRule(mats, np.full(len(mats), 1.0 / len(mats)))
+        return QuadratureRule(g.matrices, np.full(g.order(), 1.0 / g.order()))
     name = g.catalog_id
     if name == "so3" and max_poly_degree > 12:
         raise ValueError(f"max_poly_degree must be <= 12 on so3, got {max_poly_degree}")
@@ -275,7 +352,7 @@ def haar_rule(g: SymmetryGroup, max_poly_degree: int = 8) -> QuadratureRule:
         return QuadratureRule(mats, np.full(len(mats), 1.0 / len(mats)))
 
     turns = np.stack([rotation_z(2 * np.pi * j / count) for j in range(count)])
-    u_nodes, u_weights = leggauss(max_poly_degree // 2 + 1)
+    u_nodes, u_weights = np.polynomial.legendre.leggauss(max_poly_degree // 2 + 1)
     tilts = np.stack([rotation_y(float(np.arccos(u))) for u in u_nodes])
     mats = (turns[:, None] @ tilts)[:, :, None] @ turns
     weights = np.broadcast_to(u_weights[:, None] / (2 * count * count), mats.shape[:3])
@@ -294,7 +371,7 @@ def integrate(g: SymmetryGroup, f: Callable[[np.ndarray], np.ndarray],
     """
     _check_degree(degree)
     if g.is_finite:
-        return math.fsum(f(np.stack([e.matrix for e in g.elements]))) / len(g.elements)
+        return math.fsum(f(g.matrices)) / g.order()
     rule = haar_rule(g, degree)
     return math.fsum(rule.weights * f(rule.matrices))
 
@@ -322,15 +399,16 @@ def group_kind(name: str) -> str:
 
 
 def _cube_rotations() -> tuple:
-    """The rotations of the cube: the signed permutation matrices with det +1."""
-    els = []
-    for perm in itertools.permutations(range(3)):
-        base = np.eye(3)[list(perm)]
-        for signs in itertools.product((1, -1), repeat=3):
-            q = np.diag(signs).astype(float) @ base
-            if np.linalg.det(q) > 0.0:
-                els.append(GroupElement(q, f"signed_perm{perm}{signs}"))
-    return tuple(els)
+    """The rotations of the cube, the signed permutation matrices with det +1,
+    as a (24, 3, 3) stack, and their labels."""
+    perms = list(itertools.permutations(range(3)))
+    signs = list(itertools.product((1, -1), repeat=3))
+    flips = np.array([np.diag(s) for s in signs], dtype=float)
+    mats = (flips[None] @ np.eye(3)[np.array(perms)][:, None]).reshape(-1, 3, 3)
+    proper = np.linalg.det(mats) > 0.0
+    labels = tuple(f"signed_perm{perm}{sign}" for (perm, sign), keep
+                   in zip(itertools.product(perms, signs), proper) if keep)
+    return mats[proper], labels
 
 
 def resolve_group(name: str, ambient: int, axis=None) -> SymmetryGroup:
@@ -360,13 +438,14 @@ def resolve_group(name: str, ambient: int, axis=None) -> SymmetryGroup:
         if np.max(np.abs(frame - np.eye(3))) < 1e-15:
             frame = None  # the default axis e3
     if key == "trivial":
-        eye = GroupElement(np.eye(ambient), "id")
-        return SymmetryGroup(ambient, key, elements=(eye,), generators=(eye,))
+        eye = np.eye(ambient)
+        return SymmetryGroup(ambient, key, eye[None], ("id",),
+                             generators=(GroupElement(eye, "id"),))
     if key == "cubic":
         gens = (GroupElement(rotation_z(np.pi / 2).round(12), "rot(e3,pi/2)"),
                 GroupElement(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
                              "rot(111,2pi/3)"))
-        return SymmetryGroup(3, key, elements=_cube_rotations(), generators=gens)
+        return SymmetryGroup(3, key, *_cube_rotations(), generators=gens)
     if key == "so3":
         gens = (GroupElement(rotation_z(0.9), "rot(e3,0.9)"),
                 GroupElement(rotation_y(1.3), "rot(e2,1.3)"),
@@ -378,8 +457,8 @@ def resolve_group(name: str, ambient: int, axis=None) -> SymmetryGroup:
         gens = tuple(GroupElement(_axial(ambient, theta, coset, frame)) for theta, coset
                      in ((0.9, False), (0.0, True) if improper else (2.31, False)))
         return SymmetryGroup(ambient, key, generators=gens, frame=frame)
-    els = tuple(GroupElement(q, f"{key}[{i}]")
-                for i, q in enumerate(_axial_matrices(ambient, order, improper, frame)))
-    gens = (els[1],) + ((els[order],) if improper else ())
-    return SymmetryGroup(ambient, f"{key}_{ambient}d", elements=els, generators=gens,
+    mats = _axial_matrices(ambient, order, improper, frame)
+    labels = tuple(f"{key}[{i}]" for i in range(len(mats)))
+    gens = tuple(GroupElement(mats[i], labels[i]) for i in (1, order)[:1 + improper])
+    return SymmetryGroup(ambient, f"{key}_{ambient}d", mats, labels, generators=gens,
                          frame=frame)

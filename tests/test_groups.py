@@ -1,10 +1,14 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from symtensor.groups import (FLIP_E1_3D, GROUPS_2D, GROUPS_3D, REFLECTION_2D,
+from symtensor.groups import (CLOSURE_TOL, FLIP_E1_3D, GROUPS_2D, GROUPS_3D, REFLECTION_2D,
                               GroupElement, QuadratureRule, SymmetryGroup, axis_aligner,
                               closure_check, group_kind, haar_rule, integrate,
                               resolve_group, rotation_2d, rotation_y, rotation_z)
@@ -67,6 +71,74 @@ def brute_force_cube_rotations():
             if np.linalg.det(m) > 0:
                 out.append(m)
     return out
+
+
+def closure_loop(elements):
+    """The quadratic closure check, one row of the product table at a time,
+    as (passed, message, witness labels): the reference for ``closure_check``.
+    Once every product is found, a row whose first matches are no
+    permutation reports its first repeated column and the earlier one."""
+    elements = tuple(elements)
+    if not elements:
+        return False, "empty element list", None
+    mats = np.stack([e.matrix for e in elements])
+    if not np.any(np.max(np.abs(mats - np.eye(mats.shape[1])), axis=(1, 2)) < CLOSURE_TOL):
+        return False, "identity element missing", None
+    rows = []
+    for i, a in enumerate(elements):
+        # found[j, m]: the product a @ elements[j] matches elements[m]
+        found = np.max(np.abs((a.matrix @ mats)[:, None] - mats[None]), axis=(2, 3)) < CLOSURE_TOL
+        missing = np.flatnonzero(~found.any(axis=1))
+        if missing.size:
+            b = elements[int(missing[0])]
+            return (False, f"product of elements {i} ({a.label}) and {int(missing[0])} "
+                           f"({b.label}) not in set", (a.label, b.label))
+        rows.append(found.argmax(axis=1).tolist())
+    for row in rows:
+        for j, target in enumerate(row):
+            if target in row[:j]:
+                a, b = elements[row.index(target)], elements[j]
+                return (False, f"elements {row.index(target)} ({a.label}) and {j} ({b.label}) "
+                               f"are the same element", (a.label, b.label))
+    return True, "closed under multiplication; identity present", None
+
+
+def closure_outcome(g):
+    report = closure_check(g)
+    labels = None if report.witness is None else tuple(e.label for e in report.witness)
+    return report.passed, report.message, labels
+
+
+def finite_catalog():
+    """Every finite catalog group, the 3D axial ones also about two tilted axes."""
+    tilted = (None, np.ones(3) / math.sqrt(3.0), np.array([0.0, 0.6, 0.8]))
+    out = []
+    for ambient, names in ((2, GROUPS_2D), (3, GROUPS_3D)):
+        for name in names:
+            if group_kind(name) == "finite":
+                for axis in tilted if ambient == 3 and name[0] in "zd" else (None,):
+                    out.append(resolve_group(name, ambient, axis=axis))
+    return out
+
+
+def moved_involution(e, size):
+    """A reflection (2D) or half-turn (3D) ``e`` moved to e R, with R a small
+    rotation that e conjugates to its inverse (any rotation in 2D, one about
+    an axis perpendicular to the half-turn's in 3D), scaled so that e R - e
+    has max-abs ``size``.  Then (e R)^2 = I, and on the catalog groups no
+    product with e R is off from the list by more than 1.25 ``size``, so
+    moves of 5e-11 and 2e-10 land on either side of CLOSURE_TOL."""
+    q, frame = e.matrix, None
+    if len(q) == 3:
+        axis = np.linalg.svd(q + np.eye(3))[0][:, 0]  # fixed by the half-turn
+        normal = np.cross(axis, np.eye(3)[np.argmin(np.abs(axis))])
+        frame = axis_aligner(normal / np.linalg.norm(normal))
+
+    def turn(t):
+        return rotation_2d(t) if frame is None else frame @ rotation_z(t) @ frame.T
+
+    unit = np.max(np.abs(q @ turn(size) - q)) / size
+    return GroupElement(q @ turn(size / unit), e.label + "'")
 
 
 class TestFiniteCatalog:
@@ -149,6 +221,69 @@ class TestClosureCheck:
         assert report.message == (f"product of elements {i} (r^{powers[i]}) and "
                                   f"{j} (r^{powers[j]}) not in set")
         assert report.witness == (elements[i], elements[j])
+
+
+class TestClosureTable:
+    """``closure_check`` gives the reference loop's (passed, message, witness
+    labels) on every catalog group and on mutated element lists."""
+
+    @pytest.mark.parametrize("g", finite_catalog(), ids=lambda g: g.catalog_id)
+    def test_catalog_group_matches_loop(self, g):
+        elements = list(g.elements)
+        assert closure_outcome(g) == closure_outcome(elements) == closure_loop(elements)
+        assert closure_check(g).passed
+
+    @pytest.mark.parametrize("g", finite_catalog(), ids=lambda g: g.catalog_id)
+    def test_mutated_lists_match_loop(self, g):
+        elements = list(g.elements)
+        # the reflections (2D) and half-turns (3D)
+        flips = [k for k, e in enumerate(elements) if np.linalg.det(e.matrix) < 0.0
+                 or g.ambient == 3 and np.trace(e.matrix) == pytest.approx(-1.0)]
+        cases = {}
+        for k in flips:
+            # {I, e R} is itself a group, so only order 2 keeps a 2e-10 move
+            for size, passes in ((5e-11, True), (2e-10, g.order() == 2)):
+                moved = moved_involution(elements[k], size)
+                assert np.max(np.abs(moved.matrix - elements[k].matrix)) == pytest.approx(size)
+                cases[f"move {k} by {size}"] = (elements[:k] + [moved] + elements[k + 1:], passes)
+        for k in range(g.order()):
+            cases[f"drop {k}"] = (elements[:k] + elements[k + 1:], None)
+            cases[f"repeat {k}"] = (elements + [elements[k]], False)
+        for name, (mutated, passes) in cases.items():
+            want = closure_loop(mutated)
+            assert closure_outcome(mutated) == want, name
+            assert passes is None or want[0] == passes, name
+        if g.order() > 1:
+            assert closure_outcome(elements[1:]) == (False, "identity element missing", None)
+
+    def test_repeat_names_both_elements(self):
+        z2 = resolve_group("z2", 3)
+        report = closure_check(list(z2.elements) + [z2.elements[1]])
+        assert not report.passed
+        assert report.message == "elements 1 (z2[1]) and 2 (z2[1]) are the same element"
+
+    def test_mixed_sizes_name_both_elements(self):
+        elements = [GroupElement(np.eye(2), "id2"), GroupElement(np.eye(3), "id3")]
+        report = closure_check(elements)
+        assert not report.passed
+        assert report.message == "elements 0 (id2) and 1 (id3) are 2x2 and 3x3 matrices"
+        assert report.witness == (elements[0], elements[1])
+
+    @pytest.mark.parametrize("block", [1, 3000])  # 1 and 5 rows per pass
+    def test_row_blocks_give_the_same_report(self, monkeypatch, block):
+        # a large group is checked a few rows of the product table per pass
+        import symtensor.groups
+        monkeypatch.setattr(symtensor.groups, "_TABLE_BLOCK", block)
+        elements = list(resolve_group("cubic", 3).elements)
+        mutated = [elements, elements[:5] + elements[6:], elements + [elements[20]],
+                   elements[:7] + [moved_involution(elements[7], 2e-10)] + elements[8:]]
+        for case in mutated:
+            assert closure_outcome(case) == closure_loop(case)
+        assert [closure_outcome(case)[0] for case in mutated] == [True, False, False, False]
+
+    def test_empty(self):
+        assert closure_outcome([]) == (False, "empty element list", None)
+        assert closure_outcome(resolve_group("so3", 3)) == (False, "empty element list", None)
 
 
 class TestHaarRule:
@@ -473,6 +608,64 @@ class TestResolveGroup:
             g = resolve_group(name, 3)
             for e in g.elements:
                 assert np.linalg.det(e.matrix) > 0.0
+
+
+class TestMatrixStack:
+    """A finite group is one validated, read-only (m, n, n) stack with labels."""
+
+    @pytest.mark.parametrize("g", finite_catalog(), ids=lambda g: g.catalog_id)
+    def test_stack_and_labels_are_the_elements(self, g):
+        assert g.matrices.shape == (g.order(), g.ambient, g.ambient)
+        assert not g.matrices.flags.writeable
+        assert g.matrices.tobytes() == np.stack([e.matrix for e in g.elements]).tobytes()
+        assert g.labels == tuple(e.label for e in g.elements)
+
+    def test_construction_builds_no_group_element_per_element(self, monkeypatch):
+        built = []
+        original = GroupElement.__post_init__
+
+        def counting(self):
+            built.append(self.label)
+            original(self)
+
+        monkeypatch.setattr(GroupElement, "__post_init__", counting)
+        g = resolve_group("cubic", 3)
+        assert built == ["rot(e3,pi/2)", "rot(111,2pi/3)"]  # the generators only
+        assert len(haar_rule(g)) == 24 and integrate(g, lambda q: trace(q) ** 2) == 1.0
+        assert len(built) == 2
+        assert g.elements is g.elements and len(built) == 26
+
+    def test_repeated_element_refused(self):
+        z2 = resolve_group("z2", 3)
+        with pytest.raises(ValueError, match=r"elements 1 \(z2\[1\]\) and 2 \(z2\[1\]\) are "
+                                             r"the same element"):
+            SymmetryGroup(3, "z2dup", np.concatenate([z2.matrices, z2.matrices[1:]]),
+                          z2.labels + z2.labels[1:], generators=z2.generators)
+
+    def test_wrong_size_refused(self):
+        with pytest.raises(ValueError, match=r"acts on R\^3, but its elements \(id\) form a "
+                                             r"stack of shape \(1, 2, 2\)"):
+            SymmetryGroup(3, "x", np.eye(2)[None], ("id",))
+
+    @pytest.mark.parametrize("mats,labels,match", [
+        (np.eye(4)[None], ("id",), "R\\^2 or R\\^3, not R\\^4"),
+        (np.eye(3)[None], (), "1 elements and 0 labels"),
+        (np.stack([np.eye(3), np.diag([1.0, -1.0, -1.0]) + 1e-9]), ("id", "x"), "not orthogonal"),
+        (np.stack([np.eye(3), -np.eye(3)]), ("id", "-id"), "improper"),
+        (np.empty((0, 3, 3)), (), "empty element list"),
+    ])
+    def test_bad_stacks_refused(self, mats, labels, match):
+        ambient = 4 if mats.shape[-1] == 4 else 3
+        with pytest.raises(ValueError, match=match):
+            SymmetryGroup(ambient, "x", mats, labels)
+
+    def test_cold_import_skips_numpy_polynomial(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        code = "import sys, symtensor.cli; print('numpy.polynomial' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestGroupElementValidation:
