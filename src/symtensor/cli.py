@@ -9,6 +9,9 @@ consistency failure, 5 bad input (tensor file or moduli values), 6 a
 ``structure`` display printed with coefficients that matched no rational
 or surd form ("(unsnapped)").  Every numerical threshold is a
 fixed constant; none is read from the environment.
+
+Only the standard library and ``catalog`` load with this module; each
+command imports the modules it runs, so ``moduli`` runs without numpy.
 """
 
 from __future__ import annotations
@@ -18,16 +21,8 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import spaces, voigt
-from .characters import QuadratureNotConvergedError, fix_dimension
-from .core import FlatTensor, act
-from .groups import GROUPS_2D, GROUPS_3D, resolve_group
-from .projector import (InternalConsistencyError, MembershipError,
-                        NoVoigtMapError, extract_isotropic_moduli, project,
-                        structure_report)
-from .verification import ROW_CATEGORIES, run_rows
+from .catalog import (GROUPS_2D, GROUPS_3D, ROW_CATEGORIES, SPACE_NAMES,
+                      extract_isotropic_moduli)
 
 EXIT_OK = 0
 EXIT_NAME = 2
@@ -40,6 +35,8 @@ EXIT_UNSNAPPED = 6
 def _parse_axis(text):
     if text is None:
         return None
+    import numpy as np
+
     parts = [float(p) for p in text.replace(",", " ").split()]
     if len(parts) != 3:
         raise ValueError("axis needs three components")
@@ -59,13 +56,19 @@ def _fail(code: int, exc: Exception) -> int:
 
 
 def _resolve(args):
-    sp = spaces.lookup(args.space)
+    from .groups import resolve_group
+    from .spaces import lookup
+
+    sp = lookup(args.space)
     axis = _parse_axis(getattr(args, "axis", None))
     group = resolve_group(args.group, sp.n, axis=axis)
     return sp, group
 
 
-def _read_tensor(path: str, sp) -> FlatTensor:
+def _read_tensor(path: str, sp):
+    import numpy as np
+    from .core import FlatTensor
+
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or "coeffs" not in payload:
@@ -88,7 +91,7 @@ def _read_tensor(path: str, sp) -> FlatTensor:
     return FlatTensor(n, k, np.asarray(coeffs, dtype=float))
 
 
-def _write_tensor(path, sp, tensor: FlatTensor, extra=None) -> None:
+def _write_tensor(path, sp, tensor, extra=None) -> None:
     payload = {"space": sp.name, "n": tensor.n, "k": tensor.k,
                "coeffs": tensor.coeffs.tolist()}
     if extra:
@@ -102,6 +105,8 @@ def _write_tensor(path, sp, tensor: FlatTensor, extra=None) -> None:
 
 
 def cmd_dim(args) -> int:
+    from .characters import QuadratureNotConvergedError, fix_dimension
+
     try:
         sp, group = _resolve(args)
     except (KeyError, ValueError) as exc:
@@ -120,6 +125,9 @@ def cmd_dim(args) -> int:
 
 
 def cmd_structure(args) -> int:
+    from .characters import QuadratureNotConvergedError
+    from .projector import InternalConsistencyError, NoVoigtMapError, structure_report
+
     try:
         sp, group = _resolve(args)
     except (KeyError, ValueError) as exc:
@@ -146,6 +154,10 @@ def cmd_structure(args) -> int:
 
 
 def cmd_project(args) -> int:
+    import numpy as np
+    from .core import act
+    from .projector import MembershipError, project
+
     try:
         sp, group = _resolve(args)
     except (KeyError, ValueError) as exc:
@@ -195,6 +207,8 @@ def cmd_moduli(args) -> int:
 
 
 def cmd_maps(args) -> int:
+    from . import voigt
+
     if args.dump:
         print(json.dumps(voigt.dump_tables(), indent=2))
     else:
@@ -204,6 +218,8 @@ def cmd_maps(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
+    from .verification import run_rows
+
     categories = None
     if args.rows is not None:
         categories = [c.strip() for c in args.rows.split(",") if c.strip()]
@@ -236,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_pair(p):
         p.add_argument("--space", required=True,
-                       help=f"space name: {', '.join(spaces.CATALOG_NAMES)}")
+                       help=f"space name: {', '.join(SPACE_NAMES)}")
         p.add_argument("--group", required=True,
                        help=f"group name; 2D spaces: {', '.join(GROUPS_2D)}; "
                             f"3D spaces: {', '.join(GROUPS_3D)}")

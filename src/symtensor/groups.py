@@ -38,6 +38,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .catalog import GROUPS_2D, GROUPS_3D
+
 ORTHO_TOL = 1e-12
 CLOSURE_TOL = 1e-10
 # Gram entries per pass of the closure check: one pass for every catalog
@@ -113,6 +115,16 @@ class QuadratureRule:
 
     def __len__(self) -> int:
         return len(self.weights)
+
+
+def _uniform_rule(mats: np.ndarray) -> QuadratureRule:
+    """Uniform weights over a stack a ``SymmetryGroup`` has already checked:
+    the rule holds that read-only stack itself, with no copy and no second
+    check."""
+    rule = object.__new__(QuadratureRule)
+    object.__setattr__(rule, "matrices", mats)
+    object.__setattr__(rule, "weights", _frozen(np.full(len(mats), 1.0 / len(mats))))
+    return rule
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,11 +339,11 @@ def _check_degree(degree) -> None:
 def haar_rule(g: SymmetryGroup, max_poly_degree: int = 8) -> QuadratureRule:
     """Quadrature rule realizing the normalized Haar measure on ``g``.
 
-    Finite groups get their element list with uniform weights 1/|G|.  A
-    circle group gets the elements of the cyclic (SO(2)-type) or dihedral
-    (O(2)-type) group of order degree + 1 about its axis, with uniform
-    weights.  SO(3) uses the product rule over (phi, theta, psi) in
-    [0,2pi] x [0,pi] x [0,2pi] with the invariant density
+    Finite groups get their own element stack, not copied, with uniform
+    weights 1/|G|.  A circle group gets the elements of the cyclic
+    (SO(2)-type) or dihedral (O(2)-type) group of order degree + 1 about
+    its axis, with uniform weights.  SO(3) uses the product rule over
+    (phi, theta, psi) in [0,2pi] x [0,pi] x [0,2pi] with the invariant density
     sin(theta)/(8 pi^2): degree + 1 uniform nodes in phi and in psi and
     degree // 2 + 1 Gauss-Legendre nodes in u = cos(theta), node Rz(phi)
     Ry(arccos u) Rz(psi) in (phi, u, psi) order.  Each is exact (up to
@@ -342,7 +354,7 @@ def haar_rule(g: SymmetryGroup, max_poly_degree: int = 8) -> QuadratureRule:
     """
     _check_degree(max_poly_degree)
     if g.is_finite:
-        return QuadratureRule(g.matrices, np.full(g.order(), 1.0 / g.order()))
+        return _uniform_rule(g.matrices)
     name = g.catalog_id
     if name == "so3" and max_poly_degree > 12:
         raise ValueError(f"max_poly_degree must be <= 12 on so3, got {max_poly_degree}")
@@ -379,10 +391,6 @@ def integrate(g: SymmetryGroup, f: Callable[[np.ndarray], np.ndarray],
 # ---------------------------------------------------------------------------
 # The catalog
 
-# catalog names per ambient dimension, in display order
-GROUPS_2D = ("trivial", "z2", "z3", "z4", "z6", "d2", "d3", "d4", "d6", "so2", "o2")
-GROUPS_3D = ("trivial", "z2", "z3", "z4", "z6", "d2", "d3", "d4", "d6",
-             "cubic", "so2-e3", "o2-e3", "so3")
 CATALOG_NAMES = tuple(dict.fromkeys(GROUPS_2D + GROUPS_3D))
 
 

@@ -12,12 +12,11 @@ convention implies.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog import extract_isotropic_moduli  # re-exported; it needs no numpy
 from .core import FlatOperator, FlatTensor, act, image_basis, kron_stack, rational_snap
 from .characters import _check_ambient, fix_dimension
 from .groups import SymmetryGroup, haar_rule
@@ -415,50 +414,6 @@ def isotropic_nine_matrix(lam: float, mu: float, mu_c: float) -> np.ndarray:
             [[mu + mu_c, mu - mu_c], [mu - mu_c, mu + mu_c]]
         )
     return m
-
-
-def extract_isotropic_moduli(values: dict) -> tuple:
-    """(lambda, mu, mu_c) from values of the isotropic 45-constant display.
-
-    The labels are those of the major3 x so3 display (``structure --space
-    major3 --group so3``), which shows C11, C12, C44 and C45 tied by
-    C11 = C12 + C44 + C45.  ``values`` maps labels to finite real numbers
-    (not booleans) and must determine C12, C44 and one of C45 / C11 (the
-    constraint supplies the missing one).  Given both, they must satisfy
-    it within 1e-9 relative to max(1, |C12| + |C44| + |C45|).  Any other
-    symbol raises ``KeyError``.
-    """
-    unknown = [repr(label) for label in values if label not in ("C11", "C12", "C44", "C45")]
-    if unknown:
-        raise KeyError(f"unknown symbol {', '.join(unknown)} in value assignment; "
-                       "known: C11, C12, C44, C45")
-
-    def value(label: str) -> float:
-        if label not in values:
-            raise KeyError(f"missing required symbol {label!r} in value assignment")
-        v = values[label]
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
-            raise ValueError(f"{label} must be a finite number, got {v!r} ({type(v).__name__})")
-        return float(v)
-
-    lam, c44 = value("C12"), value("C44")
-    if "C45" in values:
-        c45 = value("C45")
-        if "C11" in values:
-            c11, expected = value("C11"), lam + c44 + c45
-            bound = max(1e-9, sum(1e-9 * abs(v) for v in (lam, c44, c45)))  # cannot overflow
-            if not math.isfinite(expected) or abs(c11 - expected) > bound:
-                raise ValueError(f"C11 = {c11!r} contradicts the constraint "
-                                 f"C11 = C12 + C44 + C45 = {expected!r}")
-    elif "C11" in values:
-        c45 = value("C11") - lam - c44
-    else:
-        raise KeyError("assignment must provide C45 or C11")
-    mu = (c44 + c45) / 2.0
-    mu_c = (c44 - c45) / 2.0
-    if not all(map(math.isfinite, (c45, mu, mu_c))):
-        raise ValueError("the moduli overflow the double range")
-    return lam, mu, mu_c
 
 
 def moduli_from_matrix(m: np.ndarray) -> tuple:

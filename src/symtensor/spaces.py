@@ -17,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .catalog import SPACE_NAMES as CATALOG_NAMES
 from .core import FlatOperator, FlatTensor
 
 
@@ -148,7 +149,7 @@ def symmetrize(space: TensorSpace, arr) -> FlatTensor:
 
 
 # ---------------------------------------------------------------------------
-# Catalog
+# Catalog, one entry per name of ``catalog.SPACE_NAMES``, in its order
 #
 # Position permutations are 0-based.  Pair swaps below exchange the two
 # argument blocks of an operator-valued tensor (major symmetry).
@@ -174,8 +175,6 @@ SPACES: dict[str, TensorSpace] = {
     # planar third-order theory: block swap only
     "high2": TensorSpace("high2", 2, 6, (_BLOCK_SWAP_6,)),
 }
-
-CATALOG_NAMES = tuple(SPACES)
 
 
 def lookup(name: str) -> TensorSpace:

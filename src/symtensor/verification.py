@@ -17,12 +17,12 @@ from typing import Callable
 import numpy as np
 
 from . import groups, voigt
+from .catalog import ROW_CATEGORIES, extract_isotropic_moduli
 from .characters import character_closed_form, character_direct, fix_dimension
 from .core import FlatTensor, act
 from .groups import haar_rule, integrate, resolve_group
-from .projector import (_averaged_action, extract_isotropic_moduli,
-                        isotropic_nine_matrix, moduli_from_matrix, project,
-                        structure_report)
+from .projector import (_averaged_action, isotropic_nine_matrix, moduli_from_matrix,
+                        project, structure_report)
 from .spaces import SPACES, symmetrize
 from .voigt import (EXTENDED18, EXTENDED18_ORDER, MANDEL6, NINE_SLOT, VOIGT6, anti,
                     axl, induced_matrix)
@@ -900,10 +900,6 @@ def build_rows() -> list:
     rows += _moduli_rows()
     rows += _spot_rows()
     return rows
-
-
-ROW_CATEGORIES = ("dims", "characters", "haar", "structure", "projector",
-                  "oracle", "voigt", "moduli", "spot")
 
 
 def run_rows(categories=None):

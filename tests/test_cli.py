@@ -19,6 +19,29 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+# runs cli.main on its arguments in a fresh interpreter, then prints the
+# command's stdout and the modules loaded by then as one JSON line
+COLD_RUN = """
+import contextlib, io, json, sys
+from symtensor import cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, out.getvalue(), sorted(sys.modules)]))
+"""
+
+
+def run_cold(*argv):
+    """stdout of one command that exits 0 in a fresh interpreter, and the
+    set of modules it loaded."""
+    done = subprocess.run([sys.executable, "-c", COLD_RUN, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=300)
+    assert done.returncode == 0, done.stderr
+    code, out, loaded = json.loads(done.stdout)
+    assert code == 0, done.stderr
+    return out, set(loaded)
+
+
 class TestDim:
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, "dim", "--space", "ela3", "--group", "cubic")
@@ -306,15 +329,11 @@ class TestModuli:
         code, out, err = run(capsys, "moduli", "--values", "")
         assert code == 5 and out == "" and err.startswith("error: bad --values JSON")
 
-    def test_no_structure_report(self, capsys, monkeypatch):
-        # the moduli come from the values alone; no display is computed
-        def refuse(*args, **kwargs):
-            raise AssertionError("structure report built")
-
-        monkeypatch.setattr("symtensor.cli.structure_report", refuse)
-        code, out, _ = run(capsys, "moduli", "--values", '{"C12":1,"C44":3,"C45":1}')
-        assert code == 0
+    def test_runs_without_numpy(self):
+        # the moduli come from the values alone: no display, no numerical module
+        out, loaded = run_cold("moduli", "--values", '{"C12":1,"C44":3,"C45":1}')
         assert out == '{"lambda": 1.0, "mu": 2.0, "mu_c": 1.0}\n'
+        assert not loaded & {"numpy", "symtensor.projector", "symtensor.verification"}
 
 
 class TestMaps:
@@ -381,6 +400,29 @@ class TestClosedStdout:
             os.close(write_end)
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+class TestCommandImports:
+    """Each command loads only the modules it runs, in a fresh interpreter."""
+
+    @pytest.mark.parametrize("argv,unused", [
+        (("dim", "--space", "ela3", "--group", "so3"),
+         {"symtensor.projector", "symtensor.voigt", "symtensor.verification"}),
+        (("structure", "--space", "ela3", "--group", "cubic"), {"symtensor.verification"}),
+        (("maps",), {"symtensor.characters", "symtensor.groups", "symtensor.projector",
+                     "symtensor.verification"}),
+    ], ids=["dim", "structure", "maps"])
+    def test_unused_modules_stay_unloaded(self, argv, unused):
+        _, loaded = run_cold(*argv)
+        assert not unused & loaded
+
+    def test_project_skips_verification(self, tmp_path):
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps({"space": "sym3", "coeffs": np.eye(3).reshape(-1).tolist()}))
+        out, loaded = run_cold("project", "--space", "sym3", "--group", "so3",
+                               "--input", str(src))
+        assert np.allclose(json.loads(out)["coeffs"], np.eye(3).reshape(-1), atol=1e-12)
+        assert "symtensor.verification" not in loaded
 
 
 class TestSlotwiseAction:

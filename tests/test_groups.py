@@ -299,6 +299,25 @@ class TestHaarRule:
         assert len(rule) == 24
         assert np.all(rule.weights == 1.0 / 24.0)
 
+    def test_finite_rule_reuses_the_checked_stack(self, monkeypatch):
+        # the group validated its stack once; its rule neither copies nor re-checks it
+        import symtensor.groups
+        g = resolve_group("cubic", 3)
+        calls = []
+        original = symtensor.groups._check_orthogonal
+
+        def counting(*args):
+            calls.append(args[1])
+            original(*args)
+
+        monkeypatch.setattr(symtensor.groups, "_check_orthogonal", counting)
+        rule = haar_rule(g, 8)
+        assert calls == []
+        assert rule.matrices is g.matrices and not rule.weights.flags.writeable
+        assert len(rule) == 24 and np.all(rule.weights == 1.0 / 24.0)
+        QuadratureRule(g.matrices, rule.weights)  # a rule built by hand keeps every check
+        assert calls == ["quadrature node"]
+
     def test_unsupported_degree(self):
         with pytest.raises(ValueError, match="degree"):
             haar_rule(resolve_group("so3", 3), 13)
