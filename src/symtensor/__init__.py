@@ -1,10 +1,10 @@
 """symtensor: invariant subspaces of constitutive tensor spaces.
 
-Computes, for a tensor space defined by index symmetries and a closed
-subgroup of SO(3) or O(2), the dimension of the invariant subspace via
-the trace formula and the explicit symmetrized structure via group
-averaging, rendered in slot (Voigt-style) matrix form with
-independent-component labeling.
+Computes, for a tensor space defined by index symmetries and a finite
+subgroup of O(2) or O(3) or a catalog continuous group in SO(3) or O(2),
+the dimension of the invariant subspace via the trace formula and the
+explicit symmetrized structure via group averaging, rendered in slot
+(Voigt-style) matrix form with independent-component labeling.
 
 Importing the package loads none of its modules: each name below is
 looked up in its home module on first access (PEP 562), so a caller pays

@@ -1,15 +1,18 @@
-"""Characters of the tensor-space actions and the trace formula.
+"""Characters of the tensor-space actions of O(2) and O(3), and the trace
+formula.
 
-For an orthogonal Q acting on an order-k space with orbit basis B, the
-character is chi(Q) = tr(B^T Q^{(x)k} B), read off the orbit table entry by
-entry.  Since B B^T averages the index permutations of the space's group P,
-it also follows from P's cycle index alone:
+For an orthogonal Q, rotation or reflection, acting on an order-k space
+with orbit basis B, the character is chi(Q) = tr(B^T Q^{(x)k} B), read off
+the orbit table entry by entry.  Since B B^T averages the index
+permutations of the space's group P, it also follows from P's cycle index
+alone:
 
     chi(Q) = (1/|P|) sum_{sigma in P} prod_{cycles c of sigma} tr(Q^|c|),
 
-with every power trace read off tr(Q) by the Chebyshev recurrence.  Both
-routes map an (..., n, n) stack to its (...) characters.  The dimension of
-the fixed-point subspace is the Haar average of the character.
+with every power trace read off tr(Q) and det(Q) by the Cayley-Hamilton
+recurrence.  Both routes map an (..., n, n) stack of orthogonal matrices to
+its (...) characters.  The dimension of the fixed-point subspace is the
+Haar average of the character.
 """
 
 from __future__ import annotations
@@ -34,23 +37,22 @@ def _check_ambient(space: TensorSpace, ambient: int) -> None:
 
 def power_traces(mats: np.ndarray, top: int) -> np.ndarray:
     """tr Q, tr Q^2, ..., tr Q^top of every matrix Q of an (..., n, n)
-    stack, from tr Q alone, as an array of shape (top, ...).
+    stack of orthogonal matrices, as an array of shape (top, ...).
 
-    A proper rotation by theta has tr Q^m = (n - 2) + 2 T_m(cos theta),
-    with cos theta = (tr Q - n + 2) / 2 and T_m the Chebyshev polynomials.
-    A 2D reflection squares to I, so tr Q^m = 1 + (-1)^m.
+    By Cayley-Hamilton, Q^n = e1 Q^(n-1) - e2 Q^(n-2) + e3 Q^(n-3).  An
+    orthogonal Q with t = tr Q and d = det Q has e1 = t, and e2 = d, e3 = 0
+    for n = 2, or e2 = tr adj Q = d tr Q^T = d t, e3 = d for n = 3.  So
+    t_m = tr Q^m = t t_(m-1) - e2 t_(m-2) + e3 t_(m-3), from t_1 = t,
+    t_0 = n and t_-1 = tr Q^T = t, for rotations and reflections alike.
     """
     n = mats.shape[-1]
-    c = (np.trace(mats, axis1=-2, axis2=-1) - n + 2) / 2.0
-    out = np.empty((top,) + c.shape)
-    prev, cur = 1.0, c
-    for m in range(top):
-        out[m] = n - 2 + 2.0 * cur
-        prev, cur = cur, 2.0 * c * cur - prev
-    if n == 2:
-        reflection = mats[..., 0, 0] * mats[..., 1, 1] < mats[..., 0, 1] * mats[..., 1, 0]
-        out[:, reflection] = (1.0 + (-1.0) ** np.arange(1, top + 1))[:, None]
-    return out
+    t = np.trace(mats, axis1=-2, axis2=-1)
+    d = np.linalg.det(mats)
+    e2, e3 = (d, 0.0) if n == 2 else (d * t, d)
+    seq = [t, n, t]  # t_-1, t_0, t_1
+    for _ in range(top - 1):
+        seq.append(t * seq[-1] - e2 * seq[-2] + e3 * seq[-3])
+    return np.array(seq[2:])
 
 
 def character_direct(space: TensorSpace, mats: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Closed subgroups of SO(3) and O(2) with normalized Haar integration.
+"""Finite subgroups of O(2) and O(3), and the catalog's continuous groups in
+SO(3) and O(2), with normalized Haar integration.
 
 ``resolve_group(name, ambient, axis)`` builds every catalog group from the
 name a user types (``z4``, ``cubic``, ``so2-e3``, ...).  A group's
@@ -7,12 +8,12 @@ dihedral groups (``z4_3d``).
 
 A finite group holds its elements as one read-only (m, n, n) matrix stack
 with one label per element.  Construction checks the whole stack at once:
-orthogonality and determinant in one stacked call, then the identity and
-all m^2 products as one product table.  A Haar integral is a weighted sum
-over a quadrature rule, an (m, n, n) stack of orthogonal matrices with m
-weights, and integrands are evaluated on the whole stack at once.  Continuous groups get the
-smallest rules of their kind that are exact for polynomials in the matrix
-entries up to a requested degree d:
+orthogonality in one stacked call, rotations and reflections alike, then
+the identity and all m^2 products as one product table.  A Haar integral is
+a weighted sum over a quadrature rule, an (m, n, n) stack of orthogonal
+matrices with m weights, and integrands are evaluated on the whole stack at
+once.  Continuous groups get the smallest rules of their kind that are
+exact for polynomials in the matrix entries up to a requested degree d:
 
 * the circle groups (SO(2), O(2) and their SO(3) embeddings about an
   axis) use the element list of the cyclic or dihedral group of order
@@ -39,6 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .catalog import GROUPS_2D, GROUPS_3D
+from .core import _frozen
 
 ORTHO_TOL = 1e-12
 CLOSURE_TOL = 1e-10
@@ -61,22 +63,11 @@ FLIP_E1_3D = np.diag([1.0, -1.0, -1.0])
 
 
 def _check_orthogonal(mats: np.ndarray, what: str) -> None:
-    """Check that each matrix of a stack is orthogonal and, in 3D, proper."""
+    """Check that each matrix of a stack is orthogonal, of det +1 or -1 alike."""
     n = mats.shape[-1]
     residual = np.max(np.abs(np.swapaxes(mats, -1, -2) @ mats - np.eye(n)), initial=0.0)
     if not residual <= ORTHO_TOL:  # NaN fails too
         raise ValueError(f"{what} is not orthogonal")
-    det = np.linalg.det(mats)
-    if np.any(np.abs(np.abs(det) - 1.0) > ORTHO_TOL):
-        raise ValueError(f"{what} determinant must be +-1")
-    if n == 3 and np.any(det < 0.0):
-        raise ValueError("improper 3x3 elements are not admitted (use SO(3) rotations)")
-
-
-def _frozen(a) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +120,8 @@ def _uniform_rule(mats: np.ndarray) -> QuadratureRule:
 
 @dataclass(frozen=True, eq=False)
 class SymmetryGroup:
-    """A closed subgroup of SO(3) or O(2).
+    """A finite subgroup of O(2) or O(3), or a continuous catalog group in
+    SO(3) or O(2).
 
     A finite group holds its elements as ``matrices``, a read-only
     (m, n, n) stack, with one entry of ``labels`` per element; a continuous

@@ -20,7 +20,7 @@ from .catalog import extract_isotropic_moduli  # re-exported; it needs no numpy
 from .core import FlatOperator, FlatTensor, act, image_basis, kron_stack, rational_snap
 from .characters import _check_ambient, fix_dimension
 from .groups import SymmetryGroup, haar_rule
-from .spaces import TensorSpace, membership_residual, symmetrize
+from .spaces import TensorSpace, symmetrize
 from .voigt import STRUCTURE_MAPS
 
 # structure_report: the slot zero test and the free-slot residual test,
@@ -93,13 +93,14 @@ def project(space: TensorSpace, group: SymmetryGroup, t: FlatTensor) -> FlatTens
     ``sum_m w_m Q_m^{(x)k} (B B^T t)``, through ``core.act``, so the n^k x
     n^k average M of ``_averaged_action`` is never formed.
     """
-    res = membership_residual(space, t)
+    inside = symmetrize(space, t).coeffs
+    res = float(np.max(np.abs(inside - t.coeffs)))  # membership_residual(space, t)
     scale = max(1.0, t.norm_inf())
     if res >= 1e-9 * scale:
         raise MembershipError(res)
     _check_ambient(space, group.ambient)
     rule = haar_rule(group, space.k + 2)
-    moved = act(rule.matrices, space.k, symmetrize(space, t).coeffs)
+    moved = act(rule.matrices, space.k, inside)
     return FlatTensor(space.n, space.k, rule.weights @ moved)
 
 

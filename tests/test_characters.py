@@ -17,9 +17,11 @@ from conftest import haar_rotation
 class TestPowerTraces:
     def test_matches_matrix_powers(self, rng):
         mats = [np.eye(2), np.eye(3), rotation_z(np.pi), np.diag([-1.0, 1.0])]
+        mats += [-np.eye(3), np.diag([1.0, 1.0, -1.0])]
         for _ in range(10):
             mats += [haar_rotation(rng, 3), haar_rotation(rng, 2)]
             mats.append(haar_rotation(rng, 2) @ np.diag([1.0, -1.0]))
+            mats.append(haar_rotation(rng, 3) @ np.diag([1.0, 1.0, -1.0]))
         for n in (2, 3):
             stack = np.stack([q for q in mats if len(q) == n])
             traces = power_traces(stack, 8)
@@ -72,6 +74,36 @@ class TestCharacters:
             a = character_direct(sp, q)
             b = character_direct(sp, r @ q @ r.T)
             assert abs(a - b) < 1e-9
+
+
+class TestImproperCharacters:
+    """The cycle-index character equals the orbit-table one at reflections
+    and rotoreflections, det Q = -1, as well as at rotations."""
+
+    @pytest.mark.parametrize("name,expected", [("ela3", 21.0), ("v1", -108.0)])
+    def test_inversion(self, name, expected):
+        sp = SPACES[name]
+        assert character_closed_form(sp, -np.eye(3)) == pytest.approx(expected, abs=1e-9)
+        assert character_direct(sp, -np.eye(3)) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("q", [-np.eye(3), np.diag([1.0, 1.0, -1.0]),
+                                   rotation_z(np.pi / 2) @ np.diag([1.0, 1.0, -1.0])],
+                             ids=["-1", "m", "-4"])
+    def test_point_operations(self, q):
+        for sp in SPACES.values():
+            if sp.n == 3:
+                assert character_closed_form(sp, q) == pytest.approx(
+                    character_direct(sp, q), abs=1e-9)
+
+    @pytest.mark.parametrize("name", list(SPACES))
+    def test_random_orthogonal_stacks(self, rng, name):
+        sp = SPACES[name]
+        mirror = np.diag([1.0] * (sp.n - 1) + [-1.0])
+        qs = np.stack([haar_rotation(rng, sp.n) for _ in range(20)])
+        qs[1::2] = qs[1::2] @ mirror
+        assert set(np.round(np.linalg.det(qs))) == {-1.0, 1.0}
+        assert character_closed_form(sp, qs) == pytest.approx(character_direct(sp, qs),
+                                                               abs=1e-9)
 
 
 class TestDirectContraction:
@@ -186,8 +218,7 @@ class TestRandomSpaces:
         group = resolve_group(DIFFERENTIAL_GROUPS[sp.n][pick], sp.n)
         rng = np.random.default_rng(seed)
         mats = [haar_rotation(rng, sp.n), *(e.matrix for e in group.sample_elements())]
-        if sp.n == 2:
-            mats.append(haar_rotation(rng, 2) @ np.diag([1.0, -1.0]))
+        mats.append(haar_rotation(rng, sp.n) @ np.diag([1.0] * (sp.n - 1) + [-1.0]))
         stack = np.stack(mats)
         closed, direct = character_closed_form(sp, stack), character_direct(sp, stack)
         assert closed.shape == direct.shape == (len(stack),)

@@ -8,10 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from symtensor.characters import fix_dimension
 from symtensor.groups import (CLOSURE_TOL, FLIP_E1_3D, GROUPS_2D, GROUPS_3D, REFLECTION_2D,
                               GroupElement, QuadratureRule, SymmetryGroup, axis_aligner,
                               closure_check, group_kind, haar_rule, integrate,
                               resolve_group, rotation_2d, rotation_y, rotation_z)
+from symtensor.spaces import SPACES
 
 from conftest import haar_rotation
 
@@ -395,7 +397,7 @@ class TestHaarRule:
 
     @pytest.mark.parametrize("mats,weights,match", [
         ([np.eye(2), [[1.0, 0.1], [0.0, 1.0]]], [0.5, 0.5], "not orthogonal"),
-        ([np.eye(3), np.diag([1.0, 1.0, -1.0])], [0.5, 0.5], "improper"),
+        ([np.eye(3), np.diag([1.0, 1.0, -1.0 - 1e-9])], [0.5, 0.5], "not orthogonal"),
         ([np.eye(3), np.eye(3)], [1.0, 0.0], "positive"),
         ([np.eye(2)], [0.5], "sum"),
         ([np.eye(2)], [1.0, 0.0], "shapes"),
@@ -403,6 +405,14 @@ class TestHaarRule:
     def test_rule_refuses_bad_nodes_and_weights(self, mats, weights, match):
         with pytest.raises(ValueError, match=match):
             QuadratureRule(np.array(mats, dtype=float), np.array(weights))
+
+    def test_rule_admits_improper_nodes(self):
+        # a mirror is a node like any rotation: {I, m} averages e3 away
+        rule = QuadratureRule(np.stack([np.eye(3), np.diag([1.0, 1.0, -1.0])]),
+                              np.array([0.5, 0.5]))
+        assert len(rule) == 2
+        assert (rule.weights @ rule.matrices.reshape(2, 9)).tolist() == [
+            1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_rule_arrays_are_read_only(self):
         rule = haar_rule(resolve_group("so2", 2), 2)
@@ -670,13 +680,21 @@ class TestMatrixStack:
         (np.eye(4)[None], ("id",), "R\\^2 or R\\^3, not R\\^4"),
         (np.eye(3)[None], (), "1 elements and 0 labels"),
         (np.stack([np.eye(3), np.diag([1.0, -1.0, -1.0]) + 1e-9]), ("id", "x"), "not orthogonal"),
-        (np.stack([np.eye(3), -np.eye(3)]), ("id", "-id"), "improper"),
+        (np.stack([np.eye(3), -np.eye(3), np.diag([1.0, 1.0, -1.0])]), ("id", "-id", "m"),
+         r"product of elements 1 \(-id\) and 2 \(m\) not in set"),
         (np.empty((0, 3, 3)), (), "empty element list"),
     ])
     def test_bad_stacks_refused(self, mats, labels, match):
         ambient = 4 if mats.shape[-1] == 4 else 3
         with pytest.raises(ValueError, match=match):
             SymmetryGroup(ambient, "x", mats, labels)
+
+    def test_inversion_pair_admitted(self):
+        # {I, -I} kills every odd-order tensor and keeps every even-order one
+        g = SymmetryGroup(3, "ci", np.stack([np.eye(3), -np.eye(3)]), ("id", "-id"))
+        assert g.order() == 2 and closure_check(g).passed
+        assert fix_dimension(SPACES["v1"], g) == 0
+        assert fix_dimension(SPACES["ela3"], g) == 21
 
     def test_cold_import_skips_numpy_polynomial(self):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -688,9 +706,10 @@ class TestMatrixStack:
 
 
 class TestGroupElementValidation:
-    def test_improper_3d_rejected(self):
-        with pytest.raises(ValueError, match="improper"):
-            GroupElement(np.diag([-1.0, 1.0, 1.0]))
+    def test_improper_3d_admitted(self):
+        e = GroupElement(np.diag([-1.0, 1.0, 1.0]), "m")
+        assert e.matrix.tolist() == np.diag([-1.0, 1.0, 1.0]).tolist()
+        assert not e.matrix.flags.writeable
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_non_finite_rejected(self, n):
