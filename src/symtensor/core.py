@@ -179,13 +179,20 @@ def kron_stack(mats: np.ndarray, j: int) -> np.ndarray:
     return out
 
 
+def kron_halves(mats: np.ndarray, k: int) -> tuple:
+    """The Kronecker powers A = Q^{(x)(k//2)} and B = Q^{(x)(k - k//2)} of
+    each Q of an (m, n, n) stack, with Q^{(x)k} = A (x) B: the multi-index
+    split in halves.  A is all ones for k = 1, and is B itself for even k."""
+    a = kron_stack(mats, k // 2)
+    return a, (a if k % 2 == 0 else kron_stack(mats, k - k // 2))
+
+
 def act(mats: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
     """Q^{(x)k} x, shaped (m, n^k, ...), for each Q of an (m, n, n) stack and
     x of shape (n^k, ...).  With the multi-index split in halves, this is
-    A X B^T for A = Q^{(x)(k//2)} and B = Q^{(x)(k - k//2)}: no n^k x n^k
-    matrix is formed."""
-    a = kron_stack(mats, k // 2)
-    b = a if k % 2 == 0 else kron_stack(mats, k - k // 2)
+    A X B^T for the :func:`kron_halves` A and B: no n^k x n^k matrix is
+    formed."""
+    a, b = kron_halves(mats, k)
     m, p, q, r = len(mats), a.shape[1], b.shape[1], math.prod(x.shape[1:])
     # apply B to the last slots, then A to the first
     right = np.matmul(b[:, None], x.reshape(1, p, q, r))

@@ -342,7 +342,7 @@ def haar_rule(g: SymmetryGroup, max_poly_degree: int = 8) -> QuadratureRule:
     roundoff) for polynomials in the matrix entries of total degree <=
     max_poly_degree, with the fewest nodes of its kind (see the module
     docstring).  The degree must be an integer >= 1, and at most 12 on
-    so3: orders k <= 10 at the degree k + 2 the library integrates at.
+    so3: orders k <= 12 at the degree k the library integrates at.
     """
     _check_degree(max_poly_degree)
     if g.is_finite:

@@ -3,11 +3,15 @@
 ``averaged_projector`` realizes the Haar/uniform average of the tensor
 action composed with the symmetrization identity, as a dim x dim matrix in
 the space's orbit basis; its image, lifted through that basis, is the
-invariant subspace.  ``structure_report`` renders the general invariant
-tensor in the slot map registered for the space, classifying every slot
-as zero, an independent (free) component, or a rational combination of
-free components, and emitting the named linear constraints the display
-convention implies.
+invariant subspace.  Every Haar rule here has the degree k of the order-k
+integrand, which it integrates exactly; the SO(3) rule stops at degree 12,
+so so3 takes orders k <= 12.  The n^k x n^k average M itself
+(``_averaged_action``) is built only for verification: the projector
+reads d rows of it, and ``project`` applies the rule to one vector.
+``structure_report`` renders the general invariant tensor in the slot map
+registered for the space, classifying every slot as zero, an independent
+(free) component, or a rational combination of free components, and
+emitting the named linear constraints the display convention implies.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import extract_isotropic_moduli  # re-exported; it needs no numpy
-from .core import FlatOperator, FlatTensor, act, image_basis, kron_stack, rational_snap
+from .core import FlatOperator, FlatTensor, act, image_basis, kron_halves, rational_snap
 from .characters import _check_ambient, fix_dimension
 from .groups import SymmetryGroup, haar_rule
 from .spaces import TensorSpace, symmetrize
@@ -50,21 +54,21 @@ class NoVoigtMapError(KeyError):
 
 def _averaged_action(space: TensorSpace, group: SymmetryGroup) -> np.ndarray:
     """Weighted sum of k-fold Kronecker powers over the group's Haar rule
-    of degree k + 2, which integrates the degree-k action exactly.
+    of degree k, which integrates the degree-k action exactly.
 
-    Built stage-wise: per-node Kronecker factors of half the order (the
-    lower half is empty for k = 1, and is the upper half for even k) are
-    combined through one matrix product, which keeps the order-6 cases
-    (729 x 729 over up to 405 so3 nodes) fast.  The one builder of this
-    n^k x n^k matrix, for ``averaged_projector`` and the dense checks of
-    the verification table; ``project`` applies the rule without it.
+    Built stage-wise: per-node Kronecker factors of half the order
+    (:func:`core.kron_halves`) are combined through one matrix product,
+    which keeps the order-6 cases (729 x 729 over up to 196 so3 nodes)
+    fast.  This n^k x n^k matrix M is built only for verification: for the
+    dense checks of the verification table, and for tests.
+    ``averaged_projector`` reads d rows of it without forming it, and
+    ``project`` applies the rule to one vector.
     """
     _check_ambient(space, group.ambient)
     k = space.k
-    rule = haar_rule(group, k + 2)
+    rule = haar_rule(group, k)
     m = len(rule)
-    a = kron_stack(rule.matrices, k // 2)
-    b = a if k % 2 == 0 else kron_stack(rule.matrices, k - k // 2)
+    a, b = kron_halves(rule.matrices, k)
     p, q = a.shape[1], b.shape[1]
     # sum_m w_m kron(a_m, b_m) via one (p^2, m) @ (m, q^2) product
     flat = (rule.weights[:, None] * a.reshape(m, p * p)).T @ b.reshape(m, q * q)
@@ -80,16 +84,38 @@ def averaged_projector(space: TensorSpace, group: SymmetryGroup) -> FlatOperator
     idempotent matrix whose trace equals the fixed-subspace dimension.  It
     is returned with its span B: as an operator on order-k tensors it is
     ``B P B^T = (M B) B^T``.
+
+    M commutes with the space's index permutations too, so each column of
+    M B is constant on every orbit O, and P = diag(sqrt|O|) M[reps, :] B
+    reads only the d rows of M at the orbit representatives (each orbit's
+    least flat index).  With the multi-index split in halves as in
+    :func:`core.act`, row h q + l of Q^{(x)k} is A[h, :] (x) B[l, :], so
+    the rows sharing a leading half h are one (p, m) @ (m, rows q) product
+    over the Haar rule of degree k.  Besides the rule's half-order
+    Kronecker stacks (m p^2 and m q^2 entries), no temporary exceeds
+    d x n^k: the n^k x n^k matrix of ``_averaged_action`` is never formed.
     """
-    m = _averaged_action(space, group)
-    b = space.basis
-    return FlatOperator(space.n, space.k, b.T @ (m @ b), span=b)
+    _check_ambient(space, group.ambient)
+    k = space.k
+    rule = haar_rule(group, k)
+    a, b = kron_halves(rule.matrices, k)
+    p, q = a.shape[1], b.shape[1]
+    _, reps, sizes = np.unique(space.orbits, return_index=True, return_counts=True)
+    heads, tails = np.divmod(reps, q)  # reps ascend, so each head's rows are one run
+    starts = np.flatnonzero(np.diff(heads, prepend=-1))
+    weights, m = rule.weights[:, None], len(rule)
+    rows = np.empty((len(reps), p * q))
+    for lo, hi in zip(starts, [*starts[1:], len(reps)]):
+        block = (weights * a[:, heads[lo]]).T @ b[:, tails[lo:hi]].reshape(m, -1)
+        rows[lo:hi] = block.reshape(p, hi - lo, q).transpose(1, 0, 2).reshape(hi - lo, p * q)
+    span = space.basis
+    return FlatOperator(space.n, k, np.sqrt(sizes)[:, None] * (rows @ span), span=span)
 
 
 def project(space: TensorSpace, group: SymmetryGroup, t: FlatTensor) -> FlatTensor:
     """Group average ``M (B (B^T t))`` of a tensor already lying in the space.
 
-    The Haar rule of degree k + 2 is applied to the one vector ``B B^T t``:
+    The Haar rule of degree k is applied to the one vector ``B B^T t``:
     ``sum_m w_m Q_m^{(x)k} (B B^T t)``, through ``core.act``, so the n^k x
     n^k average M of ``_averaged_action`` is never formed.
     """
@@ -99,7 +125,7 @@ def project(space: TensorSpace, group: SymmetryGroup, t: FlatTensor) -> FlatTens
     if res >= 1e-9 * scale:
         raise MembershipError(res)
     _check_ambient(space, group.ambient)
-    rule = haar_rule(group, space.k + 2)
+    rule = haar_rule(group, space.k)
     moved = act(rule.matrices, space.k, inside)
     return FlatTensor(space.n, space.k, rule.weights @ moved)
 

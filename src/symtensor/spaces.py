@@ -100,11 +100,23 @@ class TensorSpace:
 
     @cached_property
     def orbits(self) -> np.ndarray:
-        """Orbit number of each flat multi-index; orbits ordered by their least index."""
-        shape = (self.n,) * self.k
-        idx = np.indices(shape).reshape(self.k, -1)
-        images = [np.ravel_multi_index(idx[list(p)], shape) for p in self.permutation_group]
-        orbits = np.unique(np.min(images, axis=0), return_inverse=True)[1]
+        """Orbit number of each flat multi-index; orbits ordered by their least index.
+
+        Each index is labelled by itself, then takes the least label among
+        its images under each generator and its inverse until no label
+        changes: the least index of its orbit, found without a table of
+        every group element's images.
+        """
+        flat = np.arange(self.n**self.k).reshape((self.n,) * self.k)
+        moves = [flat.transpose(p).reshape(-1)
+                 for g in self.generators for p in (g, np.argsort(g))]
+        least, settled = flat.reshape(-1), False
+        while not settled:
+            before = least
+            for move in moves:
+                least = np.minimum(least, least[move])
+            settled = np.array_equal(least, before)
+        orbits = np.unique(least, return_inverse=True)[1]
         orbits.flags.writeable = False
         return orbits
 

@@ -275,11 +275,17 @@ class TestRandomSpaces:
         (3, 11, "so2-e3", 25653),  # central trinomial coefficient: weights in {-1, 0, 1}
     ])
     def test_circle_groups_beyond_degree_twelve(self, n, k, group, expected):
-        # the default degree k + 2 exceeds 12; only SO(3) caps the degree
+        # the circle rules take any degree; only SO(3) caps it
         space = TensorSpace(f"t{k}", n, k, ())
         assert fix_dimension(space, resolve_group(group, n)) == expected
 
-    def test_so3_order_beyond_ten_refused(self):
-        # the degree k + 2 = 13 is past the SO(3) rule's cap of 12
+    @pytest.mark.parametrize("k,expected", [(11, 1585), (12, 4213)])
+    def test_so3_orders_up_to_the_cap(self, k, expected):
+        # Riordan numbers (OEIS A005043), at the SO(3) rule's top degree k <= 12
+        space = TensorSpace(f"t{k}", 3, k, ())
+        assert fix_dimension(space, resolve_group("so3", 3)) == expected
+
+    def test_so3_order_beyond_twelve_refused(self):
+        # the degree k = 13 is past the SO(3) rule's cap of 12
         with pytest.raises(ValueError, match="12 on so3"):
-            fix_dimension(TensorSpace("t11", 3, 11, ()), resolve_group("so3", 3))
+            fix_dimension(TensorSpace("t13", 3, 13, ()), resolve_group("so3", 3))

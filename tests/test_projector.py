@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from symtensor.projector import (DEPENDENT_RESIDUAL_TOL, FREE_SLOT_RATIO, Member
                                  averaged_projector, extract_isotropic_moduli,
                                  isotropic_nine_matrix, moduli_from_matrix,
                                  project, structure_report)
-from symtensor.spaces import SPACES, symmetrize
+from symtensor.spaces import SPACES, TensorSpace, symmetrize
 from symtensor.verification import ALL_PAIRS
 from symtensor.voigt import MANDEL6, NINE_SLOT, STRUCTURE_MAPS, induced_matrix
 
@@ -105,6 +107,32 @@ class TestAveragedProjector:
             assert np.max(np.abs(kq @ a - a)) < 1e-9
             assert np.max(np.abs(a @ kq - a)) < 1e-9
 
+    @pytest.mark.parametrize("space_name,group_name,axis", PROJECT_CASES,
+                             ids=_case_ids(PROJECT_CASES))
+    def test_equals_the_dense_average(self, space_name, group_name, axis):
+        # d rows of M at the orbit representatives give B^T M B
+        sp = SPACES[space_name]
+        axis = None if axis is None else np.array(axis, float) / np.linalg.norm(axis)
+        g = resolve_group(group_name, sp.n, axis=axis)
+        expected = sp.basis.T @ _averaged_action(sp, g) @ sp.basis
+        assert np.max(np.abs(averaged_projector(sp, g).matrix - expected)) <= 1e-14
+
+    @pytest.mark.parametrize("group_name,rank", [("cubic", 4), ("so2-e3", 5), ("so3", 1)])
+    def test_order_eight_without_the_dense_average(self, group_name, rank):
+        # Sym^8(R^3): M would be 6561 x 6561 (328 MiB); the rows at the 45
+        # orbit representatives are all that is built
+        swaps = tuple(tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, 8)) for i in range(7))
+        sp = TensorSpace("sym8", 3, 8, swaps)
+        g = resolve_group(group_name, 3)
+        tracemalloc.start()
+        try:
+            found = len(image_basis(averaged_projector(sp, g)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found == rank
+        assert peak < 100 * 2**20
+
 
 class TestProject:
     def test_invariant_input_unchanged(self, rng):
@@ -176,6 +204,18 @@ class TestProject:
 
 
 class TestStructureReport:
+    @pytest.mark.parametrize("space_name,group_name", [
+        ("ela3", "so3"), ("v2bar", "so2-e3"), ("high2", "o2"), ("v1bar", "cubic")])
+    def test_builds_no_averaged_action(self, monkeypatch, space_name, group_name):
+        sp = SPACES[space_name]
+        g = resolve_group(group_name, sp.n)
+
+        def refuse(*args):
+            raise AssertionError("structure_report built the n^k x n^k averaged action")
+
+        monkeypatch.setattr("symtensor.projector._averaged_action", refuse)
+        assert structure_report(sp, g).dim == fix_dimension(sp, g)
+
     def test_orthotropic_matches_block_pattern(self):
         rep = structure_report(SPACES["ela3"], resolve_group("d2", 3))
         assert rep.dim == 9

@@ -106,6 +106,35 @@ class TestMembershipResidual:
         assert np.max(np.abs(once.coeffs - twice.coeffs)) < 1e-12
 
 
+def _orbits_from_image_table(sp: TensorSpace) -> np.ndarray:
+    """Orbit numbers by definition: the least image of each index over the
+    whole permutation group, from the |P| x n^k table of images."""
+    shape = (sp.n,) * sp.k
+    idx = np.indices(shape).reshape(sp.k, -1)
+    images = [np.ravel_multi_index(idx[list(p)], shape) for p in sp.permutation_group]
+    return np.unique(np.min(images, axis=0), return_inverse=True)[1]
+
+
+@st.composite
+def permutation_spaces(draw):
+    n = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(1, 8 if n == 2 else 6))
+    gens = draw(st.lists(st.permutations(range(k)), max_size=3))
+    return TensorSpace("random", n, k, tuple(tuple(g) for g in gens))
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("name", list(SPACES))
+    def test_catalog_matches_the_image_table(self, name):
+        assert np.array_equal(SPACES[name].orbits, _orbits_from_image_table(SPACES[name]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(permutation_spaces())
+    def test_propagation_matches_the_image_table(self, sp):
+        assert np.array_equal(sp.orbits, _orbits_from_image_table(sp))
+        assert sp.orbits.max(initial=-1) + 1 == sp.dim
+
+
 class TestCatalog:
     def test_lookup_case_insensitive(self):
         assert lookup("ELA3") is SPACES["ela3"]
