@@ -1,9 +1,10 @@
 """Catalog names and the isotropic moduli, without numpy.
 
 What the command line reads before it runs any numerical code: the space
-and group names its help text lists, the verification row categories, and
-``extract_isotropic_moduli``, the whole of the ``moduli`` command.  The
-numerical modules import these from here, so each list is written once.
+and group names its help text lists and ``catalog_key``, their one lookup,
+the verification row categories, and ``extract_isotropic_moduli``, the
+whole of the ``moduli`` command.  The numerical modules import these from
+here, so each is written once.
 """
 
 from __future__ import annotations
@@ -23,6 +24,15 @@ GROUPS_3D = ("trivial", "z2", "z3", "z4", "z6", "d2", "d3", "d4", "d6",
 # categories of the verification table, in table order
 ROW_CATEGORIES = ("dims", "characters", "haar", "structure", "projector",
                   "oracle", "voigt", "moduli", "spot")
+
+
+def catalog_key(name: str, known: tuple, kind: str) -> str:
+    """The catalog name a user typed, stripped and lower-cased; a ``KeyError``
+    names the ``kind`` (space or group) and lists ``known`` if it is not one."""
+    key = name.strip().lower()
+    if key not in known:
+        raise KeyError(f"unknown {kind} name {name!r}; known: {', '.join(known)}")
+    return key
 
 
 def extract_isotropic_moduli(values: dict) -> tuple:

@@ -156,7 +156,7 @@ def cmd_structure(args) -> int:
 def cmd_project(args) -> int:
     import numpy as np
     from .core import act
-    from .projector import MembershipError, project
+    from .projector import project
 
     try:
         sp, group = _resolve(args)
@@ -168,7 +168,7 @@ def cmd_project(args) -> int:
         return _fail(EXIT_INPUT, exc)
     try:
         projected = project(sp, group, tensor)
-    except MembershipError as exc:
+    except ValueError as exc:  # a MembershipError, or an average past the double range
         return _fail(EXIT_INPUT, exc)
     moved = act(np.array([e.matrix for e in group.sample_elements()]), sp.k, projected.coeffs)
     residual = float(np.max(np.abs(moved - projected.coeffs)))

@@ -16,13 +16,8 @@ import numpy as np
 
 _SURD_TEXT = {1: "", 2: "√2", 3: "√3"}
 
-
-class NonOrthogonalError(ValueError):
-    """Raised when a matrix expected to be orthogonal is not."""
-
-    def __init__(self, residual: float):
-        self.residual = float(residual)
-        super().__init__(f"matrix is not orthogonal: ||Q^T Q - I||_inf = {residual:.3e}")
+# a matrix is orthogonal when no entry of Q^T Q - I exceeds ORTHO_TOL
+ORTHO_TOL = 1e-12
 
 
 class NotAProjectorError(ValueError):
@@ -136,9 +131,13 @@ class FlatOperator:
         return float(np.max(np.abs(self.matrix @ self.matrix - self.matrix)))
 
 
-def orthogonality_residual(q: np.ndarray) -> float:
-    q = np.asarray(q, dtype=float)
-    return float(np.max(np.abs(q.T @ q - np.eye(q.shape[0]))))
+def _check_orthogonal(mats: np.ndarray, what: str) -> None:
+    """Check that a matrix, or each matrix of a stack, is orthogonal, of
+    det +1 or -1 alike; the refusal reports the largest residual."""
+    n = mats.shape[-1]
+    residual = np.max(np.abs(np.swapaxes(mats, -1, -2) @ mats - np.eye(n)), initial=0.0)
+    if not residual <= ORTHO_TOL:  # NaN fails too
+        raise ValueError(f"{what} is not orthogonal: max |QᵀQ − I| = {residual:.3e}")
 
 
 def kron_power(q: np.ndarray, k: int) -> FlatOperator:
@@ -150,17 +149,14 @@ def kron_power(q: np.ndarray, k: int) -> FlatOperator:
 
     Raises
     ------
-    NonOrthogonalError
-        If ``Q^T Q`` deviates from the identity by more than 1e-12.
     ValueError
-        If the order is below 1.
+        If ``Q^T Q`` deviates from the identity by more than ``ORTHO_TOL``,
+        or the order is below 1.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {q.shape}")
-    res = orthogonality_residual(q)
-    if res > 1e-12:
-        raise NonOrthogonalError(res)
+    _check_orthogonal(q, "matrix")
     if k < 1:
         raise ValueError(f"tensor order must be at least 1, got {k}")
     out = q

@@ -39,10 +39,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .catalog import GROUPS_2D, GROUPS_3D
-from .core import _frozen
+from .catalog import GROUPS_2D, GROUPS_3D, catalog_key
+from .core import _check_orthogonal, _frozen
 
-ORTHO_TOL = 1e-12
 CLOSURE_TOL = 1e-10
 # Gram entries per pass of the closure check: one pass for every catalog
 # group (m^2 <= 576), bounded memory for a large user-built one
@@ -60,14 +59,6 @@ _CONTINUOUS = {"so2": 2, "o2": 2, "so2-e3": 3, "o2-e3": 3, "so3": 3}
 # deterministic: a reflection in 2D, a rotation by pi about e1 in 3D.
 REFLECTION_2D = np.array([[-1.0, 0.0], [0.0, 1.0]])
 FLIP_E1_3D = np.diag([1.0, -1.0, -1.0])
-
-
-def _check_orthogonal(mats: np.ndarray, what: str) -> None:
-    """Check that each matrix of a stack is orthogonal, of det +1 or -1 alike."""
-    n = mats.shape[-1]
-    residual = np.max(np.abs(np.swapaxes(mats, -1, -2) @ mats - np.eye(n)), initial=0.0)
-    if not residual <= ORTHO_TOL:  # NaN fails too
-        raise ValueError(f"{what} is not orthogonal")
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +121,7 @@ class SymmetryGroup:
     generating (finite case) or sampling (continuous case) set of
     ``GroupElement`` used by invariance checks and the linear-system oracle.
     3D groups built about a non-default axis carry the conjugating rotation
-    in ``frame``.
+    in ``frame``, which must be an orthogonal 3x3 matrix.
     """
 
     ambient: int
@@ -142,6 +133,12 @@ class SymmetryGroup:
 
     def __post_init__(self):
         name, n = self.catalog_id, self.ambient
+        if self.frame is not None:
+            object.__setattr__(self, "frame", _frozen(self.frame))
+            if n != 3 or self.frame.shape != (3, 3):
+                raise ValueError(f"group {name!r} on R^{n}: a frame belongs to a 3D group "
+                                 f"and must be 3x3, got shape {self.frame.shape}")
+            _check_orthogonal(self.frame, f"the frame of group {name!r}")
         if self.matrices is None:
             if _CONTINUOUS.get(name) != n:
                 raise ValueError(f"group {name!r} has no elements and is not a "
@@ -386,16 +383,9 @@ def integrate(g: SymmetryGroup, f: Callable[[np.ndarray], np.ndarray],
 CATALOG_NAMES = tuple(dict.fromkeys(GROUPS_2D + GROUPS_3D))
 
 
-def _catalog_key(name: str) -> str:
-    key = name.strip().lower()
-    if key not in CATALOG_NAMES:
-        raise KeyError(f"unknown group name {name!r}; known: {', '.join(CATALOG_NAMES)}")
-    return key
-
-
 def group_kind(name: str) -> str:
     """``"finite"`` or ``"continuous"``, the kind of a catalog group, without building it."""
-    return "continuous" if _catalog_key(name) in _CONTINUOUS else "finite"
+    return "continuous" if catalog_key(name, CATALOG_NAMES, "group") in _CONTINUOUS else "finite"
 
 
 def _cube_rotations() -> tuple:
@@ -424,7 +414,7 @@ def resolve_group(name: str, ambient: int, axis=None) -> SymmetryGroup:
     or a group that does not act on it, raises ``KeyError``; an ``axis``
     for any group but a 3D axial one raises ``ValueError``.
     """
-    key = _catalog_key(name)
+    key = catalog_key(name, CATALOG_NAMES, "group")
     fitting = {2: GROUPS_2D, 3: GROUPS_3D}.get(ambient, ())
     if key not in fitting:
         raise KeyError(f"group {key!r} does not act on {ambient}D spaces; "

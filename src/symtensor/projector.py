@@ -117,17 +117,20 @@ def project(space: TensorSpace, group: SymmetryGroup, t: FlatTensor) -> FlatTens
 
     The Haar rule of degree k is applied to the one vector ``B B^T t``:
     ``sum_m w_m Q_m^{(x)k} (B B^T t)``, through ``core.act``, so the n^k x
-    n^k average M of ``_averaged_action`` is never formed.
+    n^k average M of ``_averaged_action`` is never formed.  A tensor whose
+    symmetrization or average leaves the double range raises ``ValueError``.
     """
-    inside = symmetrize(space, t).coeffs
-    res = float(np.max(np.abs(inside - t.coeffs)))  # membership_residual(space, t)
-    scale = max(1.0, t.norm_inf())
-    if res >= 1e-9 * scale:
-        raise MembershipError(res)
-    _check_ambient(space, group.ambient)
-    rule = haar_rule(group, space.k)
-    moved = act(rule.matrices, space.k, inside)
-    return FlatTensor(space.n, space.k, rule.weights @ moved)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            inside = symmetrize(space, t).coeffs
+            res = float(np.max(np.abs(inside - t.coeffs)))  # membership_residual(space, t)
+            if res >= 1e-9 * max(1.0, t.norm_inf()):
+                raise MembershipError(res)
+            _check_ambient(space, group.ambient)
+            rule = haar_rule(group, space.k)
+            return FlatTensor(space.n, space.k, rule.weights @ act(rule.matrices, space.k, inside))
+    except FloatingPointError:
+        raise ValueError("the group average overflows the double range") from None
 
 
 @dataclass(frozen=True)
@@ -228,9 +231,11 @@ def _display(space: TensorSpace) -> tuple:
     the space's permutation group; a square display also mirrors its upper
     triangle, so entries (r, c) and (c, r) must share that orbit.  An entry
     is then its factor, the sum of its row slot's inverse scales times its
-    column slot's, times any one component it reads.  Returns the shape and,
-    per displayed slot (row-major, the upper triangle of a square display),
-    its (row, col), label, flat component index and factor.
+    column slot's, times any one component it reads: a slot's components
+    and inverse scales are the nonzeros of its row of ``VoigtMap.matrix``.
+    Returns the shape and, per displayed slot (row-major, the upper
+    triangle of a square display), its (row, col), label, flat component
+    index and factor.
     """
     if space.name not in STRUCTURE_MAPS:
         raise NoVoigtMapError(
@@ -241,21 +246,22 @@ def _display(space: TensorSpace) -> tuple:
     misfit = f"slot maps {rows.name} x {cols.name} do not fit space {space.name!r}"
     if (rows.n, cols.n, rows.order + cols.order) != (space.n, space.n, space.k):
         raise NoVoigtMapError(f"{misfit}: wrong ambient dimension or order")
-    orbits = space.orbits.reshape((space.n,) * space.k)
+    orbits = space.orbits.reshape(rows.matrix.shape[1], -1)  # row-map by column-map index
     square, wide = rows.length == cols.length, max(rows.length, cols.length) > 9
-    row_sum, col_sum = ([sum(s.inverse) for s in m.slots] for m in (rows, cols))
+    row_reads, col_reads = ([np.flatnonzero(s).tolist() for s in m.matrix] for m in (rows, cols))
+    row_sum, col_sum = (m.matrix.sum(axis=1) for m in (rows, cols))
     slots, labels, index, factor = [], [], [], []
     for r in range(rows.length):
         for c in range(r if square else 0, cols.length):
             cells = {(r, c), (c, r)} if square else {(r, c)}
-            comps = {orbits[ri + ci] for a, b in cells
-                     for ri in rows.slots[a].pattern for ci in cols.slots[b].pattern}
+            comps = {orbits[ri, ci] for a, b in cells
+                     for ri in row_reads[a] for ci in col_reads[b]}
             if len(comps) > 1:
                 raise NoVoigtMapError(f"{misfit}: entry ({r + 1},{c + 1}) reads "
                                       "components from more than one orbit")
             slots.append((r, c))
             labels.append(f"C{r + 1}_{c + 1}" if wide else f"C{r + 1}{c + 1}")
-            index.append(rows.slots[r].pattern[0] + cols.slots[c].pattern[0])
+            index.append((row_reads[r][0], col_reads[c][0]))
             factor.append(row_sum[r] * col_sum[c])
     index = np.ravel_multi_index(np.array(index).T, orbits.shape)
     return (rows.length, cols.length), slots, labels, index, np.array(factor)
@@ -444,11 +450,10 @@ def isotropic_nine_matrix(lam: float, mu: float, mu_c: float) -> np.ndarray:
 
 
 def moduli_from_matrix(m: np.ndarray) -> tuple:
-    """(lambda, mu, mu_c) read off a 9x9 isotropic slot matrix."""
+    """``extract_isotropic_moduli`` of a 9x9 isotropic slot matrix, whose
+    entries (1,2), (4,4) and (4,5) are the display's C12, C44 and C45."""
     m = np.asarray(m, dtype=float)
     if m.shape != (9, 9):
         raise ValueError("expected a 9x9 slot matrix")
-    lam = float(m[0, 1])
-    mu = float((m[3, 3] + m[3, 4]) / 2.0)
-    mu_c = float((m[3, 3] - m[3, 4]) / 2.0)
-    return lam, mu, mu_c
+    return extract_isotropic_moduli({"C12": float(m[0, 1]), "C44": float(m[3, 3]),
+                                     "C45": float(m[3, 4])})

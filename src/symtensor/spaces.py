@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .catalog import SPACE_NAMES as CATALOG_NAMES
+from .catalog import SPACE_NAMES as CATALOG_NAMES, catalog_key
 from .core import FlatOperator, FlatTensor
 
 
@@ -190,7 +190,4 @@ SPACES: dict[str, TensorSpace] = {
 
 
 def lookup(name: str) -> TensorSpace:
-    key = name.strip().lower()
-    if key not in SPACES:
-        raise KeyError(f"unknown space name {name!r}; known: {', '.join(SPACES)}")
-    return SPACES[key]
+    return SPACES[catalog_key(name, CATALOG_NAMES, "space")]

@@ -65,6 +65,26 @@ class TestDim:
         code, _, err = run(capsys, "dim", "--space", "nope", "--group", "cubic")
         assert code == 2 and err.startswith("error: unknown space name 'nope'")
 
+    @pytest.mark.parametrize("flag,name,message", [
+        ("--group", "Hex ", "unknown group name 'Hex '; known: trivial, z2, z3, z4, z6, d2, d3, "
+                            "d4, d6, so2, o2, cubic, so2-e3, o2-e3, so3"),
+        ("--space", " piezo", "unknown space name ' piezo'; known: sym2, sym3, ela2, ela3, "
+                              "major3, v1, v1bar, v2, v2bar, high2"),
+    ])
+    def test_unknown_name_messages(self, capsys, flag, name, message):
+        # the one catalog lookup, through the library and the command line alike
+        from symtensor.groups import group_kind
+        from symtensor.spaces import lookup
+        calls = ([lambda: resolve_group(name, 3), lambda: group_kind(name)]
+                 if flag == "--group" else [lambda: lookup(name)])
+        for call in calls:
+            with pytest.raises(KeyError) as err:
+                call()
+            assert err.value.args == (message,)
+        pair = {"--space": "ela3", "--group": "so3", flag: name}
+        code, _, err = run(capsys, "dim", "--space", pair["--space"], "--group", pair["--group"])
+        assert (code, err) == (2, f"error: {message}\n")
+
     def test_ambient_mismatch_exits_2(self, capsys):
         code, _, err = run(capsys, "dim", "--space", "ela2", "--group", "cubic")
         assert code == 2 and err.startswith("error: group 'cubic' does not act on 2D spaces")
@@ -218,6 +238,23 @@ class TestProject:
         code, _, err = run(capsys, "project", "--space", "sym2", "--group", "so2",
                            "--input", str(src))
         assert code == 5 and "outside the space" in err
+
+    @pytest.mark.parametrize("value", [1e308, 1.5e308])  # 1.5e308 overflows in B^T t already
+    def test_overflowing_average_exits_5(self, tmp_path, capsys, value):
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps({"coeffs": [value] * 4}))
+        code, out, err = run(capsys, "project", "--space", "sym2", "--group", "so2",
+                             "--input", str(src))
+        assert (code, out) == (5, "")
+        assert err == "error: the group average overflows the double range\n"
+
+    def test_large_finite_average_exits_0(self, tmp_path, capsys):
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps({"coeffs": [1e300] * 4}))
+        code, out, _ = run(capsys, "project", "--space", "sym2", "--group", "so2",
+                           "--input", str(src))
+        assert code == 0
+        assert np.allclose(json.loads(out)["coeffs"], [1e300, 0.0, 0.0, 1e300], atol=1e285)
 
     def test_malformed_file_exits_5(self, tmp_path, capsys):
         src = tmp_path / "in.json"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from symtensor.characters import fix_dimension
+from symtensor.core import kron_power
 from symtensor.groups import (CLOSURE_TOL, FLIP_E1_3D, GROUPS_2D, GROUPS_3D, REFLECTION_2D,
                               GroupElement, QuadratureRule, SymmetryGroup, axis_aligner,
                               closure_check, group_kind, haar_rule, integrate,
@@ -703,6 +704,50 @@ class TestMatrixStack:
                               env=env, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
+
+
+class TestOrthogonalityRefusals:
+    """Every orthogonality check is ``core._check_orthogonal``, and every
+    refusal reports its residual max |QᵀQ − I|."""
+
+    BAD = np.diag([1.0, -1.0, -1.0 - 1e-9])  # (1 + 1e-9)^2 - 1 off the identity
+
+    @pytest.mark.parametrize("build,what", [
+        (lambda q: GroupElement(q, "m"), "group element 'm'"),
+        (lambda q: QuadratureRule(np.stack([np.eye(3), q]), [0.5, 0.5]), "quadrature node"),
+        (lambda q: SymmetryGroup(3, "x", np.stack([np.eye(3), q]), ("id", "m")),
+         "an element of group 'x'"),
+        (lambda q: SymmetryGroup(3, "so2-e3", frame=q), "the frame of group 'so2-e3'"),
+        (lambda q: kron_power(q, 2), "matrix"),
+    ], ids=["element", "node", "stack", "frame", "kron_power"])
+    def test_refusal_reports_the_residual(self, build, what):
+        with pytest.raises(ValueError) as err:
+            build(self.BAD)
+        assert str(err.value) == f"{what} is not orthogonal: max |QᵀQ − I| = 2.000e-09"
+
+    def test_scaled_frame_refused_at_construction(self):
+        with pytest.raises(ValueError, match=r"^the frame of group 'so2-e3' is not orthogonal: "
+                                             r"max \|QᵀQ − I\| = 3\.000e\+00$"):
+            SymmetryGroup(3, "so2-e3", frame=2 * np.eye(3))
+
+    @pytest.mark.parametrize("ambient,name,mats,labels,frame", [
+        (2, "so2", None, (), np.eye(3)),
+        (3, "so2-e3", None, (), np.eye(2)),
+        (2, "z2_2d", np.stack([np.eye(2), -np.eye(2)]), ("id", "-id"), np.eye(2)),
+    ])
+    def test_frame_outside_3d_refused_at_construction(self, ambient, name, mats, labels,
+                                                      frame):
+        with pytest.raises(ValueError, match=r"a frame belongs to a 3D group and must be 3x3"):
+            SymmetryGroup(ambient, name, mats, labels, frame=frame)
+
+    @pytest.mark.parametrize("name", [n for n in GROUPS_3D if n[0] in "zd" or "-e3" in n])
+    def test_every_axial_3d_group_takes_an_axis(self, name):
+        axis = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+        g = resolve_group(name, 3, axis=axis)
+        assert np.array_equal(g.frame, axis_aligner(axis)) and not g.frame.flags.writeable
+        for e in g.sample_elements():  # each turns about the axis or flips it
+            image = e.matrix @ axis
+            assert min(np.linalg.norm(image - axis), np.linalg.norm(image + axis)) < 1e-12
 
 
 class TestGroupElementValidation:

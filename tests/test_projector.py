@@ -466,6 +466,13 @@ class TestIsotropicModuli:
         values = {"C12": 1.0, "C44": 3.0, "C45": 1.0, "C11": 5.0 + 1e-12}
         assert extract_isotropic_moduli(values) == (1.0, 2.0, 1.0)
 
+    @pytest.mark.parametrize("at", [(0, 1), (3, 3), (3, 4)])
+    def test_non_finite_matrix_rejected(self, at):
+        m = isotropic_nine_matrix(1.0, 2.0, 1.0)
+        m[at] = np.nan
+        with pytest.raises(ValueError, match="must be a finite number, got nan"):
+            moduli_from_matrix(m)
+
     def test_projected_tensor_matches_modulus_form(self, rng):
         sp = SPACES["major3"]
         g = resolve_group("so3", 3)
