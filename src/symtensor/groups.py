@@ -156,9 +156,10 @@ class SymmetryGroup:
         _check_orthogonal(mats, f"an element of group {name!r}")
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "labels", labels)
-        report = closure_check(self)
-        if not report.passed:
-            raise ValueError(f"group {name!r} fails closure: {report.message}")
+        try:
+            closure_check(mats, labels)
+        except ValueError as exc:
+            raise ValueError(f"group {name!r} fails closure: {exc}") from None
 
     @property
     def is_finite(self) -> bool:
@@ -182,13 +183,6 @@ class SymmetryGroup:
         return self.generators or self.elements
 
 
-@dataclass(frozen=True)
-class ClosureReport:
-    passed: bool
-    message: str = ""
-    witness: Optional[tuple] = None
-
-
 def rotation_2d(theta: float) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
@@ -205,12 +199,19 @@ def rotation_y(theta: float) -> np.ndarray:
 
 
 def axis_aligner(axis) -> np.ndarray:
-    """Rotation carrying e3 to the requested unit axis (deterministic)."""
+    """Rotation carrying e3 to the direction of ``axis`` (deterministic).
+
+    ``axis`` is any nonzero 3-vector with finite components; anything else
+    raises ``ValueError``.  It is divided by the power of two that puts its
+    largest |component| in [1/2, 1), an exact step that keeps 1e200 and
+    1e-200 components from overflowing or underflowing the norm, and then
+    normalized; so any direction and its positive multiples give one frame.
+    """
     axis = np.asarray(axis, dtype=float)
-    if axis.shape != (3,) or not np.all(np.isfinite(axis)):
-        raise ValueError("axis must be a finite 3-vector")
-    if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
-        raise ValueError(f"axis must be a unit vector, |axis| = {np.linalg.norm(axis)!r}")
+    if axis.shape != (3,) or not np.all(np.isfinite(axis)) or not np.any(axis):
+        raise ValueError(f"axis must be nonzero with finite components, got {axis.tolist()}")
+    axis = np.ldexp(axis, -math.frexp(float(np.max(np.abs(axis))))[1])
+    axis = axis / np.linalg.norm(axis)
     e3 = np.array([0.0, 0.0, 1.0])
     c = float(axis @ e3)
     if c > 1.0 - 1e-14:
@@ -244,80 +245,48 @@ def _axial_matrices(ambient: int, count: int, improper: bool, frame) -> np.ndarr
                      for coset in (False, True)[:1 + improper] for j in range(count)])
 
 
-def _table_failure(mats: np.ndarray, labels) -> Optional[tuple]:
-    """The first way a nonempty (m, n, n) stack of orthogonal matrices fails
-    to be a group, as (message, index pair of the witnesses or None), or
-    None if it is one.
+def closure_check(matrices: np.ndarray, labels) -> None:
+    """Check that an (m, n, n) stack of orthogonal matrices, one label per
+    element, is a group; raise ``ValueError`` naming the first failure.
 
-    The identity is checked first.  Then every product mats[i] @ mats[j]
-    is matched to its nearest element, the largest entry of the Gram matrix
-    ``prod @ mats.T`` (for orthogonal matrices |P - M|_F^2 = 2n - 2 <P, M>),
-    and must lie within CLOSURE_TOL of it in max-abs; the first miss in
-    row-major (i, j) order is reported.  Last, with every product in the
+    An empty stack fails first, then a stack without the identity.  Then
+    every product matrices[i] @ matrices[j] is matched to its nearest
+    element, the largest entry of the Gram matrix ``prod @ matrices.T``
+    (for orthogonal matrices |P - M|_F^2 = 2n - 2 <P, M>), and must lie
+    within CLOSURE_TOL of it in max-abs; the first miss in row-major (i, j)
+    order is reported by both elements.  Last, with every product in the
     set, a row of that product table which is no permutation maps two
-    elements to one: they repeat.
+    elements to one: they repeat, and both are named.  A candidate element
+    list is vetted by building the ``SymmetryGroup``, which checks
+    orthogonality and then calls this.
     """
-    m, n = mats.shape[:2]
-    if not np.any(np.max(np.abs(mats - np.eye(n)), axis=(1, 2)) < CLOSURE_TOL):
-        return "identity element missing", None
-    flat = mats.reshape(m, n * n)
+    m = len(matrices)
+    if not m:
+        raise ValueError("empty element list")
+    n = matrices.shape[1]
+    if not np.any(np.max(np.abs(matrices - np.eye(n)), axis=(1, 2)) < CLOSURE_TOL):
+        raise ValueError("identity element missing")
+    flat = matrices.reshape(m, n * n)
     table = np.empty((m, m), dtype=np.intp)
     rows = max(1, _TABLE_BLOCK // (m * m))
     for start in range(0, m, rows):
-        prods = mats[start:start + rows, None] @ mats  # prods[i, j] = mats[i] @ mats[j]
+        prods = matrices[start:start + rows, None] @ matrices  # prods[i, j] = mats[i] @ mats[j]
         nearest = np.argmax(prods.reshape(-1, n * n) @ flat.T, axis=1).reshape(-1, m)
-        gap = np.max(np.abs(prods - mats[nearest]), axis=(2, 3))
+        gap = np.max(np.abs(prods - matrices[nearest]), axis=(2, 3))
         missing = np.flatnonzero(~(gap < CLOSURE_TOL))  # NaN misses too
         if missing.size:
             i, j = divmod(int(missing[0]), m)
             i += start
-            return f"product of elements {i} ({labels[i]}) and {j} ({labels[j]}) not in set", (i, j)
+            raise ValueError(f"product of elements {i} ({labels[i]}) and {j} ({labels[j]}) "
+                             f"not in set")
         table[start:start + rows] = nearest
     shuffled = np.flatnonzero(np.any(np.sort(table, axis=1) != np.arange(m), axis=1))
     if shuffled.size:
         row = table[shuffled[0]].tolist()
         later = next(j for j in range(m) if row[j] in row[:j])
         first = row.index(row[later])
-        return (f"elements {first} ({labels[first]}) and {later} ({labels[later]}) "
-                f"are the same element"), (first, later)
-    return None
-
-
-def closure_check(g) -> ClosureReport:
-    """Verify a finite element list is a group: the identity is present, every
-    product is in the set (within CLOSURE_TOL, max-abs) and no element repeats.
-
-    Accepts a finite ``SymmetryGroup`` or a plain sequence of
-    ``GroupElement`` (useful for vetting a candidate list before it can
-    be turned into a group at all); a sequence mixing 2x2 and 3x3 elements
-    fails, naming the first element whose size differs from the first's.
-    A missing product names its first (i, j) in row-major order, and the
-    report's witness holds both elements.
-    """
-    if isinstance(g, SymmetryGroup):
-        elements, mats, labels = None, g.matrices, g.labels
-    else:
-        elements = tuple(g)
-        labels = [e.label for e in elements]
-        odd = next((j for j, e in enumerate(elements)
-                    if e.matrix.shape != elements[0].matrix.shape), None)
-        if odd is not None:
-            a, b = elements[0], elements[odd]
-            return ClosureReport(False, f"elements 0 ({a.label}) and {odd} ({b.label}) are "
-                                        f"{len(a.matrix)}x{len(a.matrix)} and "
-                                        f"{len(b.matrix)}x{len(b.matrix)} matrices",
-                                 witness=(a, b))
-        mats = np.stack([e.matrix for e in elements]) if elements else None
-    if mats is None or not len(mats):
-        return ClosureReport(False, "empty element list")
-    failure = _table_failure(mats, labels)
-    if failure is None:
-        return ClosureReport(True, "closed under multiplication; identity present")
-    message, pair = failure
-    if pair is None:
-        return ClosureReport(False, message)
-    elements = g.elements if elements is None else elements
-    return ClosureReport(False, message, witness=(elements[pair[0]], elements[pair[1]]))
+        raise ValueError(f"elements {first} ({labels[first]}) and {later} ({labels[later]}) "
+                         f"are the same element")
 
 
 def _check_degree(degree) -> None:
@@ -412,7 +381,8 @@ def resolve_group(name: str, ambient: int, axis=None) -> SymmetryGroup:
     ``cubic`` is the 24-element rotation group of the cube, ``so3`` the full
     rotation group and ``trivial`` is {I}.  An ambient other than 2 or 3,
     or a group that does not act on it, raises ``KeyError``; an ``axis``
-    for any group but a 3D axial one raises ``ValueError``.
+    for any group but a 3D axial one raises ``ValueError``, and so does
+    one that ``axis_aligner`` refuses.
     """
     key = catalog_key(name, CATALOG_NAMES, "group")
     fitting = {2: GROUPS_2D, 3: GROUPS_3D}.get(ambient, ())

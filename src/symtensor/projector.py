@@ -117,8 +117,9 @@ def project(space: TensorSpace, group: SymmetryGroup, t: FlatTensor) -> FlatTens
 
     The Haar rule of degree k is applied to the one vector ``B B^T t``:
     ``sum_m w_m Q_m^{(x)k} (B B^T t)``, through ``core.act``, so the n^k x
-    n^k average M of ``_averaged_action`` is never formed.  A tensor whose
-    symmetrization or average leaves the double range raises ``ValueError``.
+    n^k average M of ``_averaged_action`` is never formed, and
+    ``symmetrize`` takes orbit means, so neither is B.  A tensor whose
+    average leaves the double range raises ``ValueError``.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):

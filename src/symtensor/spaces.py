@@ -122,7 +122,11 @@ class TensorSpace:
 
     @cached_property
     def basis(self) -> np.ndarray:
-        """n^k x dim matrix whose columns are the normalized orbit indicators."""
+        """n^k x dim matrix whose columns are the normalized orbit indicators.
+
+        Built only for the averaged projector's span and for the checks;
+        ``symmetrize`` reads the orbits directly.
+        """
         sizes = np.bincount(self.orbits)
         b = np.eye(sizes.size)[self.orbits] / np.sqrt(sizes[self.orbits])[:, None]
         b.flags.writeable = False
@@ -150,14 +154,21 @@ def membership_residual(space: TensorSpace, t: FlatTensor) -> float:
 
 
 def symmetrize(space: TensorSpace, arr) -> FlatTensor:
-    """Project an arbitrary coefficient array into the space: ``B (B^T t)``."""
+    """Project an arbitrary coefficient array into the space: ``B (B^T t)``,
+    read as the mean of ``t`` over each orbit, with O(n^k) memory.
+
+    Each entry is divided by its orbit's size before the orbit sums, so the
+    mean of entries bounded by M stays bounded by M and cannot overflow.
+    """
     t = arr if isinstance(arr, FlatTensor) else FlatTensor(space.n, space.k, np.asarray(arr).reshape(-1))
     if (t.n, t.k) != (space.n, space.k):
         raise ValueError(
             f"tensor of order {t.k} over R^{t.n} does not match space "
             f"{space.name} (order {space.k} over R^{space.n})"
         )
-    return FlatTensor(space.n, space.k, space.basis @ (space.basis.T @ t.coeffs))
+    orbits = space.orbits
+    sizes = np.bincount(orbits)
+    return FlatTensor(space.n, space.k, np.bincount(orbits, t.coeffs / sizes[orbits])[orbits])
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,12 @@ class TestDim:
                                  "--axis", axis)
             assert code == 2 and out == "" and "finite components" in err
 
+    @pytest.mark.parametrize("axis", ["1e200,1e200,0", "1e-200,1e-200,0"])
+    def test_axis_of_extreme_scale(self, capsys, axis):
+        # both are the direction (1, 1, 0); no norm of the typed vector is taken
+        assert run(capsys, "dim", "--space", "ela3", "--group", "z3", "--axis", axis) == (
+            0, "7\n", "")
+
     @pytest.mark.parametrize("group", ["so3", "cubic"])
     @pytest.mark.parametrize("degree", ["0", "-2", "8"])
     def test_degree_below_one_exits_2(self, capsys, group, degree):
@@ -239,7 +245,7 @@ class TestProject:
                            "--input", str(src))
         assert code == 5 and "outside the space" in err
 
-    @pytest.mark.parametrize("value", [1e308, 1.5e308])  # 1.5e308 overflows in B^T t already
+    @pytest.mark.parametrize("value", [1e308, 1.5e308])  # both overflow in the group average
     def test_overflowing_average_exits_5(self, tmp_path, capsys, value):
         src = tmp_path / "in.json"
         src.write_text(json.dumps({"coeffs": [value] * 4}))

@@ -78,15 +78,15 @@ def brute_force_cube_rotations():
 
 def closure_loop(elements):
     """The quadratic closure check, one row of the product table at a time,
-    as (passed, message, witness labels): the reference for ``closure_check``.
+    as (passed, message): the reference for ``closure_check``.
     Once every product is found, a row whose first matches are no
     permutation reports its first repeated column and the earlier one."""
     elements = tuple(elements)
     if not elements:
-        return False, "empty element list", None
+        return False, "empty element list"
     mats = np.stack([e.matrix for e in elements])
     if not np.any(np.max(np.abs(mats - np.eye(mats.shape[1])), axis=(1, 2)) < CLOSURE_TOL):
-        return False, "identity element missing", None
+        return False, "identity element missing"
     rows = []
     for i, a in enumerate(elements):
         # found[j, m]: the product a @ elements[j] matches elements[m]
@@ -95,21 +95,27 @@ def closure_loop(elements):
         if missing.size:
             b = elements[int(missing[0])]
             return (False, f"product of elements {i} ({a.label}) and {int(missing[0])} "
-                           f"({b.label}) not in set", (a.label, b.label))
+                           f"({b.label}) not in set")
         rows.append(found.argmax(axis=1).tolist())
     for row in rows:
         for j, target in enumerate(row):
             if target in row[:j]:
                 a, b = elements[row.index(target)], elements[j]
                 return (False, f"elements {row.index(target)} ({a.label}) and {j} ({b.label}) "
-                               f"are the same element", (a.label, b.label))
-    return True, "closed under multiplication; identity present", None
+                               f"are the same element")
+    return True, None
 
 
-def closure_outcome(g):
-    report = closure_check(g)
-    labels = None if report.witness is None else tuple(e.label for e in report.witness)
-    return report.passed, report.message, labels
+def closure_outcome(elements):
+    """``closure_check`` on the stack of a ``GroupElement`` list, as (passed,
+    message): the message of the ``ValueError`` it raises, or None."""
+    elements = tuple(elements)
+    mats = np.stack([e.matrix for e in elements]) if elements else np.empty((0, 2, 2))
+    try:
+        closure_check(mats, [e.label for e in elements])
+    except ValueError as exc:
+        return False, str(exc)
+    return True, None
 
 
 def finite_catalog():
@@ -173,9 +179,25 @@ class TestFiniteCatalog:
         for e in g.elements:
             assert np.allclose(e.matrix @ axis, axis, atol=1e-12)
 
-    def test_non_unit_axis_rejected(self):
-        with pytest.raises(ValueError, match="unit"):
-            resolve_group("z2", 3, axis=np.array([0.0, 0.0, 2.0]))
+    @pytest.mark.parametrize("name", ["z3", "so2-e3"])
+    def test_non_unit_axis_normalized(self, name):
+        # 5e-10 off unit length: normalized first, so every element is orthogonal
+        g = resolve_group(name, 3, axis=[0.6, 0.0, 0.8 + 5e-10])
+        assert g.frame is not None
+        for e in g.sample_elements():
+            assert np.allclose(e.matrix @ [0.6, 0.0, 0.8], [0.6, 0.0, 0.8], atol=1e-9)
+        e3 = resolve_group(name, 3, axis=[0.0, 0.0, 2.0])
+        assert e3.frame is None
+        assert ([e.matrix.tobytes() for e in e3.sample_elements()]
+                == [e.matrix.tobytes() for e in resolve_group(name, 3).sample_elements()])
+
+    @pytest.mark.parametrize("axis", [(1.0, 2.0, 3.0), (0.3, 0.1, 1.0), (0.001, 0.0, 1.0),
+                                      (2.0, -1.0, 2.0)])
+    def test_axis_scale_is_exact(self, axis):
+        # a power-of-two multiple gives the bit-identical frame, however large or small
+        frame = axis_aligner(axis)
+        for scale in (2.0**-1000, 2.0**-60, 2.0**60, 2.0**1000):
+            assert axis_aligner(np.array(axis) * scale).tobytes() == frame.tobytes()
 
     @pytest.mark.parametrize("name,ambient", [("z2", 3), ("d2", 2), ("trivial", 2),
                                               ("trivial", 3)],
@@ -189,26 +211,32 @@ class TestFiniteCatalog:
         with pytest.raises(ValueError, match="finite"):
             axis_aligner([np.nan, 0.0, 1.0])
 
+    @pytest.mark.parametrize("axis", [(0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), (1.0, 0.0),
+                                      ((0.0, 0.0, 1.0),), (0.0, 0.0, 1.0, 0.0)])
+    def test_zero_or_misshapen_axis_rejected(self, axis):
+        with pytest.raises(ValueError, match="nonzero with finite components"):
+            axis_aligner(axis)
+
 
 class TestClosureCheck:
     def test_plus_minus_identity_passes(self):
         g = resolve_group("z2", 2)
-        assert closure_check(g).passed
+        assert closure_check(g.matrices, g.labels) is None
 
     def test_cubic_full_product_table(self):
-        assert closure_check(resolve_group("cubic", 3)).passed
+        g = resolve_group("cubic", 3)
+        assert closure_check(g.matrices, g.labels) is None
 
     def test_gap_reported_with_witness(self):
-        # rot(2pi/3)^2 = rot(4pi/3) is missing from the set
+        # rot(2pi/3)^2 = rot(4pi/3) is missing from the set; the message names both factors
         elements = [GroupElement(np.eye(2), "id"),
                     GroupElement(rotation_2d(2 * np.pi / 3), "rot")]
-        report = closure_check(elements)
-        assert not report.passed
-        assert report.witness is not None
+        assert closure_outcome(elements) == (False, "product of elements 1 (rot) and 1 (rot) "
+                                                    "not in set")
 
     def test_missing_identity(self):
-        report = closure_check([GroupElement(-np.eye(2), "-id")])
-        assert not report.passed and "identity" in report.message
+        passed, message = closure_outcome([GroupElement(-np.eye(2), "-id")])
+        assert not passed and "identity" in message
 
     @pytest.mark.parametrize("turn,powers,witness", [
         # r @ r^2 = r^3 is the first gap by rows; by columns it would be r^2 @ r
@@ -218,23 +246,20 @@ class TestClosureCheck:
     ])
     def test_first_witness_in_row_major_order(self, turn, powers, witness):
         elements = [GroupElement(rotation_2d(p * turn), f"r^{p}") for p in powers]
-        report = closure_check(elements)
         i, j = witness
-        assert not report.passed
-        assert report.message == (f"product of elements {i} (r^{powers[i]}) and "
-                                  f"{j} (r^{powers[j]}) not in set")
-        assert report.witness == (elements[i], elements[j])
+        assert closure_outcome(elements) == (False, f"product of elements {i} (r^{powers[i]}) "
+                                                    f"and {j} (r^{powers[j]}) not in set")
 
 
 class TestClosureTable:
-    """``closure_check`` gives the reference loop's (passed, message, witness
-    labels) on every catalog group and on mutated element lists."""
+    """``closure_check`` gives the reference loop's (passed, message) on every
+    catalog group and on mutated element lists."""
 
     @pytest.mark.parametrize("g", finite_catalog(), ids=lambda g: g.catalog_id)
     def test_catalog_group_matches_loop(self, g):
         elements = list(g.elements)
-        assert closure_outcome(g) == closure_outcome(elements) == closure_loop(elements)
-        assert closure_check(g).passed
+        assert closure_outcome(elements) == closure_loop(elements) == (True, None)
+        assert closure_check(g.matrices, g.labels) is None
 
     @pytest.mark.parametrize("g", finite_catalog(), ids=lambda g: g.catalog_id)
     def test_mutated_lists_match_loop(self, g):
@@ -257,20 +282,12 @@ class TestClosureTable:
             assert closure_outcome(mutated) == want, name
             assert passes is None or want[0] == passes, name
         if g.order() > 1:
-            assert closure_outcome(elements[1:]) == (False, "identity element missing", None)
+            assert closure_outcome(elements[1:]) == (False, "identity element missing")
 
     def test_repeat_names_both_elements(self):
         z2 = resolve_group("z2", 3)
-        report = closure_check(list(z2.elements) + [z2.elements[1]])
-        assert not report.passed
-        assert report.message == "elements 1 (z2[1]) and 2 (z2[1]) are the same element"
-
-    def test_mixed_sizes_name_both_elements(self):
-        elements = [GroupElement(np.eye(2), "id2"), GroupElement(np.eye(3), "id3")]
-        report = closure_check(elements)
-        assert not report.passed
-        assert report.message == "elements 0 (id2) and 1 (id3) are 2x2 and 3x3 matrices"
-        assert report.witness == (elements[0], elements[1])
+        assert closure_outcome(list(z2.elements) + [z2.elements[1]]) == (
+            False, "elements 1 (z2[1]) and 2 (z2[1]) are the same element")
 
     @pytest.mark.parametrize("block", [1, 3000])  # 1 and 5 rows per pass
     def test_row_blocks_give_the_same_report(self, monkeypatch, block):
@@ -285,8 +302,7 @@ class TestClosureTable:
         assert [closure_outcome(case)[0] for case in mutated] == [True, False, False, False]
 
     def test_empty(self):
-        assert closure_outcome([]) == (False, "empty element list", None)
-        assert closure_outcome(resolve_group("so3", 3)) == (False, "empty element list", None)
+        assert closure_outcome([]) == (False, "empty element list")
 
 
 class TestHaarRule:
@@ -693,7 +709,7 @@ class TestMatrixStack:
     def test_inversion_pair_admitted(self):
         # {I, -I} kills every odd-order tensor and keeps every even-order one
         g = SymmetryGroup(3, "ci", np.stack([np.eye(3), -np.eye(3)]), ("id", "-id"))
-        assert g.order() == 2 and closure_check(g).passed
+        assert g.order() == 2 and closure_check(g.matrices, g.labels) is None
         assert fix_dimension(SPACES["v1"], g) == 0
         assert fix_dimension(SPACES["ela3"], g) == 21
 

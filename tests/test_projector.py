@@ -133,6 +133,23 @@ class TestAveragedProjector:
         assert found == rank
         assert peak < 100 * 2**20
 
+    def test_order_eight_projects_without_the_dense_basis(self):
+        # the plain order-8 space has 6561 orbits: B would be 6561 x 6561 (328 MiB)
+        sp, g = TensorSpace("t8", 3, 8, ()), resolve_group("cubic", 3)
+        t = FlatTensor(3, 8, np.ones(3**8))
+        tracemalloc.start()
+        try:
+            out = project(sp, g, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # (1,1,1)^{(x)8} averages over the cube's vertices (+-1,+-1,+-1): an entry is
+        # 1 where each axis occurs an even number of times among its indices, else 0
+        counts = (np.indices((3,) * 8).reshape(8, -1)[:, :, None] == np.arange(3)).sum(axis=0)
+        assert np.allclose(out.coeffs, np.all(counts % 2 == 0, axis=1), rtol=0.0, atol=1e-12)
+        assert "basis" not in vars(sp)
+        assert peak < 32 * 2**20
+
 
 class TestProject:
     def test_invariant_input_unchanged(self, rng):

@@ -135,6 +135,25 @@ class TestOrbits:
         assert sp.orbits.max(initial=-1) + 1 == sp.dim
 
 
+def _orbit_mean_matches_the_basis(sp: TensorSpace, seed: int) -> None:
+    t = np.random.default_rng(seed).normal(size=sp.n**sp.k)
+    dense = sp.basis @ (sp.basis.T @ t)
+    assert np.max(np.abs(symmetrize(sp, t).coeffs - dense)) <= 1e-15 * np.max(np.abs(t))
+
+
+class TestOrbitMean:
+    """``symmetrize`` takes orbit means; it equals ``B (B^T t)``."""
+
+    @pytest.mark.parametrize("name", list(SPACES))
+    def test_catalog_matches_the_basis(self, name):
+        _orbit_mean_matches_the_basis(SPACES[name], 11)
+
+    @settings(max_examples=60, deadline=None)
+    @given(permutation_spaces(), st.integers(0, 2**32 - 1))
+    def test_random_space_matches_the_basis(self, sp, seed):
+        _orbit_mean_matches_the_basis(sp, seed)
+
+
 class TestCatalog:
     def test_lookup_case_insensitive(self):
         assert lookup("ELA3") is SPACES["ela3"]
