@@ -5,10 +5,10 @@ Commands: ``dim``, ``structure``, ``project``, ``moduli``, ``maps``,
 row failed, 2 unknown name or configuration (also an unwritable output:
 an output file that cannot be written, or a stdout closed by its reader),
 3 quadrature non-convergence (a Haar average off an integer), 4 internal
-consistency failure, 5 bad input (tensor file or moduli values), 6 a
-``structure`` display printed with coefficients that matched no rational
-or surd form ("(unsnapped)").  Every numerical threshold is a
-fixed constant; none is read from the environment.
+consistency failure (or a projector ``image_basis`` refuses), 5 bad input
+(tensor file or moduli values), 6 a ``structure`` display printed with
+coefficients that matched no rational or surd form ("(unsnapped)").  Every
+numerical threshold is a fixed constant; none is read from the environment.
 
 Only the standard library and ``catalog`` load with this module; each
 command imports the modules it runs, so ``moduli`` runs without numpy.
@@ -121,6 +121,7 @@ def cmd_dim(args) -> int:
 
 def cmd_structure(args) -> int:
     from .characters import QuadratureNotConvergedError
+    from .core import NotAProjectorError
     from .projector import InternalConsistencyError, NoVoigtMapError, structure_report
 
     try:
@@ -133,7 +134,7 @@ def cmd_structure(args) -> int:
         return _fail(EXIT_NAME, exc)
     except QuadratureNotConvergedError as exc:
         return _fail(EXIT_QUADRATURE, exc)
-    except InternalConsistencyError as exc:
+    except (InternalConsistencyError, NotAProjectorError) as exc:
         return _fail(EXIT_INTERNAL, exc)
     if args.format == "json":
         print(json.dumps(report.to_json()))

@@ -70,10 +70,9 @@ class FlatTensor:
     def from_array(cls, arr) -> "FlatTensor":
         """Build from a dense ``k``-dimensional array with equal axis lengths."""
         arr = np.asarray(arr, dtype=float)
-        n = arr.shape[0]
-        if arr.shape != (n,) * arr.ndim:
+        if arr.ndim < 1 or arr.shape != arr.shape[:1] * arr.ndim:
             raise ValueError(f"array shape {arr.shape} is not cubical")
-        return cls(n=n, k=arr.ndim, coeffs=arr.reshape(-1))
+        return cls(n=arr.shape[0], k=arr.ndim, coeffs=arr.reshape(-1))
 
     def reshaped(self) -> np.ndarray:
         """Dense view with shape ``(n,) * k``."""
@@ -92,29 +91,25 @@ def _frozen(x) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FlatOperator:
-    """Linear map on order-``k`` tensors.
+    """Linear map on order-``k`` tensors, given on an orthonormal span.
 
-    Without ``span``, ``matrix`` is the n^k x n^k operator itself.  Given
-    orthonormal columns ``span`` (n^k x d), ``matrix`` is d x d in span
-    coordinates and the operator is ``span @ matrix @ span.T``.
+    ``span`` (n^k x d) has orthonormal columns and ``matrix`` is d x d in
+    span coordinates: the operator is ``span @ matrix @ span.T``.
     """
 
     n: int
     k: int
     matrix: np.ndarray
-    span: np.ndarray | None = None
+    span: np.ndarray
 
     def __post_init__(self):
-        width = self.n**self.k
-        if self.span is not None:
-            span = _frozen(self.span)
-            if span.ndim != 2 or span.shape[0] != width:
-                raise ValueError(f"span has shape {span.shape}, expected ({width}, d)")
-            object.__setattr__(self, "span", span)
-            width = span.shape[1]
-        m = _frozen(self.matrix)
+        span, m = _frozen(self.span), _frozen(self.matrix)
+        if span.ndim != 2 or span.shape[0] != self.n**self.k:
+            raise ValueError(f"span has shape {span.shape}, expected ({self.n**self.k}, d)")
+        width = span.shape[1]
         if m.shape != (width, width):
             raise ValueError(f"operator matrix has shape {m.shape}, expected ({width}, {width})")
+        object.__setattr__(self, "span", span)
         object.__setattr__(self, "matrix", m)
 
     def apply(self, t: FlatTensor) -> FlatTensor:
@@ -123,8 +118,6 @@ class FlatOperator:
                 f"operator on order-{self.k} tensors over R^{self.n} cannot act on "
                 f"order-{t.k} tensor over R^{t.n}"
             )
-        if self.span is None:
-            return FlatTensor(self.n, self.k, self.matrix @ t.coeffs)
         return FlatTensor(self.n, self.k, self.span @ (self.matrix @ (self.span.T @ t.coeffs)))
 
     def idempotency_residual(self) -> float:
@@ -140,12 +133,12 @@ def _check_orthogonal(mats: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} is not orthogonal: max |QᵀQ − I| = {residual:.3e}")
 
 
-def kron_power(q: np.ndarray, k: int) -> FlatOperator:
-    """k-fold Kronecker power of an orthogonal matrix as a flat operator.
+def kron_power(q: np.ndarray, k: int) -> np.ndarray:
+    """k-fold Kronecker power of an orthogonal matrix, a reference for the checks.
 
-    Returns the n^k x n^k matrix representing the action
+    Returns a new n^k x n^k array, the action
     ``X_{i_1...i_k} -> Q_{i_1 a_1} ... Q_{i_k a_k} X_{a_1...a_k}`` on
-    flattened tensors.
+    flattened tensors; for k = 1 it is a copy of ``q``.
 
     Raises
     ------
@@ -153,7 +146,7 @@ def kron_power(q: np.ndarray, k: int) -> FlatOperator:
         If ``Q^T Q`` deviates from the identity by more than ``ORTHO_TOL``,
         or the order is below 1.
     """
-    q = np.asarray(q, dtype=float)
+    q = np.array(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {q.shape}")
     _check_orthogonal(q, "matrix")
@@ -162,7 +155,7 @@ def kron_power(q: np.ndarray, k: int) -> FlatOperator:
     out = q
     for _ in range(k - 1):
         out = np.kron(out, q)
-    return FlatOperator(q.shape[0], k, out)
+    return out
 
 
 def kron_stack(mats: np.ndarray, j: int) -> np.ndarray:
@@ -198,20 +191,17 @@ def act(mats: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
 def image_basis(a: FlatOperator) -> list[FlatTensor]:
     """Orthonormal basis of the column space of a projector.
 
-    The matrix must be idempotent within 1e-6.  The basis cardinality is the
-    rank, counted as the singular values above 1/2: those of an idempotent
-    operator are 0 or at least 1, even for an oblique projector whose
-    largest one is huge.  The check and the SVD run on ``a.matrix``; an
-    operator in span coordinates has its kept singular vectors lifted
-    through ``a.span``.
+    The d x d matrix must be idempotent within 1e-6 (else NotAProjectorError).
+    The basis cardinality is the rank, counted as the singular values above
+    1/2: those of an idempotent operator are 0 or at least 1, even for an
+    oblique projector whose largest one is huge.  The check and the SVD run
+    on ``a.matrix``; the kept singular vectors are lifted through ``a.span``.
     """
     res = a.idempotency_residual()
     if res >= 1e-6:
         raise NotAProjectorError(res)
     u, s, _ = np.linalg.svd(a.matrix, full_matrices=False)
-    kept = u[:, :int(np.sum(s > 0.5))]
-    if a.span is not None:
-        kept = a.span @ kept
+    kept = a.span @ u[:, :int(np.sum(s > 0.5))]
     return [FlatTensor(a.n, a.k, col) for col in kept.T]
 
 

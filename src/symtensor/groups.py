@@ -294,7 +294,7 @@ def _check_degree(degree) -> None:
         raise ValueError(f"degree must be an integer >= 1, got {degree!r}")
 
 
-def haar_rule(g: SymmetryGroup, max_poly_degree: int = 8) -> QuadratureRule:
+def haar_rule(g: SymmetryGroup, max_poly_degree: int) -> QuadratureRule:
     """Quadrature rule realizing the normalized Haar measure on ``g``.
 
     Finite groups get their own element stack, not copied, with uniform
@@ -307,8 +307,8 @@ def haar_rule(g: SymmetryGroup, max_poly_degree: int = 8) -> QuadratureRule:
     Ry(arccos u) Rz(psi) in (phi, u, psi) order.  Each is exact (up to
     roundoff) for polynomials in the matrix entries of total degree <=
     max_poly_degree, with the fewest nodes of its kind (see the module
-    docstring).  The degree must be an integer >= 1, and at most 12 on
-    so3: orders k <= 12 at the degree k the library integrates at.
+    docstring).  The caller states the degree, an integer >= 1 and at most
+    12 on so3: orders k <= 12 at the degree k the library integrates at.
     """
     _check_degree(max_poly_degree)
     if g.is_finite:
@@ -329,11 +329,10 @@ def haar_rule(g: SymmetryGroup, max_poly_degree: int = 8) -> QuadratureRule:
     return QuadratureRule(mats.reshape(-1, 3, 3), weights.reshape(-1))
 
 
-def integrate(g: SymmetryGroup, f: Callable[[np.ndarray], np.ndarray],
-              degree: int = 8) -> float:
+def integrate(g: SymmetryGroup, f: Callable[[np.ndarray], np.ndarray], degree: int) -> float:
     """Haar integral over ``g`` of ``f``, a map from an (m, n, n) stack to its m
     values; exact for polynomials in the matrix entries of degree <= ``degree``,
-    an integer >= 1.
+    an integer >= 1 with no default (a lower one is silently inexact).
 
     Finite groups take the arithmetic mean over the element list; the
     quadrature path accumulates with exact summation in node order, so

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .catalog import SPACE_NAMES as CATALOG_NAMES, catalog_key
-from .core import FlatOperator, FlatTensor
+from .core import FlatTensor
 
 
 def _check_permutation(perm: tuple, k: int) -> tuple:
@@ -128,13 +128,17 @@ class TensorSpace:
         ``symmetrize`` reads the orbits directly.
         """
         sizes = np.bincount(self.orbits)
-        b = np.eye(sizes.size)[self.orbits] / np.sqrt(sizes[self.orbits])[:, None]
+        b = np.zeros((self.orbits.size, sizes.size))  # the one n^k x dim allocation
+        b[np.arange(self.orbits.size), self.orbits] = 1.0 / np.sqrt(sizes[self.orbits])
         b.flags.writeable = False
         return b
 
     @cached_property
-    def projector(self) -> FlatOperator:
-        return FlatOperator(self.n, self.k, self.basis @ self.basis.T)
+    def projector(self) -> np.ndarray:
+        """The dense symmetrizer ``B B^T``, read-only; no library path builds it."""
+        p = self.basis @ self.basis.T
+        p.flags.writeable = False
+        return p
 
     @cached_property
     def cycle_index(self) -> tuple:

@@ -32,6 +32,7 @@ import numpy as np
 from .core import FlatTensor
 
 _SQ2 = math.sqrt(2.0)
+SLOT_TOL = 1e-9  # one slot's components agree within this x the largest |component|
 
 
 @dataclass(frozen=True)
@@ -97,15 +98,14 @@ class VoigtMap:
             raise ValueError(f"map {self.name} expects a vector of length {self.length}")
         return FlatTensor(self.n, self.order, self.matrix.T @ vec)
 
-    def _check_compatible(self, arr: np.ndarray, tol: float = 1e-9) -> None:
-        # components within one slot must agree up to the slot's scaling
+    def _check_compatible(self, arr: np.ndarray) -> None:
         scale = float(np.max(np.abs(arr))) or 1.0
         for slot in self.slots:
             if len(slot.pattern) < 2:
                 continue
             ref_idx, ref_inv = slot.pattern[0], slot.inverse[0]
             for idx, inv in zip(slot.pattern[1:], slot.inverse[1:]):
-                if abs(arr[idx] / inv - arr[ref_idx] / ref_inv) > tol * scale:
+                if abs(arr[idx] / inv - arr[ref_idx] / ref_inv) > SLOT_TOL * scale:
                     raise ValueError(
                         f"map {self.name}: components {ref_idx} and {idx} violate "
                         "the symmetry this map assumes"

@@ -111,14 +111,14 @@ class TestDirectContraction:
     def test_matches_dense_trace(self, rng, name):
         # chi(Q) = tr(kron_power(Q, k) Pi) with the dense symmetrizer Pi
         sp = SPACES[name]
-        pi = sp.projector.matrix
+        pi = sp.projector
         qs = np.stack([haar_rotation(rng, sp.n) for _ in range(4)])
         if sp.n == 2:
             qs[1::2] = qs[1::2] @ np.diag([1.0, -1.0])
         chis = character_direct(sp, qs)
         assert chis.shape == (4,)
         for q, chi in zip(qs, chis):
-            dense = float(np.trace(kron_power(q, sp.k).matrix @ pi))
+            dense = float(np.trace(kron_power(q, sp.k) @ pi))
             assert chi == pytest.approx(dense, abs=1e-9)
 
     def test_stack_without_act(self, monkeypatch):
@@ -228,7 +228,7 @@ class TestRandomSpaces:
             assert character_direct(sp, q) == pytest.approx(d, abs=1e-12)
         rank = len(image_basis(averaged_projector(sp, group)))
         assert fix_dimension(sp, group) == rank
-        trace = float(np.trace(sp.projector.matrix))
+        trace = float(np.trace(sp.projector))
         assert abs(trace - sp.dim) < 1e-9
 
     @settings(max_examples=30, deadline=None)

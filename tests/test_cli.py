@@ -147,6 +147,21 @@ class TestStructure:
         code, out, _ = run(capsys, "structure", "--space", "ela3", "--group", "cubic")
         assert code == 0 and "C44" in out
 
+    def test_non_projector_exits_4(self, capsys, monkeypatch):
+        from symtensor import projector
+        from symtensor.core import FlatOperator
+        averaged = projector.averaged_projector
+
+        def doubled(space, group):
+            a = averaged(space, group)
+            return FlatOperator(a.n, a.k, 2.0 * a.matrix, span=a.span)
+
+        monkeypatch.setattr(projector, "averaged_projector", doubled)
+        code, out, err = run(capsys, "structure", "--space", "ela3", "--group", "cubic")
+        assert code == 4 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: operator is not idempotent")
+
     def test_json_schema_roundtrip(self, capsys):
         code, out, _ = run(capsys, "structure", "--space", "major3", "--group", "o2-e3",
                            "--format", "json")

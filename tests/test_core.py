@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from fractions import Fraction
@@ -43,18 +44,25 @@ class TestFlatTensor:
         t = FlatTensor.from_array(arr)
         assert t.k == 4 and np.array_equal(t.reshaped(), arr)
 
+    @pytest.mark.parametrize("arr", [5.0, np.array(5.0), np.zeros((2, 3))],
+                             ids=["float", "0-d", "2x3"])
+    def test_from_array_refuses_non_cubical(self, arr):
+        # a 0-d array has no axis to take n from; it is refused like any other
+        with pytest.raises(ValueError, match=r"^array shape \(.*\) is not cubical$"):
+            FlatTensor.from_array(arr)
+
 
 class TestKronPower:
     def test_identity_case(self):
         op = kron_power(np.eye(3), 4)
-        assert op.matrix.shape == (81, 81)
-        assert np.array_equal(op.matrix, np.eye(81))
-        assert np.trace(op.matrix) == 81.0
+        assert op.shape == (81, 81)
+        assert np.array_equal(op, np.eye(81))
+        assert np.trace(op) == 81.0
 
     def test_diagonal_signs_by_hand(self):
         # oracle: hand expansion of Q_ia Q_jb for diagonal Q
         q = np.diag([-1.0, -1.0, 1.0])
-        op = kron_power(q, 2).matrix
+        op = kron_power(q, 2)
         expected = np.zeros((9, 9))
         for i in range(3):
             for j in range(3):
@@ -65,13 +73,24 @@ class TestKronPower:
 
     def test_preserves_elasticity_symmetries(self, rng):
         ela3 = SPACES["ela3"]
-        t = ela3.projector.apply(FlatTensor(3, 4, rng.normal(size=81)))
+        t = ela3.projector @ rng.normal(size=81)
         q = haar_rotation(rng, 3)
-        moved = kron_power(q, 4).apply(t)
-        arr = moved.reshaped()
+        arr = (kron_power(q, 4) @ t).reshape(3, 3, 3, 3)
         assert np.allclose(arr, arr.transpose(1, 0, 2, 3), atol=1e-12)
         assert np.allclose(arr, arr.transpose(0, 1, 3, 2), atol=1e-12)
         assert np.allclose(arr, arr.transpose(2, 3, 0, 1), atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_array_of_chained_kron(self, k, rng):
+        q = haar_rotation(rng, 3)
+        out = kron_power(q, k)
+        assert isinstance(out, np.ndarray) and out.shape == (3**k, 3**k)
+        assert out.tobytes() == functools.reduce(np.kron, [q] * k).tobytes()
+
+    def test_order_one_is_a_copy(self, rng):
+        q = haar_rotation(rng, 3)
+        out = kron_power(q, 1)
+        assert np.array_equal(out, q) and not np.shares_memory(out, q)
 
     def test_rejects_non_orthogonal(self):
         # Q^T Q - I is 1.001^2 - 1 on its diagonal
@@ -88,20 +107,20 @@ class TestKronPower:
     def test_homomorphism_and_orthogonality(self, seed, k):
         rng = np.random.default_rng(seed)
         q1, q2 = haar_rotation(rng, 3), haar_rotation(rng, 3)
-        lhs = kron_power(q1 @ q2, k).matrix
-        rhs = kron_power(q1, k).matrix @ kron_power(q2, k).matrix
+        lhs = kron_power(q1 @ q2, k)
+        rhs = kron_power(q1, k) @ kron_power(q2, k)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
-        kq = kron_power(q1, k).matrix
+        kq = kron_power(q1, k)
         assert np.max(np.abs(kq.T @ kq - np.eye(kq.shape[0]))) < 1e-10
 
 
 class TestOperatorTrace:
     def test_identity_81(self):
-        assert np.trace(kron_power(np.eye(3), 4).matrix) == 81.0
+        assert np.trace(kron_power(np.eye(3), 4)) == 81.0
 
     def test_symmetrizer_traces(self):
-        assert np.trace(SPACES["ela3"].projector.matrix) == pytest.approx(21.0, abs=1e-9)
-        assert np.trace(SPACES["v2"].projector.matrix) == pytest.approx(171.0, abs=1e-9)
+        assert np.trace(SPACES["ela3"].projector) == pytest.approx(21.0, abs=1e-9)
+        assert np.trace(SPACES["v2"].projector) == pytest.approx(171.0, abs=1e-9)
 
 
 class TestAct:
@@ -118,11 +137,15 @@ class TestAct:
         got = act(mats, k, x)
         assert got.shape == (3,) + x.shape
         for q, moved in zip(mats, got):
-            expected = np.tensordot(kron_power(q, k).matrix, x, axes=1)
+            expected = np.tensordot(kron_power(q, k), x, axes=1)
             assert np.max(np.abs(moved - expected)) < 1e-12
 
 
 class TestSpanOperator:
+    def test_span_is_required(self):
+        with pytest.raises(TypeError):
+            FlatOperator(2, 2, np.eye(4))
+
     def test_matrix_must_fit_span_width(self):
         span = SPACES["sym2"].basis  # 4 x 3
         with pytest.raises(ValueError, match="expected \\(3, 3\\)"):
@@ -141,18 +164,18 @@ class TestSpanOperator:
 
 class TestImageBasis:
     def test_identity_full_rank(self):
-        op = FlatOperator(2, 2, np.eye(4))
+        op = FlatOperator(2, 2, np.eye(4), span=np.eye(4))
         basis = image_basis(op)
         assert len(basis) == 4
 
     def test_rejects_non_projector(self):
-        op = FlatOperator(2, 2, np.eye(4) * 2.0)
+        op = FlatOperator(2, 2, np.eye(4) * 2.0, span=np.eye(4))
         with pytest.raises(NotAProjectorError):
             image_basis(op)
 
     def test_orthonormal_output(self):
         pi = SPACES["ela2"].projector
-        basis = image_basis(pi)
+        basis = image_basis(FlatOperator(2, 4, pi, span=np.eye(16)))
         assert len(basis) == 6
         mat = np.column_stack([b.coeffs for b in basis])
         assert np.allclose(mat.T @ mat, np.eye(6), atol=1e-12)
@@ -160,7 +183,8 @@ class TestImageBasis:
     def test_oblique_projector_keeps_full_rank(self):
         # exactly idempotent, singular values 1e10, 1 and 0: the rank is 2
         p = np.array([[1.0, 1e10, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        basis = np.column_stack([b.coeffs for b in image_basis(FlatOperator(3, 1, p))])
+        op = FlatOperator(3, 1, p, span=np.eye(3))
+        basis = np.column_stack([b.coeffs for b in image_basis(op)])
         assert basis.shape == (3, 2)
         assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-12)
         assert np.allclose(p @ basis, basis, atol=1e-12)
@@ -169,10 +193,11 @@ class TestImageBasis:
     @given(st.integers(0, 2**32 - 1))
     def test_rank_stable_under_orthogonal_conjugation(self, seed):
         rng = np.random.default_rng(seed)
-        pi = SPACES["sym2"].projector.matrix
+        pi = SPACES["sym2"].projector
         r = haar_rotation(rng, 4)
-        conjugated = FlatOperator(2, 2, r @ pi @ r.T)
-        assert len(image_basis(conjugated)) == len(image_basis(SPACES["sym2"].projector))
+        conjugated = FlatOperator(2, 2, r @ pi @ r.T, span=np.eye(4))
+        dense = FlatOperator(2, 2, pi, span=np.eye(4))
+        assert len(image_basis(conjugated)) == len(image_basis(dense))
 
 
 def _reference_snap(x: float) -> SnappedValue:

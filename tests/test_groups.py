@@ -312,9 +312,17 @@ class TestHaarRule:
         assert abs(math.fsum(rule.weights) - 1.0) < 1e-12
         assert np.all(rule.weights > 0)
 
+    @pytest.mark.parametrize("name,ambient", [("cubic", 3), ("so2", 2), ("so3", 3)])
+    def test_degree_is_required(self, name, ambient):
+        g = resolve_group(name, ambient)
+        with pytest.raises(TypeError):
+            haar_rule(g)
+        with pytest.raises(TypeError):
+            integrate(g, lambda q: trace(q))
+
     def test_finite_uniform(self):
         g = resolve_group("cubic", 3)
-        rule = haar_rule(g)
+        rule = haar_rule(g, 8)
         assert len(rule) == 24
         assert np.all(rule.weights == 1.0 / 24.0)
 
@@ -462,7 +470,7 @@ class TestHaarRule:
         if group_kind(n) == "finite"])
     def test_finite_rule_bitwise_equal_to_elements(self, name, ambient):
         g = resolve_group(name, ambient)
-        rule = haar_rule(g)
+        rule = haar_rule(g, 8)
         assert rule.matrices.tobytes() == np.stack([e.matrix for e in g.elements]).tobytes()
         assert np.all(rule.weights == 1.0 / g.order())
         if name[0] in "zd":
@@ -554,6 +562,13 @@ class TestIntegrate:
         for name in ("so2", "o2", "so3"):
             assert integrate(continuous(name), lambda e: 1.0, 6) == pytest.approx(1.0, abs=1e-12)
 
+    def test_so3_tenth_trace_moment_at_its_degree(self):
+        # (tr Q)^10 has degree 10: stated, the rule gives the Riordan number
+        # 603; the rule of degree 8 returns 604.37 with no warning
+        so3 = resolve_group("so3", 3)
+        assert integrate(so3, lambda q: trace(q) ** 10, 10) == pytest.approx(603, abs=1e-9)
+        assert abs(integrate(so3, lambda q: trace(q) ** 10, 8) - 603) > 1.0
+
     def test_circle_example(self):
         so2 = resolve_group("so2", 2)
         val = integrate(so2, lambda q: 3 * q[:, 0, 0] ** 2 - q[:, 1, 0] ** 2, 8)
@@ -601,7 +616,8 @@ class TestIntegrate:
             return trace(q) ** 2 + q[:, 0, 1]
 
         # the mean evaluated one element at a time
-        assert integrate(g, f) == math.fsum(f(e.matrix[None])[0] for e in g.elements) / g.order()
+        one_by_one = math.fsum(f(e.matrix[None])[0] for e in g.elements) / g.order()
+        assert integrate(g, f, 2) == one_by_one
 
 
 class TestResolveGroup:
@@ -677,7 +693,7 @@ class TestMatrixStack:
         monkeypatch.setattr(GroupElement, "__post_init__", counting)
         g = resolve_group("cubic", 3)
         assert built == ["rot(e3,pi/2)", "rot(111,2pi/3)"]  # the generators only
-        assert len(haar_rule(g)) == 24 and integrate(g, lambda q: trace(q) ** 2) == 1.0
+        assert len(haar_rule(g, 8)) == 24 and integrate(g, lambda q: trace(q) ** 2, 2) == 1.0
         assert len(built) == 2
         assert g.elements is g.elements and len(built) == 26
 

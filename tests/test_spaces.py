@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ HAND_COUNTS = {"sym2": 3, "sym3": 6, "ela2": 6, "ela3": 21, "major3": 45,
 class TestSymIdentity:
     def test_sym3_component_formula(self):
         # Pi_{iajb} = (delta_ia delta_jb + delta_ib delta_ja) / 2
-        pi = SPACES["sym3"].projector.matrix
+        pi = SPACES["sym3"].projector
         expected = np.zeros((9, 9))
         for i, j, a, b in itertools.product(range(3), repeat=4):
             expected[3 * i + j, 3 * a + b] = ((i == a) * (j == b) + (i == b) * (j == a)) / 2.0
@@ -39,18 +40,18 @@ class TestSymIdentity:
             np.einsum("la,kb,ic,jd->ijklabcd", d, d, d, d),
         ]
         expected = sum(terms).reshape(81, 81) / 8.0
-        assert np.allclose(SPACES["ela3"].projector.matrix, expected, atol=1e-15)
+        assert np.allclose(SPACES["ela3"].projector, expected, atol=1e-15)
 
     def test_major3_two_term_formula(self):
         d = np.eye(3)
         expected = (np.einsum("ia,jb,kc,ld->ijklabcd", d, d, d, d)
                     + np.einsum("ka,lb,ic,jd->ijklabcd", d, d, d, d)).reshape(81, 81) / 2.0
-        assert np.allclose(SPACES["major3"].projector.matrix, expected, atol=1e-15)
+        assert np.allclose(SPACES["major3"].projector, expected, atol=1e-15)
         assert SPACES["major3"].dim == 45
 
     @pytest.mark.parametrize("name", sorted(SPACES))
     def test_projector_properties(self, name):
-        pi = SPACES[name].projector.matrix
+        pi = SPACES[name].projector
         assert np.max(np.abs(pi @ pi - pi)) < 1e-12
         assert np.max(np.abs(pi - pi.T)) < 1e-12
 
@@ -61,9 +62,9 @@ class TestSymIdentity:
     @pytest.mark.parametrize("name", ["ela3", "v1bar", "v2bar", "high2"])
     def test_commutes_with_rotation_action(self, name, rng):
         sp = SPACES[name]
-        pi = sp.projector.matrix
+        pi = sp.projector
         q = haar_rotation(rng, sp.n)
-        kq = kron_power(q, sp.k).matrix
+        kq = kron_power(q, sp.k)
         assert np.max(np.abs(kq @ pi - pi @ kq)) < 1e-10
 
 
@@ -152,6 +153,36 @@ class TestOrbitMean:
     @given(permutation_spaces(), st.integers(0, 2**32 - 1))
     def test_random_space_matches_the_basis(self, sp, seed):
         _orbit_mean_matches_the_basis(sp, seed)
+
+
+class TestDenseReferences:
+    """The orbit basis B is built in one n^k x d allocation, and the dense
+    symmetrizer ``projector`` is the read-only array ``B B^T``."""
+
+    @pytest.mark.parametrize("name", list(SPACES))
+    def test_basis_bytes_equal_the_indicator_rows(self, name):
+        sp = SPACES[name]
+        sizes = np.bincount(sp.orbits)
+        rows = np.eye(sizes.size)[sp.orbits] / np.sqrt(sizes[sp.orbits])[:, None]
+        assert sp.basis.tobytes() == rows.tobytes() and not sp.basis.flags.writeable
+
+    def test_basis_peak_is_one_allocation(self):
+        sp = TensorSpace("t7", 3, 7, ())
+        tracemalloc.start()
+        try:
+            basis = sp.basis
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert basis.shape == (3**7, 3**7)
+        assert peak < 1.2 * basis.nbytes
+
+    @pytest.mark.parametrize("name", ["sym2", "ela3", "v1bar"])
+    def test_projector_is_a_read_only_array(self, name):
+        sp = SPACES[name]
+        p = sp.projector
+        assert isinstance(p, np.ndarray) and not p.flags.writeable and sp.projector is p
+        assert p.tobytes() == (sp.basis @ sp.basis.T).tobytes()
 
 
 class TestCatalog:

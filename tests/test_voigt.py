@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from symtensor.core import FlatTensor
 from symtensor.spaces import SPACES, symmetrize
 from symtensor.voigt import (ALL_MAPS, EXTENDED18, EXTENDED18_ORDER, MANDEL6,
-                             NINE_SLOT, OCTET8, STRUCTURE_MAPS, VOIGT6, anti,
-                             axl, dump_tables, induced_matrix)
+                             NINE_SLOT, OCTET8, SLOT_TOL, STRUCTURE_MAPS, VOIGT6,
+                             anti, axl, dump_tables, induced_matrix)
 
 
 def random_sym3(rng):
@@ -34,6 +34,16 @@ class TestVoigt6:
     def test_rejects_asymmetric(self, rng):
         with pytest.raises(ValueError, match="symmetry"):
             VOIGT6.forward(rng.normal(size=(3, 3)))
+
+    def test_slot_tolerance_is_relative_to_the_largest_entry(self):
+        # x12 and x21 read one slot with inverse scale 1/2: x12 / (1/2) and
+        # x21 / (1/2) may differ by SLOT_TOL x max|x| = 4 SLOT_TOL
+        x = 4.0 * np.eye(3)
+        x[0, 1], x[1, 0] = 1.0, 1.0 + 1.5 * SLOT_TOL
+        assert VOIGT6.forward(x)[5] == pytest.approx(2.0, abs=1e-8)
+        x[1, 0] = 1.0 + 2.5 * SLOT_TOL
+        with pytest.raises(ValueError, match="symmetry"):
+            VOIGT6.forward(x)
 
 
 class TestMandel:
