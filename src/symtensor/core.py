@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+import numbers
 
 import numpy as np
 
@@ -36,6 +37,13 @@ _SNAP_ROOTS = np.sqrt([[1.0], [2.0], [3.0]])
 _SNAP_DENOMINATORS = np.arange(1.0, SNAP_DENOMINATOR_BOUND + 1)
 
 
+def _check_order(n, k) -> None:
+    """Refuse an ambient dimension or order that is not a positive integer."""
+    for v in (n, k):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+            raise ValueError(f"n and k must be positive integers, got n={n!r}, k={k!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class FlatTensor:
     """Order-``k`` tensor over R^``n`` as a flat coefficient vector.
@@ -43,9 +51,9 @@ class FlatTensor:
     Parameters
     ----------
     n : int
-        Ambient dimension (2 or 3).
+        Ambient dimension, at least 1.
     k : int
-        Tensor order.
+        Tensor order, at least 1.
     coeffs : ``(n**k,)`` ndarray
         Row-major flattened coefficients.
     """
@@ -55,6 +63,7 @@ class FlatTensor:
     coeffs: np.ndarray
 
     def __post_init__(self):
+        _check_order(self.n, self.k)
         arr = np.asarray(self.coeffs, dtype=float).reshape(-1)
         if arr.shape != (self.n**self.k,):
             raise ValueError(
@@ -91,34 +100,21 @@ def _frozen(x) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FlatOperator:
-    """Linear map on order-``k`` tensors, given on an orthonormal span.
+    """Linear map on order-``k`` tensors over R^``n``, in orbit coordinates.
 
-    ``span`` (n^k x d) has orthonormal columns and ``matrix`` is d x d in
-    span coordinates: the operator is ``span @ matrix @ span.T``.
+    ``matrix`` is d x d in the orbit basis B (``space.basis``) of the space
+    it came from: the operator on flat tensors is ``B @ matrix @ B.T``.
     """
 
     n: int
     k: int
     matrix: np.ndarray
-    span: np.ndarray
 
     def __post_init__(self):
-        span, m = _frozen(self.span), _frozen(self.matrix)
-        if span.ndim != 2 or span.shape[0] != self.n**self.k:
-            raise ValueError(f"span has shape {span.shape}, expected ({self.n**self.k}, d)")
-        width = span.shape[1]
-        if m.shape != (width, width):
-            raise ValueError(f"operator matrix has shape {m.shape}, expected ({width}, {width})")
-        object.__setattr__(self, "span", span)
+        m = _frozen(self.matrix)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"operator matrix has shape {m.shape}, expected a square matrix")
         object.__setattr__(self, "matrix", m)
-
-    def apply(self, t: FlatTensor) -> FlatTensor:
-        if (t.n, t.k) != (self.n, self.k):
-            raise ValueError(
-                f"operator on order-{self.k} tensors over R^{self.n} cannot act on "
-                f"order-{t.k} tensor over R^{t.n}"
-            )
-        return FlatTensor(self.n, self.k, self.span @ (self.matrix @ (self.span.T @ t.coeffs)))
 
     def idempotency_residual(self) -> float:
         return float(np.max(np.abs(self.matrix @ self.matrix - self.matrix)))
@@ -188,21 +184,21 @@ def act(mats: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
     return np.matmul(a, right.reshape(m, p, q * r)).reshape((m,) + x.shape)
 
 
-def image_basis(a: FlatOperator) -> list[FlatTensor]:
-    """Orthonormal basis of the column space of a projector.
+def image_basis(a: FlatOperator) -> np.ndarray:
+    """Orthonormal basis of the column space of a projector, as the rows of
+    an (r, d) array in the operator's orbit coordinates.
 
     The d x d matrix must be idempotent within 1e-6 (else NotAProjectorError).
-    The basis cardinality is the rank, counted as the singular values above
-    1/2: those of an idempotent operator are 0 or at least 1, even for an
-    oblique projector whose largest one is huge.  The check and the SVD run
-    on ``a.matrix``; the kept singular vectors are lifted through ``a.span``.
+    The rank r is counted as the singular values above 1/2: those of an
+    idempotent operator are 0 or at least 1, even for an oblique projector
+    whose largest one is huge.  Nothing is lifted here: column j of
+    ``space.basis @ basis.T`` is the j-th basis tensor on flat coefficients.
     """
     res = a.idempotency_residual()
     if res >= 1e-6:
         raise NotAProjectorError(res)
     u, s, _ = np.linalg.svd(a.matrix, full_matrices=False)
-    kept = a.span @ u[:, :int(np.sum(s > 0.5))]
-    return [FlatTensor(a.n, a.k, col) for col in kept.T]
+    return u[:, :int(np.sum(s > 0.5))].T
 
 
 @dataclass(frozen=True)

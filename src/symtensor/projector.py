@@ -2,8 +2,8 @@
 
 ``averaged_projector`` realizes the Haar/uniform average of the tensor
 action composed with the symmetrization identity, as a dim x dim matrix in
-the space's orbit basis; its image, lifted through that basis, is the
-invariant subspace.  Every Haar rule here has the degree k of the order-k
+the space's orbit basis; its image, kept in those orbit coordinates, is
+the invariant subspace.  Every Haar rule here has the degree k of the order-k
 integrand, which it integrates exactly; the SO(3) rule stops at degree 12,
 so so3 takes orders k <= 12.  The n^k x n^k average M itself
 (``_averaged_action``) is built only for verification: the projector
@@ -82,8 +82,8 @@ def averaged_projector(space: TensorSpace, group: SymmetryGroup) -> FlatOperator
     The group average M of the tensor action commutes with the
     symmetrization identity B B^T, so ``P = B^T (M B)`` (dim x dim) is an
     idempotent matrix whose trace equals the fixed-subspace dimension.  It
-    is returned with its span B: as an operator on order-k tensors it is
-    ``B P B^T = (M B) B^T``.
+    is returned in orbit coordinates alone: as an operator on order-k
+    tensors it is ``B P B^T = (M B) B^T``, which no library path forms.
 
     M commutes with the space's index permutations too, so each column of
     M B is constant on every orbit O, and P = diag(sqrt|O|) M[reps, :] B
@@ -108,8 +108,7 @@ def averaged_projector(space: TensorSpace, group: SymmetryGroup) -> FlatOperator
     for lo, hi in zip(starts, [*starts[1:], len(reps)]):
         block = (weights * a[:, heads[lo]]).T @ b[:, tails[lo:hi]].reshape(m, -1)
         rows[lo:hi] = block.reshape(p, hi - lo, q).transpose(1, 0, 2).reshape(hi - lo, p * q)
-    span = space.basis
-    return FlatOperator(space.n, k, np.sqrt(sizes)[:, None] * (rows @ span), span=span)
+    return FlatOperator(space.n, k, np.sqrt(sizes)[:, None] * (rows @ space.basis))
 
 
 def project(space: TensorSpace, group: SymmetryGroup, t: FlatTensor) -> FlatTensor:
@@ -183,7 +182,6 @@ class StructureReport:
     dim: int
     voigt_shape: tuple
     entries: tuple                  # matrix of StructureEntry
-    basis: tuple                    # orthonormal FlatTensor basis of the subspace
     constraints: tuple              # textual relations among displayed symbols
     free_labels: tuple
     unsnapped: int = 0              # displayed coefficients left unsnapped; not in to_json
@@ -295,9 +293,10 @@ def structure_report(space: TensorSpace, group: SymmetryGroup) -> StructureRepor
     The invariant subspace is the image of the averaged projector.  Its
     idempotency check, rank (singular values above 1/2, see
     :func:`image_basis`) and SVD run on the dim x dim orbit-coordinate
-    matrix, and the rank must equal the trace-formula dimension.  A slot
-    is zero when its functional is at most ``SLOT_ZERO_TOL`` relative to
-    the largest slot.
+    matrix, and the rank must equal the trace-formula dimension.  The
+    basis stays in those coordinates: each slot reads its component's
+    orbit.  A slot is zero when its functional is at most
+    ``SLOT_ZERO_TOL`` relative to the largest slot.
     """
     (rows, cols), slots, labels, index, factor = _display(space)
     basis = image_basis(averaged_projector(space, group))
@@ -308,9 +307,10 @@ def structure_report(space: TensorSpace, group: SymmetryGroup) -> StructureRepor
             f"for ({space.name}, {group.catalog_id})"
         )
 
-    # each slot's functional on the invariant subspace (no columns if dim 0)
-    coeffs = np.array([t.coeffs for t in basis]).reshape(dim, space.n ** space.k)
-    vecs = coeffs.T[index] * factor[:, None]
+    # each slot's functional on the invariant subspace (no columns if dim 0):
+    # its component lies in one orbit o, where B has the one entry B[index, o]
+    orbit = space.orbits[index]
+    vecs = basis.T[orbit] * space.basis[index, orbit][:, None] * factor[:, None]
     scale = float(np.max(np.linalg.norm(vecs, axis=1), initial=0.0)) or 1.0
     nonzero = np.linalg.norm(vecs, axis=1) > SLOT_ZERO_TOL * scale
     vecs[~nonzero] = 0.0  # so a zero slot solves to no terms
@@ -360,7 +360,6 @@ def structure_report(space: TensorSpace, group: SymmetryGroup) -> StructureRepor
         dim=dim,
         voigt_shape=(rows, cols),
         entries=tuple(tuple(row) for row in entries),
-        basis=tuple(basis),
         constraints=tuple(constraints),
         free_labels=tuple(free_labels),
         unsnapped=unsnapped + unsnapped_terms,

@@ -10,7 +10,6 @@ permutation operators over the group.  The dimension is the orbit count.
 
 from __future__ import annotations
 
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .catalog import SPACE_NAMES as CATALOG_NAMES, catalog_key
-from .core import FlatTensor
+from .core import FlatTensor, _check_order
 
 
 def _check_permutation(perm: tuple, k: int) -> tuple:
@@ -86,9 +85,7 @@ class TensorSpace:
     generators: tuple
 
     def __post_init__(self):
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
-                   for v in (self.n, self.k)):
-            raise ValueError(f"n and k must be positive integers, got n={self.n!r}, k={self.k!r}")
+        _check_order(self.n, self.k)
         object.__setattr__(
             self, "generators",
             tuple(_check_permutation(g, self.k) for g in self.generators),
@@ -124,8 +121,10 @@ class TensorSpace:
     def basis(self) -> np.ndarray:
         """n^k x dim matrix whose columns are the normalized orbit indicators.
 
-        Built only for the averaged projector's span and for the checks;
-        ``symmetrize`` reads the orbits directly.
+        Read by ``averaged_projector`` (its d x d matrix is formed through
+        B), by ``structure_report`` (the 1/sqrt|O| entry of each displayed
+        component) and by the checks; ``symmetrize`` reads the orbits
+        directly.
         """
         sizes = np.bincount(self.orbits)
         b = np.zeros((self.orbits.size, sizes.size))  # the one n^k x dim allocation

@@ -51,6 +51,16 @@ class TestFlatTensor:
         with pytest.raises(ValueError, match=r"^array shape \(.*\) is not cubical$"):
             FlatTensor.from_array(arr)
 
+    @pytest.mark.parametrize("make,bad", [
+        (lambda: FlatTensor(2, 0, [3.0]), "n=2, k=0"),
+        (lambda: FlatTensor.from_array(np.zeros(0)), "n=0, k=1"),
+        (lambda: FlatTensor(True, 2, [0.0]), "n=True, k=2"),
+    ], ids=["order-0", "over-R0", "bool-n"])
+    def test_order_and_dimension_are_positive_integers(self, make, bad):
+        # the one check TensorSpace makes too, with the same message
+        with pytest.raises(ValueError, match=f"^n and k must be positive integers, got {bad}$"):
+            make()
+
 
 class TestKronPower:
     def test_identity_case(self):
@@ -141,50 +151,38 @@ class TestAct:
             assert np.max(np.abs(moved - expected)) < 1e-12
 
 
-class TestSpanOperator:
-    def test_span_is_required(self):
-        with pytest.raises(TypeError):
-            FlatOperator(2, 2, np.eye(4))
-
-    def test_matrix_must_fit_span_width(self):
-        span = SPACES["sym2"].basis  # 4 x 3
-        with pytest.raises(ValueError, match="expected \\(3, 3\\)"):
-            FlatOperator(2, 2, np.eye(4), span=span)
-        with pytest.raises(ValueError, match="span has shape"):
-            FlatOperator(2, 2, np.eye(3), span=span[:3])
-
-    def test_apply_is_the_dense_lift(self, rng):
-        span = SPACES["ela3"].basis
-        p = rng.normal(size=(21, 21))
-        op = FlatOperator(3, 4, p, span=span)
-        t = FlatTensor(3, 4, rng.normal(size=81))
-        dense = span @ p @ span.T @ t.coeffs
-        assert np.max(np.abs(op.apply(t).coeffs - dense)) < 1e-12
+class TestOrbitOperator:
+    @pytest.mark.parametrize("matrix", [np.eye(4)[:3], np.ones(3), np.ones((2, 2, 2))],
+                             ids=["3x4", "vector", "stack"])
+    def test_matrix_must_be_square(self, matrix):
+        with pytest.raises(ValueError, match=r"^operator matrix has shape \(.*\), "
+                                             r"expected a square matrix$"):
+            FlatOperator(2, 2, matrix)
 
 
 class TestImageBasis:
     def test_identity_full_rank(self):
-        op = FlatOperator(2, 2, np.eye(4), span=np.eye(4))
+        op = FlatOperator(2, 2, np.eye(4))
         basis = image_basis(op)
         assert len(basis) == 4
 
     def test_rejects_non_projector(self):
-        op = FlatOperator(2, 2, np.eye(4) * 2.0, span=np.eye(4))
+        op = FlatOperator(2, 2, np.eye(4) * 2.0)
         with pytest.raises(NotAProjectorError):
             image_basis(op)
 
     def test_orthonormal_output(self):
         pi = SPACES["ela2"].projector
-        basis = image_basis(FlatOperator(2, 4, pi, span=np.eye(16)))
+        basis = image_basis(FlatOperator(2, 4, pi))
         assert len(basis) == 6
-        mat = np.column_stack([b.coeffs for b in basis])
+        mat = basis.T  # coordinates on the plain space, whose basis B is I
         assert np.allclose(mat.T @ mat, np.eye(6), atol=1e-12)
 
     def test_oblique_projector_keeps_full_rank(self):
         # exactly idempotent, singular values 1e10, 1 and 0: the rank is 2
         p = np.array([[1.0, 1e10, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        op = FlatOperator(3, 1, p, span=np.eye(3))
-        basis = np.column_stack([b.coeffs for b in image_basis(op)])
+        op = FlatOperator(3, 1, p)
+        basis = image_basis(op).T
         assert basis.shape == (3, 2)
         assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-12)
         assert np.allclose(p @ basis, basis, atol=1e-12)
@@ -195,8 +193,8 @@ class TestImageBasis:
         rng = np.random.default_rng(seed)
         pi = SPACES["sym2"].projector
         r = haar_rotation(rng, 4)
-        conjugated = FlatOperator(2, 2, r @ pi @ r.T, span=np.eye(4))
-        dense = FlatOperator(2, 2, pi, span=np.eye(4))
+        conjugated = FlatOperator(2, 2, r @ pi @ r.T)
+        dense = FlatOperator(2, 2, pi)
         assert len(image_basis(conjugated)) == len(image_basis(dense))
 
 

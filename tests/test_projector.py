@@ -21,6 +21,8 @@ TILTED_CASES = [(space, group, axis) for space in ("ela3", "major3", "v1bar", "v
 DISPLAY_CASES = ([(s, g, None) for s, g in ALL_PAIRS if s in STRUCTURE_MAPS]
                  + TILTED_CASES)
 PROJECT_CASES = [(s, g, None) for s, g in ALL_PAIRS] + TILTED_CASES
+CATALOG_GROUPS = [(s, g) for s in sorted(SPACES)
+                  for g in (("cubic", "so3") if SPACES[s].n == 3 else ("d4", "so2"))]
 COMPILE_CASES = ([(s, "trivial", None) for s in sorted(STRUCTURE_MAPS)]
                  + [case for case in TILTED_CASES if case[0] in ("v1bar", "v2bar")])
 
@@ -49,9 +51,14 @@ def _quadratic_free_slots(vecs, candidates, scale) -> list:
     return free
 
 
-def _dense(a: FlatOperator) -> np.ndarray:
-    """The n^k x n^k matrix ``span @ matrix @ span.T`` of an operator in span coordinates."""
-    return a.span @ a.matrix @ a.span.T
+def _dense(sp: TensorSpace, a: FlatOperator) -> np.ndarray:
+    """The n^k x n^k matrix ``B @ matrix @ B.T`` of an operator in the orbit coordinates of ``sp``."""
+    return sp.basis @ a.matrix @ sp.basis.T
+
+
+def _lifted(sp: TensorSpace, rows: np.ndarray) -> np.ndarray:
+    """The (r, n^k) basis tensors of ``image_basis`` rows in the orbit coordinates of ``sp``."""
+    return (sp.basis @ rows.T).T
 
 
 class TestAveragedProjector:
@@ -59,7 +66,7 @@ class TestAveragedProjector:
         for name in ("sym2", "ela3"):
             sp = SPACES[name]
             a = averaged_projector(sp, resolve_group("trivial", sp.n))
-            assert np.allclose(_dense(a), sp.projector, atol=1e-12)
+            assert np.allclose(_dense(sp, a), sp.projector, atol=1e-12)
 
     def test_sym2_so2_averages_to_spherical_part(self, rng):
         # oracle from the worked circle-average formulas: diagonal slots go
@@ -68,7 +75,7 @@ class TestAveragedProjector:
         a = averaged_projector(sp, resolve_group("so2", 2))
         x = rng.normal(size=(2, 2))
         x = (x + x.T) / 2.0
-        out = a.apply(FlatTensor.from_array(x)).reshaped()
+        out = (_dense(sp, a) @ x.reshape(-1)).reshape(2, 2)
         mean = (x[0, 0] + x[1, 1]) / 2.0
         assert np.allclose(out, mean * np.eye(2), atol=1e-12)
 
@@ -81,7 +88,7 @@ class TestAveragedProjector:
         expected = sum(q @ x @ q.T for q in signs) / 4.0
         sp = SPACES["sym2"]
         group = resolve_group("d2", 2)  # contains exactly those four matrices
-        got = averaged_projector(sp, group).apply(FlatTensor.from_array(x)).reshaped()
+        got = (_dense(sp, averaged_projector(sp, group)) @ x.reshape(-1)).reshape(2, 2)
         assert np.allclose(got, expected, atol=1e-12)
         assert abs(got[0, 1]) < 1e-15
 
@@ -101,7 +108,7 @@ class TestAveragedProjector:
     def test_equivariance(self, rng):
         sp = SPACES["ela3"]
         g = resolve_group("cubic", 3)
-        a = _dense(averaged_projector(sp, g))
+        a = _dense(sp, averaged_projector(sp, g))
         for e in g.generators:
             kq = kron_power(e.matrix, 4)
             assert np.max(np.abs(kq @ a - a)) < 1e-9
@@ -156,7 +163,7 @@ class TestProject:
         sp = SPACES["ela3"]
         g = resolve_group("cubic", 3)
         t = symmetrize(sp, rng.normal(size=81))
-        inv = averaged_projector(sp, g).apply(t)
+        inv = FlatTensor(sp.n, sp.k, _dense(sp, averaged_projector(sp, g)) @ t.coeffs)
         again = project(sp, g, inv)
         assert np.max(np.abs(again.coeffs - inv.coeffs)) < 1e-12
 
@@ -211,7 +218,6 @@ class TestProject:
         # after averaging; checked through the isometric slot matrix
         sp = SPACES["ela3"]
         g = resolve_group("so2-e3", 3)
-        base = image_basis(FlatOperator(sp.n, sp.k, sp.projector, span=np.eye(sp.n**sp.k)))
         ident = np.einsum("ik,jl->ijkl", np.eye(3), np.eye(3))
         ident = (ident + np.einsum("il,jk->ijkl", np.eye(3), np.eye(3))) / 2.0
         t = symmetrize(sp, ident.reshape(-1) + 0.05 * rng.normal(size=81))
@@ -298,7 +304,7 @@ class TestStructureReport:
         map_row, map_col = STRUCTURE_MAPS[space_name]
         (rows, cols), slots, _, index, factor = _display(sp)
         assert (rows, cols) == (map_row.length, map_col.length)
-        basis = np.array([t.coeffs for t in image_basis(averaged_projector(sp, g))])
+        basis = _lifted(sp, image_basis(averaged_projector(sp, g)))
         want = map_row.matrix @ basis.reshape(len(basis), map_row.matrix.shape[1], -1) \
             @ map_col.matrix.T
         got = basis[:, index] * factor
@@ -328,16 +334,16 @@ class TestStructureReport:
         sp = SPACES[space_name]
         g = resolve_group(group_name, sp.n)
         rep = structure_report(sp, g)
-        span = sum(np.outer(t.coeffs, t.coeffs) for t in rep.basis)
         a = averaged_projector(sp, g)
-        dense = _dense(a)
+        lifted = _lifted(sp, image_basis(a))  # the basis the report reads
+        span = sum(np.outer(t, t) for t in lifted)
+        dense = _dense(sp, a)
         assert np.max(np.abs(span - dense)) <= 1e-12
         # the orbit-coordinate basis spans what the dense form's own SVD finds
-        from_dense = image_basis(FlatOperator(sp.n, sp.k, dense, span=np.eye(sp.n**sp.k)))
-        from_orbits = image_basis(a)
-        assert len(from_orbits) == len(from_dense) == rep.dim
-        for basis in (from_orbits, from_dense):
-            stacked = np.array([t.coeffs for t in basis]).reshape(-1, sp.n**sp.k)
+        # (the dense form as an operator on the plain space, whose basis is I)
+        from_dense = image_basis(FlatOperator(sp.n, sp.k, dense))
+        assert len(lifted) == len(from_dense) == rep.dim
+        for stacked in (lifted, from_dense):
             assert np.max(np.abs(stacked.T @ stacked - dense)) <= 1e-12
 
     @pytest.mark.parametrize("space_name,tied,count,gone", [
@@ -375,9 +381,9 @@ class TestStructureReport:
         rng = np.random.default_rng(43)
 
         def rotated(op):
-            basis = np.array([t.coeffs for t in image_basis(op)])
+            basis = image_basis(op)
             q, _ = np.linalg.qr(rng.normal(size=(len(basis), len(basis))))
-            return [FlatTensor(op.n, op.k, row) for row in q.T @ basis]
+            return q.T @ basis
 
         monkeypatch.setattr("symtensor.projector.image_basis", rotated)
         for _ in range(3):
@@ -494,7 +500,7 @@ class TestIsotropicModuli:
         sp = SPACES["major3"]
         g = resolve_group("so3", 3)
         t = symmetrize(sp, rng.normal(size=81))
-        inv = averaged_projector(sp, g).apply(t)
+        inv = FlatTensor(sp.n, sp.k, _dense(sp, averaged_projector(sp, g)) @ t.coeffs)
         m = induced_matrix(NINE_SLOT, NINE_SLOT, inv)
         lam, mu, mu_c = moduli_from_matrix(m)
         assert np.max(np.abs(m - isotropic_nine_matrix(lam, mu, mu_c))) < 1e-9
@@ -502,12 +508,44 @@ class TestIsotropicModuli:
 
 class TestImageBasisOfAverage:
     def test_sym2_so2_basis_is_spherical(self):
-        a = averaged_projector(SPACES["sym2"], resolve_group("so2", 2))
-        basis = image_basis(a)
+        sp = SPACES["sym2"]
+        basis = image_basis(averaged_projector(sp, resolve_group("so2", 2)))
         assert len(basis) == 1
-        mat = basis[0].reshaped()
+        mat = _lifted(sp, basis)[0].reshape(2, 2)
         assert abs(mat[0, 0] - mat[1, 1]) < 1e-12 and abs(mat[0, 1]) < 1e-12
 
     def test_ela3_cubic_three_vectors(self):
         a = averaged_projector(SPACES["ela3"], resolve_group("cubic", 3))
         assert len(image_basis(a)) == 3
+
+    @pytest.mark.parametrize("space_name,group_name", CATALOG_GROUPS,
+                             ids=_case_ids([(s, g, None) for s, g in CATALOG_GROUPS]))
+    def test_rows_in_orbit_coordinates(self, space_name, group_name):
+        # r orthonormal rows of length d, which lift through B to an
+        # orthonormal basis of the invariant subspace: the one the dense
+        # n^k x n^k form's own SVD finds
+        sp = SPACES[space_name]
+        g = resolve_group(group_name, sp.n)
+        a = averaged_projector(sp, g)
+        rows = image_basis(a)
+        dim, d = fix_dimension(sp, g), sp.basis.shape[1]
+        assert isinstance(rows, np.ndarray) and rows.shape == (dim, d)
+        assert np.max(np.abs(rows @ rows.T - np.eye(dim)), initial=0.0) <= 1e-12
+        lifted = sp.basis @ rows.T
+        dense = _dense(sp, a)
+        from_dense = image_basis(FlatOperator(sp.n, sp.k, dense)).T  # on the plain space
+        assert np.max(np.abs(lifted @ lifted.T - from_dense @ from_dense.T)) <= 1e-12
+        assert np.max(np.abs(lifted @ lifted.T - dense)) <= 1e-12
+
+    def test_order_six_basis_lifts_nothing(self):
+        # the plain order-6 space has 729 orbits: the operator is 729 x 729
+        # (4 MiB) and is neither copied with B nor lifted through it
+        sp, g = TensorSpace("t6", 3, 6, ()), resolve_group("so3", 3)
+        tracemalloc.start()
+        try:
+            rows = image_basis(averaged_projector(sp, g))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert rows.shape == (fix_dimension(sp, g), 729)
