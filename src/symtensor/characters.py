@@ -88,11 +88,11 @@ def fix_dimension(space: TensorSpace, group: SymmetryGroup) -> int:
     """Dimension of the fixed-point subspace via the trace formula.
 
     The character is a degree-k polynomial in the entries of Q, and the
-    Haar rule of degree k (as in ``averaged_projector``) integrates it
-    exactly.  The SO(3) rule stops at degree 12, so so3 takes orders
-    k <= 12; a higher order raises ``ValueError`` (ROADMAP item 4, exact
-    dimensions from the weight polynomial, lifts this).  A Haar average
-    further than 1e-6 from an integer raises ``QuadratureNotConvergedError``.
+    flat Haar rule of degree k (``haar_rule``) integrates it exactly.  The
+    SO(3) rule stops at degree 12, so so3 takes orders k <= 12; a higher
+    order raises ``ValueError`` (ROADMAP item 4, exact dimensions from the
+    weight polynomial, lifts this).  A Haar average further than 1e-6 from
+    an integer raises ``QuadratureNotConvergedError``.
     """
     _check_ambient(space, group.ambient)
     value = integrate(group, lambda mats: character_closed_form(space, mats), space.k)

@@ -26,6 +26,12 @@ exact for polynomials in the matrix entries up to a requested degree d:
   volume element.  The circle angles leave only D^l_00 = P_l(cos theta)
   with l <= d, and that many Gauss-Legendre nodes are exact up to degree
   2 (d // 2) + 1 >= d in u.
+
+The SO(3) rule is a product of three one-parameter rules, turns about e3,
+tilts about e2 and turns again (``so3_factors``), and the mean of
+Q^{(x)k} over it is the product of their three means.  ``haar_rule``
+builds the flat (d + 1)^2 (d // 2 + 1)-node rule from the same nodes;
+production averaging applies the 2 (d + 1) + d // 2 + 1 factor nodes.
 """
 
 from __future__ import annotations
@@ -309,24 +315,56 @@ def haar_rule(g: SymmetryGroup, max_poly_degree: int) -> QuadratureRule:
     max_poly_degree, with the fewest nodes of its kind (see the module
     docstring).  The caller states the degree, an integer >= 1 and at most
     12 on so3: orders k <= 12 at the degree k the library integrates at.
+    The flat SO(3) rule serves ``integrate``, ``fix_dimension`` and the
+    verification checks; ``averaged_projector`` and ``project`` apply its
+    three factors (``so3_factors``) instead.
     """
     _check_degree(max_poly_degree)
     if g.is_finite:
         return _uniform_rule(g.matrices)
     name = g.catalog_id
-    if name == "so3" and max_poly_degree > 12:
-        raise ValueError(f"max_poly_degree must be <= 12 on so3, got {max_poly_degree}")
-    count = max_poly_degree + 1
     if name != "so3":
-        mats = _axial_matrices(g.ambient, count, _AXIAL[name][1], g.frame)
+        mats = _axial_matrices(g.ambient, max_poly_degree + 1, _AXIAL[name][1], g.frame)
         return QuadratureRule(mats, np.full(len(mats), 1.0 / len(mats)))
 
-    turns = np.stack([rotation_z(2 * np.pi * j / count) for j in range(count)])
-    u_nodes, u_weights = np.polynomial.legendre.leggauss(max_poly_degree // 2 + 1)
-    tilts = np.stack([rotation_y(float(np.arccos(u))) for u in u_nodes])
+    turns, tilts, u_weights = _so3_nodes(max_poly_degree)
+    count = len(turns)
     mats = (turns[:, None] @ tilts)[:, :, None] @ turns
     weights = np.broadcast_to(u_weights[:, None] / (2 * count * count), mats.shape[:3])
     return QuadratureRule(mats.reshape(-1, 3, 3), weights.reshape(-1))
+
+
+def _so3_nodes(max_poly_degree: int) -> tuple:
+    """The nodes of the SO(3) product rule of a degree already checked by
+    ``_check_degree``: the degree + 1 turns Rz(2 pi j / (degree + 1)), the
+    degree // 2 + 1 tilts Ry(arccos u) at the Gauss-Legendre nodes u, and
+    the Gauss-Legendre weights, which sum to 2.  A degree above 12 raises
+    ``ValueError``."""
+    if max_poly_degree > 12:
+        raise ValueError(f"max_poly_degree must be <= 12 on so3, got {max_poly_degree}")
+    count = max_poly_degree + 1
+    turns = np.stack([rotation_z(2 * np.pi * j / count) for j in range(count)])
+    u_nodes, u_weights = np.polynomial.legendre.leggauss(max_poly_degree // 2 + 1)
+    tilts = np.stack([rotation_y(float(np.arccos(u))) for u in u_nodes])
+    return turns, tilts, u_weights
+
+
+def so3_factors(max_poly_degree: int) -> tuple:
+    """The SO(3) rule of ``haar_rule`` as its three normalized one-parameter
+    factors, in (phi, u, psi) order: the turns about e3 with uniform
+    weights, the Gauss-Legendre tilts about e2 with half the Gauss-Legendre
+    weights, and the turns again (the same rule).
+
+    Node (i, j, l) of the flat rule is the product of node i, j and l of
+    the factors, and its weight the product of theirs up to rounding, so
+    the flat rule's mean of Q^{(x)k} is the product of the factors' three
+    means, 2 (d + 1) + d // 2 + 1 nodes in place of (d + 1)^2 (d // 2 + 1).
+    The degree is checked and capped at 12 as in ``haar_rule``.
+    """
+    _check_degree(max_poly_degree)
+    turns, tilts, u_weights = _so3_nodes(max_poly_degree)
+    turn = QuadratureRule(turns, np.full(len(turns), 1.0 / len(turns)))
+    return turn, QuadratureRule(tilts, u_weights / 2), turn
 
 
 def integrate(g: SymmetryGroup, f: Callable[[np.ndarray], np.ndarray], degree: int) -> float:

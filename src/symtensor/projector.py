@@ -5,9 +5,12 @@ action composed with the symmetrization identity, as a dim x dim matrix in
 the space's orbit basis; its image, kept in those orbit coordinates, is
 the invariant subspace.  Every Haar rule here has the degree k of the order-k
 integrand, which it integrates exactly; the SO(3) rule stops at degree 12,
-so so3 takes orders k <= 12.  The n^k x n^k average M itself
-(``_averaged_action``) is built only for verification: the projector
-reads d rows of it, and ``project`` applies the rule to one vector.
+so so3 takes orders k <= 12.  Under so3 both average over the rule's three
+Euler factors in turn (``groups.so3_factors``), 18 nodes at k = 6 in place
+of the flat rule's 196.  The n^k x n^k average M itself
+(``_averaged_action``, over the flat rule) is built only for verification:
+the projector reads d rows of each factor's mean, and ``project`` applies
+the rules to one vector.
 ``structure_report`` renders the general invariant tensor in the slot map
 registered for the space, classifying every slot as zero, an independent
 (free) component, or a rational combination of free components, and
@@ -23,7 +26,7 @@ import numpy as np
 from .catalog import extract_isotropic_moduli  # re-exported; it needs no numpy
 from .core import FlatOperator, FlatTensor, act, image_basis, kron_halves, rational_snap
 from .characters import _check_ambient, fix_dimension
-from .groups import SymmetryGroup, haar_rule
+from .groups import QuadratureRule, SymmetryGroup, haar_rule, so3_factors
 from .spaces import TensorSpace, symmetrize
 from .voigt import STRUCTURE_MAPS
 
@@ -53,16 +56,17 @@ class NoVoigtMapError(KeyError):
 
 
 def _averaged_action(space: TensorSpace, group: SymmetryGroup) -> np.ndarray:
-    """Weighted sum of k-fold Kronecker powers over the group's Haar rule
-    of degree k, which integrates the degree-k action exactly.
+    """Weighted sum of k-fold Kronecker powers over the group's flat Haar
+    rule of degree k, which integrates the degree-k action exactly.
 
     Built stage-wise: per-node Kronecker factors of half the order
     (:func:`core.kron_halves`) are combined through one matrix product,
     which keeps the order-6 cases (729 x 729 over up to 196 so3 nodes)
     fast.  This n^k x n^k matrix M is built only for verification: for the
-    dense checks of the verification table, and for tests.
-    ``averaged_projector`` reads d rows of it without forming it, and
-    ``project`` applies the rule to one vector.
+    dense checks of the verification table, and for tests.  It keeps the
+    flat rule, so it checks the factored so3 average of
+    ``averaged_projector`` and ``project`` by an independent route; those
+    two never form it.
     """
     _check_ambient(space, group.ambient)
     k = space.k
@@ -73,6 +77,35 @@ def _averaged_action(space: TensorSpace, group: SymmetryGroup) -> np.ndarray:
     # sum_m w_m kron(a_m, b_m) via one (p^2, m) @ (m, q^2) product
     flat = (rule.weights[:, None] * a.reshape(m, p * p)).T @ b.reshape(m, q * q)
     out = flat.reshape(p, p, q, q).transpose(0, 2, 1, 3).reshape(p * q, p * q)
+    return out
+
+
+def _haar_stages(group: SymmetryGroup, k: int) -> tuple:
+    """Haar rules of degree k whose means, multiplied in order, are the
+    group's mean of Q^{(x)k}: the three Euler factors of so3
+    (``groups.so3_factors``), and the one ``haar_rule`` of any other group."""
+    if not group.is_finite and group.catalog_id == "so3":
+        return so3_factors(k)
+    return (haar_rule(group, k),)
+
+
+def _orbit_mean(space: TensorSpace, rule: QuadratureRule, reps: np.ndarray,
+                sizes: np.ndarray) -> np.ndarray:
+    """``B^T M B`` (d x d) for the mean M of Q^{(x)k} over one rule, read
+    from the d rows of M at the orbit representatives ``reps`` (orbit
+    sizes ``sizes``); see :func:`averaged_projector`."""
+    a, b = kron_halves(rule.matrices, space.k)
+    p, q = a.shape[1], b.shape[1]
+    heads, tails = np.divmod(reps, q)  # reps ascend, so each head's rows are one run
+    starts = np.flatnonzero(np.diff(heads, prepend=-1))
+    weights, m = rule.weights[:, None], len(rule)
+    rows = np.empty((len(reps), p * q))
+    for lo, hi in zip(starts, [*starts[1:], len(reps)]):
+        block = (weights * a[:, heads[lo]]).T @ b[:, tails[lo:hi]].reshape(m, -1)
+        rows[lo:hi] = block.reshape(p, hi - lo, q).transpose(1, 0, 2).reshape(hi - lo, p * q)
+    out = rows @ space.basis
+    del rows
+    out *= np.sqrt(sizes)[:, None]
     return out
 
 
@@ -94,21 +127,21 @@ def averaged_projector(space: TensorSpace, group: SymmetryGroup) -> FlatOperator
     over the Haar rule of degree k.  Besides the rule's half-order
     Kronecker stacks (m p^2 and m q^2 entries), no temporary exceeds
     d x n^k: the n^k x n^k matrix of ``_averaged_action`` is never formed.
+
+    Under so3 the mean is M = M_1 M_2 M_3 over the rule's three Euler
+    factors, each of which commutes with the index permutations as M
+    does, so P = P_1 P_2 P_3 with each P_i read as above from its factor's
+    nodes: 2 (k + 1) + k // 2 + 1 of them, not (k + 1)^2 (k // 2 + 1).
+    Any other group has the one stage of its ``haar_rule``.
     """
     _check_ambient(space, group.ambient)
-    k = space.k
-    rule = haar_rule(group, k)
-    a, b = kron_halves(rule.matrices, k)
-    p, q = a.shape[1], b.shape[1]
     _, reps, sizes = np.unique(space.orbits, return_index=True, return_counts=True)
-    heads, tails = np.divmod(reps, q)  # reps ascend, so each head's rows are one run
-    starts = np.flatnonzero(np.diff(heads, prepend=-1))
-    weights, m = rule.weights[:, None], len(rule)
-    rows = np.empty((len(reps), p * q))
-    for lo, hi in zip(starts, [*starts[1:], len(reps)]):
-        block = (weights * a[:, heads[lo]]).T @ b[:, tails[lo:hi]].reshape(m, -1)
-        rows[lo:hi] = block.reshape(p, hi - lo, q).transpose(1, 0, 2).reshape(hi - lo, p * q)
-    return FlatOperator(space.n, k, np.sqrt(sizes)[:, None] * (rows @ space.basis))
+    out = None
+    for rule in _haar_stages(group, space.k):
+        mean = _orbit_mean(space, rule, reps, sizes)
+        out = mean if out is None else out @ mean
+        del mean  # at most three d x d arrays and B are alive at once
+    return FlatOperator(space.n, space.k, out)
 
 
 def project(space: TensorSpace, group: SymmetryGroup, t: FlatTensor) -> FlatTensor:
@@ -117,8 +150,10 @@ def project(space: TensorSpace, group: SymmetryGroup, t: FlatTensor) -> FlatTens
     The Haar rule of degree k is applied to the one vector ``B B^T t``:
     ``sum_m w_m Q_m^{(x)k} (B B^T t)``, through ``core.act``, so the n^k x
     n^k average M of ``_averaged_action`` is never formed, and
-    ``symmetrize`` takes orbit means, so neither is B.  A tensor whose
-    average leaves the double range raises ``ValueError``.
+    ``symmetrize`` takes orbit means, so neither is B.  Under so3, M is
+    the product of the means over the rule's three Euler factors, and they
+    are applied in turn, the last factor first.  A tensor whose average
+    leaves the double range raises ``ValueError``.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -127,8 +162,10 @@ def project(space: TensorSpace, group: SymmetryGroup, t: FlatTensor) -> FlatTens
             if res >= 1e-9 * max(1.0, t.norm_inf()):
                 raise MembershipError(res)
             _check_ambient(space, group.ambient)
-            rule = haar_rule(group, space.k)
-            return FlatTensor(space.n, space.k, rule.weights @ act(rule.matrices, space.k, inside))
+            out = inside
+            for rule in reversed(_haar_stages(group, space.k)):
+                out = rule.weights @ act(rule.matrices, space.k, out)
+            return FlatTensor(space.n, space.k, out)
     except FloatingPointError:
         raise ValueError("the group average overflows the double range") from None
 

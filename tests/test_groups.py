@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from symtensor.characters import fix_dimension
-from symtensor.core import kron_power
+from symtensor.core import act, kron_power
 from symtensor.groups import (CLOSURE_TOL, FLIP_E1_3D, GROUPS_2D, GROUPS_3D, REFLECTION_2D,
                               GroupElement, QuadratureRule, SymmetryGroup, axis_aligner,
                               closure_check, group_kind, haar_rule, integrate,
-                              resolve_group, rotation_2d, rotation_y, rotation_z)
-from symtensor.spaces import SPACES
+                              resolve_group, rotation_2d, rotation_y, rotation_z, so3_factors)
+from symtensor.projector import project
+from symtensor.spaces import SPACES, TensorSpace, symmetrize
 
 from conftest import haar_rotation
 
@@ -492,6 +493,46 @@ class TestHaarRule:
         monkeypatch.setattr(GroupElement, "__post_init__", counting)
         rule = haar_rule(g, 8)
         assert len(rule) > 0 and built == []
+
+
+class TestSO3Factors:
+    @pytest.mark.parametrize("degree", range(1, 13))
+    def test_products_are_the_flat_rule(self, degree):
+        # node (i, j, l) of the flat rule is turn i, tilt j, turn l, multiplied in order
+        turn, tilt, last = so3_factors(degree)
+        rule = haar_rule(resolve_group("so3", 3), degree)
+        assert last is turn
+        assert (len(turn), len(tilt)) == (degree + 1, degree // 2 + 1)
+        mats = (turn.matrices[:, None] @ tilt.matrices)[:, :, None] @ turn.matrices
+        assert mats.reshape(-1, 3, 3).tobytes() == rule.matrices.tobytes()
+        weights = (turn.weights[:, None, None] * tilt.weights[:, None]
+                   * turn.weights).reshape(-1)
+        assert np.max(np.abs(weights - rule.weights) / rule.weights) <= 4e-16
+
+    @pytest.mark.parametrize("degree", range(1, 13))
+    def test_each_factor_is_normalized(self, degree):
+        for factor in so3_factors(degree)[:2]:
+            assert abs(math.fsum(factor.weights) - 1.0) <= 2.0**-52
+            assert np.all(factor.weights > 0)
+
+    @pytest.mark.parametrize("degree", [13, 0, True, 2.5])
+    def test_refuses_what_haar_rule_refuses(self, degree):
+        with pytest.raises(ValueError) as flat:
+            haar_rule(resolve_group("so3", 3), degree)
+        with pytest.raises(ValueError) as factored:
+            so3_factors(degree)
+        assert str(factored.value) == str(flat.value)
+
+    def test_sym8_project_equals_the_flat_rule(self):
+        # the three factors applied in turn against the 405-node rule in one pass
+        swaps = tuple(tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, 8)) for i in range(7))
+        sp, g = TensorSpace("sym8", 3, 8, swaps), resolve_group("so3", 3)
+        t = symmetrize(sp, 3.0 * np.random.default_rng(41).normal(size=3**8))
+        rule = haar_rule(g, 8)
+        assert len(rule) == 405
+        expected = rule.weights @ act(rule.matrices, 8, t.coeffs)
+        gap = np.max(np.abs(project(sp, g, t).coeffs - expected))
+        assert gap <= 1e-12 * max(1.0, t.norm_inf())
 
 
 # Riordan numbers (OEIS A005043), n = 0..12: the Haar moments of tr Q on SO(3)

@@ -157,6 +157,39 @@ class TestAveragedProjector:
         assert "basis" not in vars(sp)
         assert peak < 32 * 2**20
 
+    def test_order_eight_so3_projector_in_small_memory(self):
+        # so3 averages over its three Euler factors (9, 5 and 9 nodes), not
+        # over the flat 405-node rule whose half-order Kronecker stacks alone
+        # take 20 MiB
+        swaps = tuple(tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, 8)) for i in range(7))
+        sp, g = TensorSpace("sym8", 3, 8, swaps), resolve_group("so3", 3)
+        tracemalloc.start()
+        try:
+            a = averaged_projector(sp, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(image_basis(a)) == 1
+        assert peak < 8 * 2**20
+
+    def test_order_eight_so3_projects_in_small_memory(self):
+        sp, g = TensorSpace("t8", 3, 8, ()), resolve_group("so3", 3)
+        tracemalloc.start()
+        try:
+            out = project(sp, g, FlatTensor(3, 8, np.ones(3**8)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # (Q x)^{(x)8} for x = (1,1,1) averages to |x|^8 times the sphere's
+        # eighth moment: an entry whose indices hold each axis c_a times is
+        # 3^4 prod_a (c_a - 1)!! / 9!! when every c_a is even, else 0
+        counts = (np.indices((3,) * 8).reshape(8, -1)[:, :, None] == np.arange(3)).sum(axis=0)
+        double_factorial = np.array([1, 1, 1, 3, 3, 15, 15, 105, 105])  # (c - 1)!!
+        expected = np.where(np.all(counts % 2 == 0, axis=1),
+                            81.0 * np.prod(double_factorial[counts], axis=1) / 945.0, 0.0)
+        assert np.allclose(out.coeffs, expected, rtol=0.0, atol=1e-12)
+        assert peak < 8 * 2**20
+
 
 class TestProject:
     def test_invariant_input_unchanged(self, rng):
