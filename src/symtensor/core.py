@@ -100,14 +100,14 @@ def _frozen(x) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FlatOperator:
-    """Linear map on order-``k`` tensors over R^``n``, in orbit coordinates.
+    """Linear map on the tensors of one space, in orbit coordinates.
 
-    ``matrix`` is d x d in the orbit basis B (``space.basis``) of the space
-    it came from: the operator on flat tensors is ``B @ matrix @ B.T``.
+    ``matrix`` is a square, read-only d x d matrix in the orbit basis B
+    (``space.basis``) of the space it came from: the operator on flat
+    tensors is ``B @ matrix @ B.T``.  Which space that is, the matrix
+    alone does not say: its orbit basis depends on the space's generators.
     """
 
-    n: int
-    k: int
     matrix: np.ndarray
 
     def __post_init__(self):

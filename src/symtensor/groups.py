@@ -28,10 +28,11 @@ exact for polynomials in the matrix entries up to a requested degree d:
   2 (d // 2) + 1 >= d in u.
 
 The SO(3) rule is a product of three one-parameter rules, turns about e3,
-tilts about e2 and turns again (``so3_factors``), and the mean of
-Q^{(x)k} over it is the product of their three means.  ``haar_rule``
-builds the flat (d + 1)^2 (d // 2 + 1)-node rule from the same nodes;
-production averaging applies the 2 (d + 1) + d // 2 + 1 factor nodes.
+tilts about e2 and turns again, and the mean of Q^{(x)k} over it is the
+product of their three means.  ``so3_factors`` alone builds those nodes
+and holds the degree-12 cap; ``haar_rule`` multiplies them into the flat
+(d + 1)^2 (d // 2 + 1)-node rule, while production averaging applies the
+2 (d + 1) + d // 2 + 1 factor nodes.
 """
 
 from __future__ import annotations
@@ -310,14 +311,15 @@ def haar_rule(g: SymmetryGroup, max_poly_degree: int) -> QuadratureRule:
     (phi, theta, psi) in [0,2pi] x [0,pi] x [0,2pi] with the invariant density
     sin(theta)/(8 pi^2): degree + 1 uniform nodes in phi and in psi and
     degree // 2 + 1 Gauss-Legendre nodes in u = cos(theta), node Rz(phi)
-    Ry(arccos u) Rz(psi) in (phi, u, psi) order.  Each is exact (up to
-    roundoff) for polynomials in the matrix entries of total degree <=
-    max_poly_degree, with the fewest nodes of its kind (see the module
+    Ry(arccos u) Rz(psi) in (phi, u, psi) order, the product of the nodes
+    of ``so3_factors`` with weight u_j / (2 (degree + 1)^2).  Each is exact
+    (up to roundoff) for polynomials in the matrix entries of total degree
+    <= max_poly_degree, with the fewest nodes of its kind (see the module
     docstring).  The caller states the degree, an integer >= 1 and at most
     12 on so3: orders k <= 12 at the degree k the library integrates at.
     The flat SO(3) rule serves ``integrate``, ``fix_dimension`` and the
     verification checks; ``averaged_projector`` and ``project`` apply its
-    three factors (``so3_factors``) instead.
+    three factors instead.
     """
     _check_degree(max_poly_degree)
     if g.is_finite:
@@ -327,43 +329,34 @@ def haar_rule(g: SymmetryGroup, max_poly_degree: int) -> QuadratureRule:
         mats = _axial_matrices(g.ambient, max_poly_degree + 1, _AXIAL[name][1], g.frame)
         return QuadratureRule(mats, np.full(len(mats), 1.0 / len(mats)))
 
-    turns, tilts, u_weights = _so3_nodes(max_poly_degree)
-    count = len(turns)
-    mats = (turns[:, None] @ tilts)[:, :, None] @ turns
-    weights = np.broadcast_to(u_weights[:, None] / (2 * count * count), mats.shape[:3])
+    turn, tilt, _ = so3_factors(max_poly_degree)
+    mats = (turn.matrices[:, None] @ tilt.matrices)[:, :, None] @ turn.matrices
+    weights = np.broadcast_to(tilt.weights[:, None] / len(turn) ** 2, mats.shape[:3])
     return QuadratureRule(mats.reshape(-1, 3, 3), weights.reshape(-1))
 
 
-def _so3_nodes(max_poly_degree: int) -> tuple:
-    """The nodes of the SO(3) product rule of a degree already checked by
-    ``_check_degree``: the degree + 1 turns Rz(2 pi j / (degree + 1)), the
-    degree // 2 + 1 tilts Ry(arccos u) at the Gauss-Legendre nodes u, and
-    the Gauss-Legendre weights, which sum to 2.  A degree above 12 raises
-    ``ValueError``."""
+def so3_factors(max_poly_degree: int) -> tuple:
+    """The SO(3) rule of ``haar_rule`` as its three normalized one-parameter
+    factors, in (phi, u, psi) order: the degree + 1 turns Rz(2 pi j /
+    (degree + 1)) with uniform weights, the degree // 2 + 1 tilts
+    Ry(arccos u) at the Gauss-Legendre nodes u with half the Gauss-Legendre
+    weights, and the turns again (the same rule object).
+
+    This is the one builder of SO(3) nodes: ``haar_rule`` multiplies them
+    into its flat rule, node (i, j, l) the product of node i, j and l of
+    the factors, so the flat rule's mean of Q^{(x)k} is the product of the
+    factors' three means, 2 (d + 1) + d // 2 + 1 nodes in place of
+    (d + 1)^2 (d // 2 + 1).  The degree is an integer >= 1 and at most 12;
+    any other raises ``ValueError``.
+    """
+    _check_degree(max_poly_degree)
     if max_poly_degree > 12:
         raise ValueError(f"max_poly_degree must be <= 12 on so3, got {max_poly_degree}")
     count = max_poly_degree + 1
     turns = np.stack([rotation_z(2 * np.pi * j / count) for j in range(count)])
     u_nodes, u_weights = np.polynomial.legendre.leggauss(max_poly_degree // 2 + 1)
     tilts = np.stack([rotation_y(float(np.arccos(u))) for u in u_nodes])
-    return turns, tilts, u_weights
-
-
-def so3_factors(max_poly_degree: int) -> tuple:
-    """The SO(3) rule of ``haar_rule`` as its three normalized one-parameter
-    factors, in (phi, u, psi) order: the turns about e3 with uniform
-    weights, the Gauss-Legendre tilts about e2 with half the Gauss-Legendre
-    weights, and the turns again (the same rule).
-
-    Node (i, j, l) of the flat rule is the product of node i, j and l of
-    the factors, and its weight the product of theirs up to rounding, so
-    the flat rule's mean of Q^{(x)k} is the product of the factors' three
-    means, 2 (d + 1) + d // 2 + 1 nodes in place of (d + 1)^2 (d // 2 + 1).
-    The degree is checked and capped at 12 as in ``haar_rule``.
-    """
-    _check_degree(max_poly_degree)
-    turns, tilts, u_weights = _so3_nodes(max_poly_degree)
-    turn = QuadratureRule(turns, np.full(len(turns), 1.0 / len(turns)))
+    turn = QuadratureRule(turns, np.full(count, 1.0 / count))
     return turn, QuadratureRule(tilts, u_weights / 2), turn
 
 

@@ -9,8 +9,9 @@ so so3 takes orders k <= 12.  Under so3 both average over the rule's three
 Euler factors in turn (``groups.so3_factors``), 18 nodes at k = 6 in place
 of the flat rule's 196.  The n^k x n^k average M itself
 (``_averaged_action``, over the flat rule) is built only for verification:
-the projector reads d rows of each factor's mean, and ``project`` applies
-the rules to one vector.
+the projector reads the d rows of M at the orbit representatives with one
+batched product per distinct rule, and ``project`` applies the rules to
+one vector.
 ``structure_report`` renders the general invariant tensor in the slot map
 registered for the space, classifying every slot as zero, an independent
 (free) component, or a rational combination of free components, and
@@ -93,18 +94,17 @@ def _orbit_mean(space: TensorSpace, rule: QuadratureRule, reps: np.ndarray,
                 sizes: np.ndarray) -> np.ndarray:
     """``B^T M B`` (d x d) for the mean M of Q^{(x)k} over one rule, read
     from the d rows of M at the orbit representatives ``reps`` (orbit
-    sizes ``sizes``); see :func:`averaged_projector`."""
+    sizes ``sizes``); see :func:`averaged_projector`.
+
+    With the multi-index split in halves as in :func:`core.act`, row
+    h q + l of M is sum_m w_m A_m[h, :] (x) B_m[l, :], so the d rows are
+    one batched product, per representative a (p, m) @ (m, q) product.
+    """
     a, b = kron_halves(rule.matrices, space.k)
-    p, q = a.shape[1], b.shape[1]
-    heads, tails = np.divmod(reps, q)  # reps ascend, so each head's rows are one run
-    starts = np.flatnonzero(np.diff(heads, prepend=-1))
-    weights, m = rule.weights[:, None], len(rule)
-    rows = np.empty((len(reps), p * q))
-    for lo, hi in zip(starts, [*starts[1:], len(reps)]):
-        block = (weights * a[:, heads[lo]]).T @ b[:, tails[lo:hi]].reshape(m, -1)
-        rows[lo:hi] = block.reshape(p, hi - lo, q).transpose(1, 0, 2).reshape(hi - lo, p * q)
+    heads, tails = np.divmod(reps, b.shape[1])
+    rows = np.matmul((rule.weights[:, None, None] * a).transpose(1, 2, 0)[heads],
+                     b.transpose(1, 0, 2)[tails]).reshape(len(reps), -1)
     out = rows @ space.basis
-    del rows
     out *= np.sqrt(sizes)[:, None]
     return out
 
@@ -121,27 +121,26 @@ def averaged_projector(space: TensorSpace, group: SymmetryGroup) -> FlatOperator
     M commutes with the space's index permutations too, so each column of
     M B is constant on every orbit O, and P = diag(sqrt|O|) M[reps, :] B
     reads only the d rows of M at the orbit representatives (each orbit's
-    least flat index).  With the multi-index split in halves as in
-    :func:`core.act`, row h q + l of Q^{(x)k} is A[h, :] (x) B[l, :], so
-    the rows sharing a leading half h are one (p, m) @ (m, rows q) product
-    over the Haar rule of degree k.  Besides the rule's half-order
-    Kronecker stacks (m p^2 and m q^2 entries), no temporary exceeds
-    d x n^k: the n^k x n^k matrix of ``_averaged_action`` is never formed.
+    least flat index), as one batched product over the Haar rule of
+    degree k (:func:`_orbit_mean`).  Besides the rule's half-order
+    Kronecker stacks and their m d p and m d q entries at the
+    representatives, no temporary exceeds d x n^k: the n^k x n^k matrix of
+    ``_averaged_action`` is never formed.
 
     Under so3 the mean is M = M_1 M_2 M_3 over the rule's three Euler
     factors, each of which commutes with the index permutations as M
     does, so P = P_1 P_2 P_3 with each P_i read as above from its factor's
     nodes: 2 (k + 1) + k // 2 + 1 of them, not (k + 1)^2 (k // 2 + 1).
+    The first and last factor are one rule, whose mean is formed once.
     Any other group has the one stage of its ``haar_rule``.
     """
     _check_ambient(space, group.ambient)
     _, reps, sizes = np.unique(space.orbits, return_index=True, return_counts=True)
-    out = None
-    for rule in _haar_stages(group, space.k):
-        mean = _orbit_mean(space, rule, reps, sizes)
-        out = mean if out is None else out @ mean
-        del mean  # at most three d x d arrays and B are alive at once
-    return FlatOperator(space.n, space.k, out)
+    stages = _haar_stages(group, space.k)
+    first = out = _orbit_mean(space, stages[0], reps, sizes)
+    for rule in stages[1:]:  # at most three d x d arrays are alive at once
+        out = out @ (first if rule is stages[0] else _orbit_mean(space, rule, reps, sizes))
+    return FlatOperator(out)
 
 
 def project(space: TensorSpace, group: SymmetryGroup, t: FlatTensor) -> FlatTensor:

@@ -154,7 +154,7 @@ class TestStructure:
 
         def doubled(space, group):
             a = averaged(space, group)
-            return FlatOperator(a.n, a.k, 2.0 * a.matrix)
+            return FlatOperator(2.0 * a.matrix)
 
         monkeypatch.setattr(projector, "averaged_projector", doubled)
         code, out, err = run(capsys, "structure", "--space", "ela3", "--group", "cubic")

@@ -157,23 +157,23 @@ class TestOrbitOperator:
     def test_matrix_must_be_square(self, matrix):
         with pytest.raises(ValueError, match=r"^operator matrix has shape \(.*\), "
                                              r"expected a square matrix$"):
-            FlatOperator(2, 2, matrix)
+            FlatOperator(matrix)
 
 
 class TestImageBasis:
     def test_identity_full_rank(self):
-        op = FlatOperator(2, 2, np.eye(4))
+        op = FlatOperator(np.eye(4))
         basis = image_basis(op)
         assert len(basis) == 4
 
     def test_rejects_non_projector(self):
-        op = FlatOperator(2, 2, np.eye(4) * 2.0)
+        op = FlatOperator(np.eye(4) * 2.0)
         with pytest.raises(NotAProjectorError):
             image_basis(op)
 
     def test_orthonormal_output(self):
         pi = SPACES["ela2"].projector
-        basis = image_basis(FlatOperator(2, 4, pi))
+        basis = image_basis(FlatOperator(pi))
         assert len(basis) == 6
         mat = basis.T  # coordinates on the plain space, whose basis B is I
         assert np.allclose(mat.T @ mat, np.eye(6), atol=1e-12)
@@ -181,7 +181,7 @@ class TestImageBasis:
     def test_oblique_projector_keeps_full_rank(self):
         # exactly idempotent, singular values 1e10, 1 and 0: the rank is 2
         p = np.array([[1.0, 1e10, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        op = FlatOperator(3, 1, p)
+        op = FlatOperator(p)
         basis = image_basis(op).T
         assert basis.shape == (3, 2)
         assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-12)
@@ -193,8 +193,8 @@ class TestImageBasis:
         rng = np.random.default_rng(seed)
         pi = SPACES["sym2"].projector
         r = haar_rotation(rng, 4)
-        conjugated = FlatOperator(2, 2, r @ pi @ r.T)
-        dense = FlatOperator(2, 2, pi)
+        conjugated = FlatOperator(r @ pi @ r.T)
+        dense = FlatOperator(pi)
         assert len(image_basis(conjugated)) == len(image_basis(dense))
 
 

@@ -510,6 +510,21 @@ class TestSO3Factors:
         assert np.max(np.abs(weights - rule.weights) / rule.weights) <= 4e-16
 
     @pytest.mark.parametrize("degree", range(1, 13))
+    def test_flat_rule_is_the_node_formula(self, degree):
+        # node (i, j, l) is turn i, tilt j, turn l with weight u_j / (2 (d + 1)^2),
+        # byte for byte, from the turn angles and the Gauss-Legendre nodes alone
+        count = degree + 1
+        turns = [rotation_z(2 * np.pi * i / count) for i in range(count)]
+        u_nodes, u_weights = np.polynomial.legendre.leggauss(degree // 2 + 1)
+        tilts = [rotation_y(float(np.arccos(u))) for u in u_nodes]
+        mats = np.array([(ti @ tj) @ tl for ti in turns for tj in tilts for tl in turns])
+        weights = np.array([u / (2 * count * count) for _ in turns for u in u_weights
+                            for _ in turns])
+        rule = haar_rule(resolve_group("so3", 3), degree)
+        assert rule.matrices.tobytes() == mats.tobytes()
+        assert rule.weights.tobytes() == weights.tobytes()
+
+    @pytest.mark.parametrize("degree", range(1, 13))
     def test_each_factor_is_normalized(self, degree):
         for factor in so3_factors(degree)[:2]:
             assert abs(math.fsum(factor.weights) - 1.0) <= 2.0**-52

@@ -3,9 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from symtensor import projector
 from symtensor.core import FlatOperator, FlatTensor, image_basis, kron_power
 from symtensor.characters import fix_dimension
-from symtensor.groups import resolve_group
+from symtensor.groups import GROUPS_2D, GROUPS_3D, resolve_group
 from symtensor.projector import (DEPENDENT_RESIDUAL_TOL, FREE_SLOT_RATIO, MembershipError,
                                  NoVoigtMapError, _averaged_action, _display, _free_slots,
                                  averaged_projector, extract_isotropic_moduli,
@@ -123,6 +124,24 @@ class TestAveragedProjector:
         g = resolve_group(group_name, sp.n, axis=axis)
         expected = sp.basis.T @ _averaged_action(sp, g) @ sp.basis
         assert np.max(np.abs(averaged_projector(sp, g).matrix - expected)) <= 1e-14
+
+    @pytest.mark.parametrize("space_name,group_name", [("ela2", g) for g in GROUPS_2D]
+                             + [("ela3", g) for g in GROUPS_3D])
+    def test_one_orbit_mean_per_distinct_rule(self, monkeypatch, space_name, group_name):
+        # so3's first and last Euler factor are one rule, whose mean is formed once
+        rules = []
+        original = projector._orbit_mean
+
+        def counting(space, rule, *args):
+            rules.append(rule)
+            return original(space, rule, *args)
+
+        monkeypatch.setattr(projector, "_orbit_mean", counting)
+        sp = SPACES[space_name]
+        g = resolve_group(group_name, sp.n)
+        rank = len(image_basis(averaged_projector(sp, g)))
+        assert len(rules) == (2 if group_name == "so3" else 1)
+        assert rank == fix_dimension(sp, g)
 
     @pytest.mark.parametrize("group_name,rank", [("cubic", 4), ("so2-e3", 5), ("so3", 1)])
     def test_order_eight_without_the_dense_average(self, group_name, rank):
@@ -374,7 +393,7 @@ class TestStructureReport:
         assert np.max(np.abs(span - dense)) <= 1e-12
         # the orbit-coordinate basis spans what the dense form's own SVD finds
         # (the dense form as an operator on the plain space, whose basis is I)
-        from_dense = image_basis(FlatOperator(sp.n, sp.k, dense))
+        from_dense = image_basis(FlatOperator(dense))
         assert len(lifted) == len(from_dense) == rep.dim
         for stacked in (lifted, from_dense):
             assert np.max(np.abs(stacked.T @ stacked - dense)) <= 1e-12
@@ -566,7 +585,7 @@ class TestImageBasisOfAverage:
         assert np.max(np.abs(rows @ rows.T - np.eye(dim)), initial=0.0) <= 1e-12
         lifted = sp.basis @ rows.T
         dense = _dense(sp, a)
-        from_dense = image_basis(FlatOperator(sp.n, sp.k, dense)).T  # on the plain space
+        from_dense = image_basis(FlatOperator(dense)).T  # on the plain space
         assert np.max(np.abs(lifted @ lifted.T - from_dense @ from_dense.T)) <= 1e-12
         assert np.max(np.abs(lifted @ lifted.T - dense)) <= 1e-12
 
