@@ -55,9 +55,7 @@ def _resolve(args):
     from .spaces import lookup
 
     sp = lookup(args.space)
-    axis = _parse_axis(getattr(args, "axis", None))
-    group = resolve_group(args.group, sp.n, axis=axis)
-    return sp, group
+    return sp, resolve_group(args.group, sp.n, axis=_parse_axis(args.axis))
 
 
 def _read_tensor(path: str, sp):
@@ -99,13 +97,9 @@ def _write_tensor(path, sp, tensor, extra=None) -> None:
         print(text)
 
 
-def cmd_dim(args) -> int:
+def cmd_dim(args, sp, group) -> int:
     from .characters import QuadratureNotConvergedError, fix_dimension
 
-    try:
-        sp, group = _resolve(args)
-    except (KeyError, ValueError) as exc:
-        return _fail(EXIT_NAME, exc)
     try:
         dim = fix_dimension(sp, group)
     except QuadratureNotConvergedError as exc:
@@ -119,15 +113,11 @@ def cmd_dim(args) -> int:
     return EXIT_OK
 
 
-def cmd_structure(args) -> int:
+def cmd_structure(args, sp, group) -> int:
     from .characters import QuadratureNotConvergedError
     from .core import NotAProjectorError
     from .projector import InternalConsistencyError, NoVoigtMapError, structure_report
 
-    try:
-        sp, group = _resolve(args)
-    except (KeyError, ValueError) as exc:
-        return _fail(EXIT_NAME, exc)
     try:
         report = structure_report(sp, group)
     except NoVoigtMapError as exc:
@@ -149,15 +139,11 @@ def cmd_structure(args) -> int:
     return EXIT_OK
 
 
-def cmd_project(args) -> int:
+def cmd_project(args, sp, group) -> int:
     import numpy as np
     from .core import act
     from .projector import project
 
-    try:
-        sp, group = _resolve(args)
-    except (KeyError, ValueError) as exc:
-        return _fail(EXIT_NAME, exc)
     try:
         tensor = _read_tensor(args.input, sp)  # JSONDecodeError is a ValueError
     except (OSError, OverflowError, TypeError, ValueError) as exc:
@@ -289,7 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    if "space" not in args:
+        return args.func(args)
+    try:  # every command with --space runs on the (space, group) pair
+        pair = _resolve(args)
+    except (KeyError, ValueError) as exc:
+        return _fail(EXIT_NAME, exc)
+    return args.func(args, *pair)
 
 
 def entry() -> None:

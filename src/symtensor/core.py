@@ -116,9 +116,6 @@ class FlatOperator:
             raise ValueError(f"operator matrix has shape {m.shape}, expected a square matrix")
         object.__setattr__(self, "matrix", m)
 
-    def idempotency_residual(self) -> float:
-        return float(np.max(np.abs(self.matrix @ self.matrix - self.matrix)))
-
 
 def _check_orthogonal(mats: np.ndarray, what: str) -> None:
     """Check that a matrix, or each matrix of a stack, is orthogonal, of
@@ -194,7 +191,7 @@ def image_basis(a: FlatOperator) -> np.ndarray:
     whose largest one is huge.  Nothing is lifted here: column j of
     ``space.basis @ basis.T`` is the j-th basis tensor on flat coefficients.
     """
-    res = a.idempotency_residual()
+    res = float(np.max(np.abs(a.matrix @ a.matrix - a.matrix)))
     if res >= 1e-6:
         raise NotAProjectorError(res)
     u, s, _ = np.linalg.svd(a.matrix, full_matrices=False)

@@ -125,8 +125,9 @@ class SymmetryGroup:
     (m, n, n) stack, with one entry of ``labels`` per element; a continuous
     one has none, and its ``catalog_id`` (``so2``, ``o2``, ``so2-e3``,
     ``o2-e3`` or ``so3``) selects its Haar rule.  ``generators`` is a small
-    generating (finite case) or sampling (continuous case) set of
-    ``GroupElement`` used by invariance checks and the linear-system oracle.
+    generating (finite case, each within CLOSURE_TOL of an element) or
+    sampling (continuous case) set of ``GroupElement`` used by invariance
+    checks and the linear-system oracle.
     3D groups built about a non-default axis carry the conjugating rotation
     in ``frame``, which must be an orthogonal 3x3 matrix.
     """
@@ -167,6 +168,13 @@ class SymmetryGroup:
             closure_check(mats, labels)
         except ValueError as exc:
             raise ValueError(f"group {name!r} fails closure: {exc}") from None
+        flat = mats.reshape(len(mats), n * n)
+        for i, gen in enumerate(self.generators):
+            # the nearest element, in max-abs, must lie within CLOSURE_TOL
+            if not (gen.matrix.shape == (n, n)
+                    and np.abs(flat - gen.matrix.reshape(-1)).max(axis=1).min() < CLOSURE_TOL):
+                raise ValueError(f"group {name!r}: generator {i} ({gen.label}) is not "
+                                 f"one of its elements")
 
     @property
     def is_finite(self) -> bool:

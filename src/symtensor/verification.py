@@ -28,6 +28,8 @@ from .voigt import (EXTENDED18, EXTENDED18_ORDER, MANDEL6, NINE_SLOT, VOIGT6, an
                     axl, induced_matrix)
 
 SEED = 20240815
+# the catalog groups of each ambient dimension
+_AMBIENT_GROUPS = ((2, groups.GROUPS_2D), (3, groups.GROUPS_3D))
 
 
 @dataclass(frozen=True)
@@ -53,9 +55,12 @@ def _group(name: str, ambient: int) -> groups.SymmetryGroup:
     return resolve_group(name, ambient)
 
 
-def _report(space_name: str, group_name: str):
+def _setting(space_name: str, group_name: str):
+    """The catalog space and group a row names, and the (g, n, n) stack of
+    the group's sample elements."""
     sp = SPACES[space_name]
-    return structure_report(sp, _group(group_name, sp.n))
+    g = _group(group_name, sp.n)
+    return sp, g, np.array([e.matrix for e in g.sample_elements()])
 
 
 def _random_rotations(rng, count: int, n: int) -> np.ndarray:
@@ -73,8 +78,8 @@ def _random_member(space_name: str, seed_offset: int = 0) -> FlatTensor:
 
 
 def _projected(space_name: str, group_name: str, seed_offset: int = 0) -> FlatTensor:
-    sp = SPACES[space_name]
-    return project(sp, _group(group_name, sp.n), _random_member(space_name, seed_offset))
+    sp, g, _ = _setting(space_name, group_name)
+    return project(sp, g, _random_member(space_name, seed_offset))
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +99,8 @@ DIMENSION_TABLE = (
 
 def _dim_row(space_name: str, group_name: str, expected: int) -> VerifyRow:
     def run():
-        sp = SPACES[space_name]
-        got = fix_dimension(sp, _group(group_name, sp.n))
+        sp, g, _ = _setting(space_name, group_name)
+        got = fix_dimension(sp, g)
         return _row(got == expected, expected, got)
 
     return VerifyRow(f"dim {space_name} x {group_name}", "dims", run)
@@ -177,10 +182,15 @@ def _monotonicity_row() -> VerifyRow:
 # ---------------------------------------------------------------------------
 # Criterion 6: Haar quadrature
 
+# the catalog's continuous groups, each with its ambient, in catalog order
+CONTINUOUS = tuple((name, ambient) for ambient, names in _AMBIENT_GROUPS
+                   for name in names if groups.group_kind(name) == "continuous")
+
+
 def _haar_normalization_row() -> VerifyRow:
     def run():
         worst = 0.0
-        for name, ambient in (("so2", 2), ("o2", 2), ("so2-e3", 3), ("o2-e3", 3), ("so3", 3)):
+        for name, ambient in CONTINUOUS:
             rule = haar_rule(_group(name, ambient), 8)
             worst = max(worst, abs(math.fsum(rule.weights) - 1.0))
         return _row(worst < 1e-12, "sum of weights = 1 (< 1e-12)", f"{worst:.2e}")
@@ -263,10 +273,9 @@ def _trace_moment(name: str, d: int) -> float:
 def _haar_moment_row() -> VerifyRow:
     def run():
         worst = 0.0
-        for name, ambient, top in (("so2", 2, 16), ("o2", 2, 16), ("so2-e3", 3, 16),
-                                   ("o2-e3", 3, 16), ("so3", 3, 12)):
+        for name, ambient in CONTINUOUS:
             g = _group(name, ambient)
-            for d in range(1, top + 1):
+            for d in range(1, (12 if name == "so3" else 16) + 1):  # so3 rules stop at 12
                 exact = _trace_moment(name, d)
                 value = integrate(g, lambda q: np.einsum("mii->m", q) ** d, d)
                 worst = max(worst, abs(value - exact) / max(1.0, abs(exact)))
@@ -282,7 +291,7 @@ def _haar_finite_mean_row() -> VerifyRow:
         f = lambda q: np.einsum("mii->m", q) ** 2 + q[:, 0, 1]
         lhs = integrate(g, f, 4)
         # the mean evaluated one element at a time
-        rhs = math.fsum(f(e.matrix[None])[0] for e in g.elements) / g.order()
+        rhs = math.fsum(f(q[None])[0] for q in g.matrices) / g.order()
         return _row(lhs == rhs, "arithmetic mean (bit-exact)", f"diff = {lhs - rhs!r}")
 
     return VerifyRow("haar: finite rule is the arithmetic mean", "haar", run)
@@ -410,26 +419,16 @@ x -x 0 0 0 0
 """)
 
 
-def _g1_pattern():
-    return [["a", "b", "c", "b", "c"],
-            ["b", "d", "e", "f", "g"],
-            ["c", "e", "h", "g", "i"],
-            ["b", "f", "g", "d", "e"],
-            ["c", "g", "i", "e", "h"]]
+# the 5x5 axis block (three times) and the 3x3 pair block of the v2bar x cubic display
+V2BAR_G1 = _parse_pattern("""
+a b c b c
+b d e f g
+c e h g i
+b f g d e
+c g i e h
+""")
 
-
-def _v2bar_cubic_pattern():
-    cells = [["0"] * 18 for _ in range(18)]
-    g1 = _g1_pattern()
-    for block in range(3):
-        for r in range(5):
-            for c in range(5):
-                cells[5 * block + r][5 * block + c] = g1[r][c]
-    g2 = [["j", "k", "k"], ["k", "j", "k"], ["k", "k", "j"]]
-    for r in range(3):
-        for c in range(3):
-            cells[15 + r][15 + c] = g2[r][c]
-    return cells
+V2BAR_G2 = _parse_pattern("j k k\nk j k\nk k j")
 
 
 def _symmetric_block_pattern(size: int, prefix: str):
@@ -440,36 +439,29 @@ def _symmetric_block_pattern(size: int, prefix: str):
     return cells
 
 
-def _high2_pattern(kind: str):
-    cells = [["0"] * 8 for _ in range(8)]
-    if kind == "d4":
-        block = _symmetric_block_pattern(4, "s")
-        for r in range(4):
-            for c in range(4):
-                cells[r][c] = cells[4 + r][4 + c] = block[r][c]
-    elif kind == "d2":
-        top = _symmetric_block_pattern(4, "s")
-        bottom = _symmetric_block_pattern(4, "t")
-        for r in range(4):
-            for c in range(4):
-                cells[r][c] = top[r][c]
-                cells[4 + r][4 + c] = bottom[r][c]
-    else:  # z2: everything free
-        cells = _symmetric_block_pattern(8, "u")
+def _block_diagonal(blocks):
+    """The square blocks in order down the diagonal, zeros elsewhere; a block
+    given twice repeats its symbols, so the two copies must be equal."""
+    size, start, cells = sum(map(len, blocks)), 0, []
+    for block in blocks:
+        cells += [["0"] * start + row + ["0"] * (size - start - len(row)) for row in block]
+        start += len(block)
     return cells
+
+
+def _structure_setting(space_name: str, group_name: str, expected_dim: int):
+    """A structure row's report, the induced matrix of its projected member,
+    the zero tolerance 1e-9 x its largest entry, and the problems so far."""
+    sp, g, _ = _setting(space_name, group_name)
+    rep = structure_report(sp, g)
+    m = induced_matrix(*voigt.STRUCTURE_MAPS[space_name], _projected(space_name, group_name))
+    tol = 1e-9 * (float(np.max(np.abs(m))) or 1.0)
+    return rep, m, tol, [f"dim {rep.dim} != {expected_dim}"] if rep.dim != expected_dim else []
 
 
 def _check_pattern(space_name: str, group_name: str, pattern, expected_dim: int,
                    constraints=()) -> RowResult:
-    rep = _report(space_name, group_name)
-    row_map, col_map = voigt.STRUCTURE_MAPS[space_name]
-    m = induced_matrix(row_map, col_map, _projected(space_name, group_name))
-    scale = float(np.max(np.abs(m))) or 1.0
-    tol = 1e-9 * scale
-
-    problems = []
-    if rep.dim != expected_dim:
-        problems.append(f"dim {rep.dim} != {expected_dim}")
+    rep, m, tol, problems = _structure_setting(space_name, group_name, expected_dim)
     refs: dict[str, float] = {}
     for r, row in enumerate(pattern):
         for c, token in enumerate(row):
@@ -495,9 +487,7 @@ def _check_pattern(space_name: str, group_name: str, pattern, expected_dim: int,
     for want in constraints:
         if want not in rep.constraints:
             problems.append(f"missing constraint {want!r} (got {list(rep.constraints)})")
-    if not problems:
-        return _row(True, "pattern + constraints match", "match")
-    return _row(False, "pattern + constraints match", "; ".join(problems[:4]))
+    return _row(not problems, "pattern + constraints match", "; ".join(problems[:4]) or "match")
 
 
 def _pattern_row(name: str, space_name: str, group_name: str, pattern,
@@ -512,29 +502,23 @@ def _v2bar_transversal_row(group_name: str, expected_dim: int) -> VerifyRow:
     # proper-rotation group couples blocks (1,2) and (3,4), the full
     # axis-transversal group is block diagonal.
     def run():
-        rep = _report("v2bar", group_name)
-        m = induced_matrix(EXTENDED18, EXTENDED18, _projected("v2bar", group_name))
-        scale = float(np.max(np.abs(m)))
+        _, m, tol, problems = _structure_setting("v2bar", group_name, expected_dim)
         bounds = ((0, 5), (5, 10), (10, 15), (15, 18))
         nonzero = {(0, 0), (1, 1), (2, 2), (3, 3)}
         if group_name == "so2-e3":
             nonzero |= {(0, 1), (1, 0), (2, 3), (3, 2)}
-        problems = []
-        if rep.dim != expected_dim:
-            problems.append(f"dim {rep.dim} != {expected_dim}")
         for i, (r0, r1) in enumerate(bounds):
             for j, (c0, c1) in enumerate(bounds):
                 mag = float(np.max(np.abs(m[r0:r1, c0:c1])))
-                if (i, j) in nonzero and mag < 1e-9 * scale:
+                if (i, j) in nonzero and mag < tol:
                     problems.append(f"block ({i + 1},{j + 1}) unexpectedly zero")
-                if (i, j) not in nonzero and mag > 1e-9 * scale:
+                if (i, j) not in nonzero and mag > tol:
                     problems.append(f"block ({i + 1},{j + 1}) = {mag:.2e}, expected 0")
         eq = float(np.max(np.abs(m[0:5, 0:5] - m[5:10, 5:10])))
-        if eq > 1e-9 * scale:
+        if eq > tol:
             problems.append(f"repeated diagonal block differs by {eq:.2e}")
-        if not problems:
-            return _row(True, f"dim {expected_dim} + block pattern", "match")
-        return _row(False, f"dim {expected_dim} + block pattern", "; ".join(problems[:4]))
+        return _row(not problems, f"dim {expected_dim} + block pattern",
+                    "; ".join(problems[:4]) or "match")
 
     return VerifyRow(f"structure v2bar x {group_name} (blocks)", "structure", run)
 
@@ -542,10 +526,9 @@ def _v2bar_transversal_row(group_name: str, expected_dim: int) -> VerifyRow:
 # ---------------------------------------------------------------------------
 # Criteria 4 and 5: projector properties and the linear-system oracle
 
-PAIRS_2D = tuple((s, g) for s in ("sym2", "ela2", "high2") for g in groups.GROUPS_2D)
-PAIRS_3D = tuple((s, g) for s in ("sym3", "ela3", "major3", "v1", "v1bar", "v2", "v2bar")
-                 for g in groups.GROUPS_3D)
-ALL_PAIRS = PAIRS_2D + PAIRS_3D
+# every catalog space with every catalog group of its ambient, 2D spaces first
+ALL_PAIRS = tuple((s, g) for ambient, names in _AMBIENT_GROUPS
+                  for s, sp in SPACES.items() if sp.n == ambient for g in names)
 FINITE_PAIRS = tuple((s, g) for s, g in ALL_PAIRS if groups.group_kind(g) == "finite")
 
 
@@ -599,11 +582,9 @@ def _projector_checks(space, m: np.ndarray, gens: np.ndarray) -> dict:
 
 def _projector_props_row(space_name: str, group_name: str) -> VerifyRow:
     def run():
-        sp = SPACES[space_name]
-        g = _group(group_name, sp.n)
+        sp, g, gens = _setting(space_name, group_name)
         # the dense projector (M B) B^T, checked apart from the dim x dim
         # form that structure_report ranks
-        gens = np.array([e.matrix for e in g.sample_elements()])
         c = _projector_checks(sp, _averaged_action(sp, g), gens)
         dim = fix_dimension(sp, g)
         trace_gap = abs(c["trace"] - dim)
@@ -623,9 +604,7 @@ def _oracle_row(space_name: str, group_name: str) -> VerifyRow:
     # Joint null space of {Q_g^(x)k - I} restricted to the space, assembled
     # from generators only: independent of the averaging path.
     def run():
-        sp = SPACES[space_name]
-        g = _group(group_name, sp.n)
-        gens = np.array([e.matrix for e in g.sample_elements()])
+        sp, g, gens = _setting(space_name, group_name)
         stack = (_restricted_action(sp, gens) - np.eye(sp.dim)).reshape(-1, sp.dim)
         sv = np.linalg.svd(stack, compute_uv=False)
         rank = int(np.sum(sv > 1e-8 * max(1.0, sv[0] if sv.size else 1.0)))
@@ -794,13 +773,12 @@ def _moduli_rows() -> list:
 # Criterion 9: published component averages (cubic case)
 
 def _spot_rows() -> list:
+    def c(t, idx):  # the component at a 1-based index
+        return t[tuple(i - 1 for i in idx)]
+
     def run_v2bar():
         g = _random_member("v2bar", 7).reshaped()
         proj = _projected("v2bar", "cubic", 7).reshaped()
-
-        def c(t, idx):
-            return t[tuple(i - 1 for i in idx)]
-
         gamma11 = (c(g, (1, 2, 3, 1, 2, 3)) + c(g, (1, 3, 2, 1, 3, 2))
                    + c(g, (2, 3, 1, 2, 3, 1))) / 3.0
         gamma12 = (c(g, (1, 2, 3, 1, 3, 2)) + c(g, (1, 2, 3, 2, 3, 1))
@@ -819,10 +797,6 @@ def _spot_rows() -> list:
     def run_v1bar():
         h = _random_member("v1bar", 8).reshaped()
         proj = _projected("v1bar", "cubic", 8).reshaped()
-
-        def c(t, idx):
-            return t[tuple(i - 1 for i in idx)]
-
         zeta1 = (-c(h, (1, 1, 2, 1, 3)) + c(h, (1, 1, 3, 1, 2)) + c(h, (2, 2, 1, 2, 3))
                  - c(h, (2, 2, 3, 1, 2)) - c(h, (3, 3, 1, 2, 3)) + c(h, (3, 3, 2, 1, 3))) / 6.0
         zeta2 = (c(h, (1, 2, 3, 1, 1)) - c(h, (1, 2, 3, 2, 2)) - c(h, (1, 3, 2, 1, 1))
@@ -851,15 +825,12 @@ def build_rows() -> list:
     rows += [
         _haar_normalization_row(),
         _haar_example_row(),
-        _haar_invariance_row("so2", 2),
-        _haar_invariance_row("o2", 2),
-        _haar_invariance_row("so2-e3", 3),
-        _haar_invariance_row("o2-e3", 3),
-        _haar_invariance_row("so3", 3),
+        *(_haar_invariance_row(name, ambient) for name, ambient in CONTINUOUS),
         _haar_doubling_row(),
         _haar_moment_row(),
         _haar_finite_mean_row(),
     ]
+    high2_block = _symmetric_block_pattern(4, "s")
     rows += [
         _pattern_row("ela3 orthotropic", "ela3", "d2", ELA3_ORTHO, 9),
         _pattern_row("ela3 transversely isotropic", "ela3", "so2-e3", ELA3_TRANSISO, 5,
@@ -875,14 +846,16 @@ def build_rows() -> list:
         _pattern_row("major3 cubic", "major3", "cubic", MAJOR3_CUBIC, 4),
         _pattern_row("major3 isotropic", "major3", "so3", MAJOR3_CUBIC, 3,
                      ("C11 = C12 + C44 + C45",)),
-        _pattern_row("v2bar cubic blocks", "v2bar", "cubic", _v2bar_cubic_pattern(), 11),
+        _pattern_row("v2bar cubic blocks", "v2bar", "cubic",
+                     _block_diagonal([V2BAR_G1] * 3 + [V2BAR_G2]), 11),
         _pattern_row("v1bar cubic", "v1bar", "cubic", V1BAR_CUBIC, 3),
         _v2bar_transversal_row("so2-e3", 31),
         _v2bar_transversal_row("o2-e3", 21),
         _pattern_row("ela2 d4", "ela2", "d4", ELA2_D4, 3),
-        _pattern_row("high2 d4", "high2", "d4", _high2_pattern("d4"), 10),
-        _pattern_row("high2 d2", "high2", "d2", _high2_pattern("d2"), 20),
-        _pattern_row("high2 z2", "high2", "z2", _high2_pattern("z2"), 36),
+        _pattern_row("high2 d4", "high2", "d4", _block_diagonal([high2_block, high2_block]), 10),
+        _pattern_row("high2 d2", "high2", "d2",
+                     _block_diagonal([high2_block, _symmetric_block_pattern(4, "t")]), 20),
+        _pattern_row("high2 z2", "high2", "z2", _symmetric_block_pattern(8, "u"), 36),
         _pattern_row("sym2 o2", "sym2", "o2", SYM2_O2, 1),
         _pattern_row("sym2 d4", "sym2", "d4", SYM2_O2, 1),
         _pattern_row("sym2 d2", "sym2", "d2", SYM2_D2, 2),

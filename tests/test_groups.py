@@ -760,6 +760,18 @@ class TestMatrixStack:
             SymmetryGroup(3, "z2dup", np.concatenate([z2.matrices, z2.matrices[1:]]),
                           z2.labels + z2.labels[1:], generators=z2.generators)
 
+    def test_generator_outside_the_group_refused(self):
+        # invariance checks sample the generators, so each must be an element
+        z2 = resolve_group("z2", 3)
+        for stray in (GroupElement(rotation_z(0.3), "r"), GroupElement(np.eye(2), "r")):
+            with pytest.raises(ValueError, match=r"group 'x': generator 0 \(r\) is not one "
+                                                 r"of its elements"):
+                SymmetryGroup(3, "x", z2.matrices, z2.labels, generators=(stray,))
+        # within CLOSURE_TOL of an element, in max-abs, a generator is that element
+        near = GroupElement(rotation_z(np.pi + CLOSURE_TOL / 2), "near")
+        g = SymmetryGroup(3, "x", z2.matrices, z2.labels, generators=(near,))
+        assert g.sample_elements() == (near,)
+
     def test_wrong_size_refused(self):
         with pytest.raises(ValueError, match=r"acts on R\^3, but its elements \(id\) form a "
                                              r"stack of shape \(1, 2, 2\)"):
