@@ -1,10 +1,12 @@
-"""Catalog names and the isotropic moduli, without numpy.
+"""Catalog names, their checks and the isotropic moduli, without numpy.
 
 What the command line reads before it runs any numerical code: the space
-and group names its help text lists and ``catalog_key``, their one lookup,
-the verification row categories, and ``extract_isotropic_moduli``, the
-whole of the ``moduli`` command.  The numerical modules import these from
-here, so each is written once.
+and group names its help text lists and ``catalog_key``, their one lookup;
+``group_id``, every check of a group name, its ambient and its axis, which
+``groups.resolve_group`` runs before it builds anything; the order check of
+a tensor space; the verification row categories; and
+``extract_isotropic_moduli``, the whole of the ``moduli`` command.  The
+numerical modules import these from here, so each is written once.
 """
 
 from __future__ import annotations
@@ -21,6 +23,15 @@ GROUPS_2D = ("trivial", "z2", "z3", "z4", "z6", "d2", "d3", "d4", "d6", "so2", "
 GROUPS_3D = ("trivial", "z2", "z3", "z4", "z6", "d2", "d3", "d4", "d6",
              "cubic", "so2-e3", "o2-e3", "so3")
 
+GROUP_NAMES = tuple(dict.fromkeys(GROUPS_2D + GROUPS_3D))
+# every group of rotations about one axis, by catalog name: its order (0 for
+# a circle group) and whether it has an improper coset
+AXIAL_GROUPS = {"z2": (2, False), "z3": (3, False), "z4": (4, False), "z6": (6, False),
+                "d2": (2, True), "d3": (3, True), "d4": (4, True), "d6": (6, True),
+                "so2": (0, False), "o2": (0, True), "so2-e3": (0, False), "o2-e3": (0, True)}
+# the ambient of each continuous group
+CONTINUOUS_AMBIENT = {"so2": 2, "o2": 2, "so2-e3": 3, "o2-e3": 3, "so3": 3}
+
 # categories of the verification table, in table order
 ROW_CATEGORIES = ("dims", "characters", "haar", "structure", "projector",
                   "oracle", "voigt", "moduli", "spot")
@@ -33,6 +44,46 @@ def catalog_key(name: str, known: tuple, kind: str) -> str:
     if key not in known:
         raise KeyError(f"unknown {kind} name {name!r}; known: {', '.join(known)}")
     return key
+
+
+def check_order(n, k) -> None:
+    """Refuse an ambient dimension or order that is not a positive integer."""
+    for v in (n, k):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+            raise ValueError(f"n and k must be positive integers, got n={n!r}, k={k!r}")
+
+
+def check_axis(axis) -> None:
+    """Refuse a rotation axis that is not three finite numbers, not all zero."""
+    try:
+        values = [float(v) for v in axis]
+    except (TypeError, ValueError):  # a bare number, a nested or a non-numeric sequence
+        values = []
+    if len(values) != 3 or not all(map(math.isfinite, values)) or not any(values):
+        raise ValueError(f"axis must be nonzero with finite components, got {values or axis!r}")
+
+
+def group_id(name: str, ambient: int, axis=None) -> tuple:
+    """(catalog key, catalog id) of the group ``name`` on R^ambient, after
+    every check that needs no group built.
+
+    The id is the key, with the ambient appended for the cyclic and dihedral
+    groups (``z4_3d``).  An unknown name, or a group that does not act on
+    R^ambient, raises ``KeyError``; an ``axis`` for any group but a 3D axial
+    one raises ``ValueError``, and so does one that ``check_axis`` refuses.
+    """
+    key = catalog_key(name, GROUP_NAMES, "group")
+    fitting = {2: GROUPS_2D, 3: GROUPS_3D}.get(ambient, ())
+    if key not in fitting:
+        raise KeyError(f"group {key!r} does not act on {ambient}D spaces; "
+                       f"groups for them: {', '.join(fitting) or 'none'}")
+    if axis is not None:
+        if ambient != 3 or key not in AXIAL_GROUPS:
+            raise ValueError(f"an axis applies only to the axial groups in 3D "
+                             f"(z*, d*, so2-e3, o2-e3), not to {key}")
+        check_axis(axis)
+    finite_axial = AXIAL_GROUPS.get(key, (0,))[0]
+    return key, f"{key}_{ambient}d" if finite_axial else key
 
 
 def extract_isotropic_moduli(values: dict) -> tuple:

@@ -85,14 +85,21 @@ def character_closed_form(space: TensorSpace, mats: np.ndarray) -> np.ndarray:
 
 
 def fix_dimension(space: TensorSpace, group: SymmetryGroup) -> int:
-    """Dimension of the fixed-point subspace via the trace formula.
+    """Dimension of the fixed-point subspace via the trace formula, as the
+    Haar average of the character.
 
     The character is a degree-k polynomial in the entries of Q, and the
     flat Haar rule of degree k (``haar_rule``) integrates it exactly.  The
     SO(3) rule stops at degree 12, so so3 takes orders k <= 12; a higher
-    order raises ``ValueError`` (ROADMAP item 4, exact dimensions from the
-    weight polynomial, lifts this).  A Haar average further than 1e-6 from
-    an integer raises ``QuadratureNotConvergedError``.
+    order raises ``ValueError``.  A Haar average further than 1e-6 from an
+    integer raises ``QuadratureNotConvergedError``.
+
+    For a catalog group, ``spaces.exact_dimension`` gives the same integer
+    exactly and with no order cap, and the ``dim`` command uses it; this
+    route is its independent Haar cross-check, on any ``SymmetryGroup``.
+    ``structure_report`` and the verification table still call it: moving
+    them to the exact route waits for the benchmark harness to stop
+    pinning this function's ``haar_rule`` calls (ROADMAP item 1a).
     """
     _check_ambient(space, group.ambient)
     value = integrate(group, lambda mats: character_closed_form(space, mats), space.k)

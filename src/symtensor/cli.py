@@ -4,14 +4,18 @@ Commands: ``dim``, ``structure``, ``project``, ``moduli``, ``maps``,
 ``verify-paper``.  Exit codes are stable: 0 success, 1 a ``verify-paper``
 row failed, 2 unknown name or configuration (also an unwritable output:
 an output file that cannot be written, or a stdout closed by its reader),
-3 quadrature non-convergence (a Haar average off an integer), 4 internal
-consistency failure (or a projector ``image_basis`` refuses), 5 bad input
-(tensor file or moduli values), 6 a ``structure`` display printed with
-coefficients that matched no rational or surd form ("(unsnapped)").  Every
-numerical threshold is a fixed constant; none is read from the environment.
+3 quadrature non-convergence (a Haar average off an integer, in
+``structure``), 4 internal consistency failure (or a projector
+``image_basis`` refuses), 5 bad input (tensor file or moduli values), 6 a
+``structure`` display printed with coefficients that matched no rational
+or surd form ("(unsnapped)").  Every numerical threshold is a fixed
+constant; none is read from the environment.
 
 Only the standard library and ``catalog`` load with this module; each
-command imports the modules it runs, so ``moduli`` runs without numpy.
+command imports the modules it runs.  ``moduli`` runs without numpy, and
+so does ``dim``: ``catalog.group_id`` checks its group by name and axis,
+and ``spaces.exact_dimension`` reads the dimension off the cycle index in
+integers, with no group built.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import os
 import sys
 
 from .catalog import (GROUPS_2D, GROUPS_3D, ROW_CATEGORIES, SPACE_NAMES,
-                      extract_isotropic_moduli)
+                      extract_isotropic_moduli, group_id)
 
 EXIT_OK = 0
 EXIT_NAME = 2
@@ -33,7 +37,7 @@ EXIT_UNSNAPPED = 6
 
 
 def _parse_axis(text):
-    """The three floats of ``--axis``; ``groups.axis_aligner`` vets the direction."""
+    """The three floats of ``--axis``; ``catalog.check_axis`` vets the direction."""
     if text is None:
         return None
     parts = [float(p) for p in text.replace(",", " ").split()]
@@ -50,12 +54,10 @@ def _fail(code: int, exc: Exception) -> int:
     return code
 
 
-def _resolve(args):
+def _built_group(name: str, ambient: int, axis):
     from .groups import resolve_group
-    from .spaces import lookup
 
-    sp = lookup(args.space)
-    return sp, resolve_group(args.group, sp.n, axis=_parse_axis(args.axis))
+    return resolve_group(name, ambient, axis=axis)
 
 
 def _read_tensor(path: str, sp):
@@ -97,17 +99,16 @@ def _write_tensor(path, sp, tensor, extra=None) -> None:
         print(text)
 
 
-def cmd_dim(args, sp, group) -> int:
-    from .characters import QuadratureNotConvergedError, fix_dimension
+def cmd_dim(args, sp, ids) -> int:
+    from .spaces import exact_dimension
 
+    key, catalog_id = ids  # checked by name and axis; dim builds no group
     try:
-        dim = fix_dimension(sp, group)
-    except QuadratureNotConvergedError as exc:
-        return _fail(EXIT_QUADRATURE, exc)
-    except ValueError as exc:  # an ambient mismatch or an order past the so3 degree cap
-        return _fail(EXIT_NAME, exc)
+        dim = exact_dimension(sp, key)
+    except ValueError as exc:  # a character mean off an integer
+        return _fail(EXIT_INTERNAL, exc)
     if args.format == "json":
-        print(json.dumps({"space": sp.name, "group": group.catalog_id, "dim": dim}))
+        print(json.dumps({"space": sp.name, "group": catalog_id, "dim": dim}))
     else:
         print(dim)
     return EXIT_OK
@@ -244,18 +245,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dim", help="fixed-subspace dimension via the trace formula")
     add_pair(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_dim)
+    p.set_defaults(func=cmd_dim, resolve=group_id)
 
     p = sub.add_parser("structure", help="symbolic structure of the invariant tensors")
     add_pair(p)
     p.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    p.set_defaults(func=cmd_structure)
+    p.set_defaults(func=cmd_structure, resolve=_built_group)
 
     p = sub.add_parser("project", help="group-average a tensor from a JSON file")
     add_pair(p)
     p.add_argument("--input", required=True, help="JSON tensor file")
     p.add_argument("--output", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_project)
+    p.set_defaults(func=cmd_project, resolve=_built_group)
 
     p = sub.add_parser("moduli", help="isotropic moduli of the 45-constant theory")
     source = p.add_mutually_exclusive_group(required=True)
@@ -277,11 +278,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if "space" not in args:
         return args.func(args)
+    from .spaces import lookup
+
     try:  # every command with --space runs on the (space, group) pair
-        pair = _resolve(args)
+        sp = lookup(args.space)
+        group = args.resolve(args.group, sp.n, _parse_axis(args.axis))
     except (KeyError, ValueError) as exc:
         return _fail(EXIT_NAME, exc)
-    return args.func(args, *pair)
+    return args.func(args, sp, group)
 
 
 def entry() -> None:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-import numbers
 
 import numpy as np
+
+from .catalog import check_order
 
 _SURD_TEXT = {1: "", 2: "√2", 3: "√3"}
 
@@ -37,13 +38,6 @@ _SNAP_ROOTS = np.sqrt([[1.0], [2.0], [3.0]])
 _SNAP_DENOMINATORS = np.arange(1.0, SNAP_DENOMINATOR_BOUND + 1)
 
 
-def _check_order(n, k) -> None:
-    """Refuse an ambient dimension or order that is not a positive integer."""
-    for v in (n, k):
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
-            raise ValueError(f"n and k must be positive integers, got n={n!r}, k={k!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class FlatTensor:
     """Order-``k`` tensor over R^``n`` as a flat coefficient vector.
@@ -63,7 +57,7 @@ class FlatTensor:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        _check_order(self.n, self.k)
+        check_order(self.n, self.k)
         arr = np.asarray(self.coeffs, dtype=float).reshape(-1)
         if arr.shape != (self.n**self.k,):
             raise ValueError(

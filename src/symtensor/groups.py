@@ -4,7 +4,8 @@ SO(3) and O(2), with normalized Haar integration.
 ``resolve_group(name, ambient, axis)`` builds every catalog group from the
 name a user types (``z4``, ``cubic``, ``so2-e3``, ...).  A group's
 ``catalog_id`` is that name, with the ambient appended for the cyclic and
-dihedral groups (``z4_3d``).
+dihedral groups (``z4_3d``).  Both come from ``catalog.group_id``, which
+checks the name, the ambient and the axis without numpy.
 
 A finite group holds its elements as one read-only (m, n, n) matrix stack
 with one label per element.  Construction checks the whole stack at once:
@@ -46,21 +47,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .catalog import GROUPS_2D, GROUPS_3D, catalog_key
+from .catalog import (AXIAL_GROUPS, CONTINUOUS_AMBIENT, GROUP_NAMES, GROUPS_2D, GROUPS_3D,
+                      catalog_key, check_axis, group_id)
 from .core import _check_orthogonal, _frozen
 
 CLOSURE_TOL = 1e-10
 # Gram entries per pass of the closure check: one pass for every catalog
 # group (m^2 <= 576), bounded memory for a large user-built one
 _TABLE_BLOCK = 1 << 18
-
-# every group of rotations about one axis, by catalog name: its order (0 for
-# a circle group) and whether it has an improper coset
-_AXIAL = {"z2": (2, False), "z3": (3, False), "z4": (4, False), "z6": (6, False),
-          "d2": (2, True), "d3": (3, True), "d4": (4, True), "d6": (6, True),
-          "so2": (0, False), "o2": (0, True), "so2-e3": (0, False), "o2-e3": (0, True)}
-# the ambient of each continuous group
-_CONTINUOUS = {"so2": 2, "o2": 2, "so2-e3": 3, "o2-e3": 3, "so3": 3}
 
 # Coset representatives for the improper halves, fixed so output is
 # deterministic: a reflection in 2D, a rotation by pi about e1 in 3D.
@@ -148,7 +142,7 @@ class SymmetryGroup:
                                  f"and must be 3x3, got shape {self.frame.shape}")
             _check_orthogonal(self.frame, f"the frame of group {name!r}")
         if self.matrices is None:
-            if _CONTINUOUS.get(name) != n:
+            if CONTINUOUS_AMBIENT.get(name) != n:
                 raise ValueError(f"group {name!r} has no elements and is not a "
                                  f"continuous group on R^{n}")
             return
@@ -217,14 +211,14 @@ def axis_aligner(axis) -> np.ndarray:
     """Rotation carrying e3 to the direction of ``axis`` (deterministic).
 
     ``axis`` is any nonzero 3-vector with finite components; anything else
-    raises ``ValueError``.  It is divided by the power of two that puts its
-    largest |component| in [1/2, 1), an exact step that keeps 1e200 and
-    1e-200 components from overflowing or underflowing the norm, and then
-    normalized; so any direction and its positive multiples give one frame.
+    raises ``ValueError`` (``catalog.check_axis``).  It is divided by the
+    power of two that puts its largest |component| in [1/2, 1), an exact
+    step that keeps 1e200 and 1e-200 components from overflowing or
+    underflowing the norm, and then normalized; so any direction and its
+    positive multiples give one frame.
     """
     axis = np.asarray(axis, dtype=float)
-    if axis.shape != (3,) or not np.all(np.isfinite(axis)) or not np.any(axis):
-        raise ValueError(f"axis must be nonzero with finite components, got {axis.tolist()}")
+    check_axis(axis.tolist())
     axis = np.ldexp(axis, -math.frexp(float(np.max(np.abs(axis))))[1])
     axis = axis / np.linalg.norm(axis)
     e3 = np.array([0.0, 0.0, 1.0])
@@ -334,7 +328,7 @@ def haar_rule(g: SymmetryGroup, max_poly_degree: int) -> QuadratureRule:
         return _uniform_rule(g.matrices)
     name = g.catalog_id
     if name != "so3":
-        mats = _axial_matrices(g.ambient, max_poly_degree + 1, _AXIAL[name][1], g.frame)
+        mats = _axial_matrices(g.ambient, max_poly_degree + 1, AXIAL_GROUPS[name][1], g.frame)
         return QuadratureRule(mats, np.full(len(mats), 1.0 / len(mats)))
 
     turn, tilt, _ = so3_factors(max_poly_degree)
@@ -387,12 +381,10 @@ def integrate(g: SymmetryGroup, f: Callable[[np.ndarray], np.ndarray], degree: i
 # ---------------------------------------------------------------------------
 # The catalog
 
-CATALOG_NAMES = tuple(dict.fromkeys(GROUPS_2D + GROUPS_3D))
-
-
 def group_kind(name: str) -> str:
     """``"finite"`` or ``"continuous"``, the kind of a catalog group, without building it."""
-    return "continuous" if catalog_key(name, CATALOG_NAMES, "group") in _CONTINUOUS else "finite"
+    return ("continuous" if catalog_key(name, GROUP_NAMES, "group") in CONTINUOUS_AMBIENT
+            else "finite")
 
 
 def _cube_rotations() -> tuple:
@@ -417,21 +409,15 @@ def resolve_group(name: str, ambient: int, axis=None) -> SymmetryGroup:
     (``d<n>`` adjoins the half-turn about an in-plane axis).  ``so2`` and
     ``o2`` act on the plane; ``so2-e3`` and ``o2-e3`` turn about ``axis``.
     ``cubic`` is the 24-element rotation group of the cube, ``so3`` the full
-    rotation group and ``trivial`` is {I}.  An ambient other than 2 or 3,
-    or a group that does not act on it, raises ``KeyError``; an ``axis``
-    for any group but a 3D axial one raises ``ValueError``, and so does
-    one that ``axis_aligner`` refuses.
+    rotation group and ``trivial`` is {I}.  ``catalog.group_id`` checks the
+    name, the ambient and the axis first, with no group built: an ambient
+    other than 2 or 3, or a group that does not act on it, raises
+    ``KeyError``; an ``axis`` for any group but a 3D axial one raises
+    ``ValueError``, and so does one that is zero or not finite.
     """
-    key = catalog_key(name, CATALOG_NAMES, "group")
-    fitting = {2: GROUPS_2D, 3: GROUPS_3D}.get(ambient, ())
-    if key not in fitting:
-        raise KeyError(f"group {key!r} does not act on {ambient}D spaces; "
-                       f"groups for them: {', '.join(fitting) or 'none'}")
+    key, catalog_id = group_id(name, ambient, axis)
     frame = None
     if axis is not None:
-        if ambient != 3 or key not in _AXIAL:
-            raise ValueError(f"an axis applies only to the axial groups in 3D "
-                             f"(z*, d*, so2-e3, o2-e3), not to {key}")
         frame = axis_aligner(axis)
         if np.max(np.abs(frame - np.eye(3))) < 1e-15:
             frame = None  # the default axis e3
@@ -449,7 +435,7 @@ def resolve_group(name: str, ambient: int, axis=None) -> SymmetryGroup:
                 GroupElement(rotation_y(1.3), "rot(e2,1.3)"),
                 GroupElement(rotation_z(np.pi / 2).round(12) @ rotation_y(0.4), "mixed"))
         return SymmetryGroup(3, key, generators=gens)
-    order, improper = _AXIAL[key]
+    order, improper = AXIAL_GROUPS[key]
     if not order:
         # a generic rotation, then a second one or the coset representative
         gens = tuple(GroupElement(_axial(ambient, theta, coset, frame)) for theta, coset
@@ -458,5 +444,4 @@ def resolve_group(name: str, ambient: int, axis=None) -> SymmetryGroup:
     mats = _axial_matrices(ambient, order, improper, frame)
     labels = tuple(f"{key}[{i}]" for i in range(len(mats)))
     gens = tuple(GroupElement(mats[i], labels[i]) for i in (1, order)[:1 + improper])
-    return SymmetryGroup(ambient, f"{key}_{ambient}d", mats, labels, generators=gens,
-                         frame=frame)
+    return SymmetryGroup(ambient, catalog_id, mats, labels, generators=gens, frame=frame)

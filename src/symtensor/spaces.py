@@ -6,6 +6,13 @@ orbits of multi-indices under the group those generators generate.  The
 normalized orbit indicators are an orthonormal basis B of the space, and its
 orthogonal projector (symmetrization identity) is B B^T, the average of the
 permutation operators over the group.  The dimension is the orbit count.
+
+The cycle index of the group fixes the character on every rotation as an
+integer Laurent polynomial, and with it the dimension of the subspace fixed
+by each catalog group exactly (``exact_dimension``).  That path and the
+descriptor itself run without numpy; only the members that need the orbit
+table or the basis (``orbits``, ``basis``, ``projector``, ``symmetrize``,
+``membership_residual``) load it, on first use.
 """
 
 from __future__ import annotations
@@ -13,11 +20,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+import math
 
-import numpy as np
-
-from .catalog import SPACE_NAMES as CATALOG_NAMES, catalog_key
-from .core import FlatTensor, _check_order
+from .catalog import AXIAL_GROUPS, SPACE_NAMES as CATALOG_NAMES, catalog_key, check_order, group_id
 
 
 def _check_permutation(perm: tuple, k: int) -> tuple:
@@ -85,7 +90,7 @@ class TensorSpace:
     generators: tuple
 
     def __post_init__(self):
-        _check_order(self.n, self.k)
+        check_order(self.n, self.k)
         object.__setattr__(
             self, "generators",
             tuple(_check_permutation(g, self.k) for g in self.generators),
@@ -104,6 +109,8 @@ class TensorSpace:
         changes: the least index of its orbit, found without a table of
         every group element's images.
         """
+        import numpy as np
+
         flat = np.arange(self.n**self.k).reshape((self.n,) * self.k)
         moves = [flat.transpose(p).reshape(-1)
                  for g in self.generators for p in (g, np.argsort(g))]
@@ -126,6 +133,8 @@ class TensorSpace:
         component) and by the checks; ``symmetrize`` reads the orbits
         directly.
         """
+        import numpy as np
+
         sizes = np.bincount(self.orbits)
         b = np.zeros((self.orbits.size, sizes.size))  # the one n^k x dim allocation
         b[np.arange(self.orbits.size), self.orbits] = 1.0 / np.sqrt(sizes[self.orbits])
@@ -151,8 +160,91 @@ class TensorSpace:
         return fixed // len(self.permutation_group)
 
 
+def _exact_quotient(total: int, count: int, what: str) -> int:
+    """``total / count`` as an integer; a remainder raises, it is never rounded."""
+    quotient, remainder = divmod(total, count)
+    if remainder:
+        common = math.gcd(total, count)
+        raise ValueError(f"{what} is {total // common}/{count // common}, not an integer")
+    return quotient
+
+
+def weight_polynomial(space: TensorSpace) -> tuple:
+    """The character on a rotation by theta as an integer Laurent polynomial
+    in z = e^{i theta}: the coefficients (c_-k, ..., c_k), c_j at index k + j.
+
+    Such a rotation has tr Q^L = z^L + z^-L, plus 1 in 3D (the axis), so the
+    cycle index turns chi(Q) into (1/|P|) sum_sigma prod_cycles of those
+    Laurent polynomials.  c_j is the multiplicity of the weight j, an
+    integer; exact arithmetic throughout.
+    """
+    n, k = space.n, space.k
+    if n not in (2, 3):
+        raise ValueError(f"rotations act on R^2 or R^3, not on R^{n} (space {space.name})")
+    axis, size = n - 2, 2 * k + 1
+    total = [0] * size
+    for cycles, count in space.cycle_index:
+        term = [0] * k + [count] + [0] * k
+        for length in cycles:  # times z^L + z^-L + axis
+            pad = [0] * length
+            wide = pad + term + pad
+            term = [wide[i] + wide[i + 2 * length] + axis * wide[i + length]
+                    for i in range(size)]
+        total = [a + b for a, b in zip(total, term)]
+    order = len(space.permutation_group)
+    return tuple(_exact_quotient(c, order, f"weight {j} of {space.name}")
+                 for j, c in enumerate(total, start=-k))
+
+
+def _reflection_character(space: TensorSpace) -> int:
+    """chi on a reflection of the plane, where tr Q^L = 1 + (-1)^L: a
+    permutation whose cycles all have even length counts 2^cycles, any
+    other 0."""
+    total = sum(count * 2 ** len(cycles) for cycles, count in space.cycle_index
+                if all(length % 2 == 0 for length in cycles))
+    return _exact_quotient(total, len(space.permutation_group),
+                           f"the character of {space.name} on a reflection")
+
+
+def exact_dimension(space: TensorSpace, group_name: str) -> int:
+    """Dimension of the subspace fixed by the catalog group ``group_name``,
+    exactly, from the weight polynomial sum_j c_j z^j.
+
+    With S_m = sum over m | j of c_j, the mean of chi over the m-th roots of
+    unity: trivial S_1, z<m> S_m, so2 and so2-e3 c_0, and so3 c_0 - c_1
+    (Weyl).  The dihedral groups, o2 and o2-e3 take the mean of their
+    rotations and of their improper coset, on which chi is constant: a
+    half-turn (z = -1, chi = 2 S_2 - S_1) in 3D, a reflection in 2D.  cubic
+    is the class sum (chi(1) + 8 chi(2 pi/3) + 9 chi(pi) + 6 chi(pi/2)) / 24.
+    A non-integer mean raises ``ValueError``; it is never rounded.  The
+    group must act on the space's ambient (``catalog.group_id``); the axis
+    of a 3D group does not change the dimension.
+    """
+    key, _ = group_id(group_name, space.n)
+    coeffs, k = weight_polynomial(space), space.k
+
+    def s(m: int) -> int:
+        return sum(c for j, c in enumerate(coeffs, start=-k) if j % m == 0)
+
+    half_turn = 2 * s(2) - s(1)  # chi at z = -1
+    if key == "cubic":
+        # the 8 third-turns have chi = (3 S_3 - S_1) / 2, the 6 quarter-turns 2 S_4 - S_2
+        total, count = s(1) + 4 * (3 * s(3) - s(1)) + 9 * half_turn + 6 * (2 * s(4) - s(2)), 24
+    elif key == "so3":
+        total, count = coeffs[k] - coeffs[k + 1], 1
+    else:
+        order, improper = AXIAL_GROUPS.get(key, (1, False))  # trivial: S_1
+        total, count = s(order) if order else coeffs[k], 1
+        if improper:
+            coset = half_turn if space.n == 3 else _reflection_character(space)
+            total, count = total + coset, 2
+    return _exact_quotient(total, count, f"the {key} mean of the character of {space.name}")
+
+
 def membership_residual(space: TensorSpace, t: FlatTensor) -> float:
     """``||Pi t - t||_inf``; zero iff ``t`` lies in the space."""
+    import numpy as np
+
     return float(np.max(np.abs(symmetrize(space, t).coeffs - t.coeffs)))
 
 
@@ -163,6 +255,9 @@ def symmetrize(space: TensorSpace, arr) -> FlatTensor:
     Each entry is divided by its orbit's size before the orbit sums, so the
     mean of entries bounded by M stays bounded by M and cannot overflow.
     """
+    import numpy as np
+    from .core import FlatTensor
+
     t = arr if isinstance(arr, FlatTensor) else FlatTensor(space.n, space.k, np.asarray(arr).reshape(-1))
     if (t.n, t.k) != (space.n, space.k):
         raise ValueError(

@@ -23,7 +23,7 @@ from .core import FlatTensor, act
 from .groups import haar_rule, integrate, resolve_group
 from .projector import (_averaged_action, isotropic_nine_matrix, moduli_from_matrix,
                         project, structure_report)
-from .spaces import SPACES, symmetrize
+from .spaces import SPACES, TensorSpace, exact_dimension, symmetrize
 from .voigt import (EXTENDED18, EXTENDED18_ORDER, MANDEL6, NINE_SLOT, VOIGT6, anti,
                     axl, induced_matrix)
 
@@ -236,10 +236,9 @@ def _haar_invariance_row(name: str, ambient: int) -> VerifyRow:
 def _haar_doubling_row() -> VerifyRow:
     def run():
         worst = 0.0
-        for name, ambient, space_name in (("so2", 2, "ela2"), ("o2", 2, "ela2"),
-                                          ("so2-e3", 3, "major3"), ("so3", 3, "major3")):
+        for name, ambient in CONTINUOUS:
             g = _group(name, ambient)
-            sp = SPACES[space_name]
+            sp = SPACES["ela2" if ambient == 2 else "major3"]
             f = lambda q: character_closed_form(sp, q)
             coarse = integrate(g, f, sp.k)
             fine = integrate(g, f, 2 * sp.k + 1)  # doubled node counts
@@ -249,34 +248,15 @@ def _haar_doubling_row() -> VerifyRow:
     return VerifyRow("haar: node-doubling stability", "haar", run)
 
 
-def _trace_moment(name: str, d: int) -> float:
-    """Haar mean of (tr Q)^d in closed form, from the weight polynomial.
-
-    On a rotation by theta, tr Q is z + 1/z (2D) or 1/z + 1 + z (3D) with
-    z = e^{i theta}, so the circle mean is the constant term c_0 of its
-    d-th power (a central binomial or trinomial coefficient) and the SO(3)
-    mean is c_0 - c_1 (Weyl), the Riordan number.  The improper coset of
-    o2 (reflections) has trace 0, that of o2-e3 (half-turns) trace -1.
-    """
-    weights = np.ones(1, dtype=np.int64)
-    step = [1, 0, 1] if name in ("so2", "o2") else [1, 1, 1]
-    for _ in range(d):
-        weights = np.convolve(weights, step)
-    c0, c1 = int(weights[d]), int(weights[d + 1])
-    if name == "so3":
-        return c0 - c1
-    if name in ("o2", "o2-e3"):
-        return (c0 + (0 if name == "o2" else (-1) ** d)) / 2
-    return c0
-
-
 def _haar_moment_row() -> VerifyRow:
+    # the Haar mean of (tr Q)^d is the dimension fixed in the plain order-d
+    # space, whose character is (tr Q)^d: exact from its weight polynomial
     def run():
         worst = 0.0
         for name, ambient in CONTINUOUS:
             g = _group(name, ambient)
             for d in range(1, (12 if name == "so3" else 16) + 1):  # so3 rules stop at 12
-                exact = _trace_moment(name, d)
+                exact = exact_dimension(TensorSpace(f"t{d}", ambient, d, ()), name)
                 value = integrate(g, lambda q: np.einsum("mii->m", q) ** d, d)
                 worst = max(worst, abs(value - exact) / max(1.0, abs(exact)))
         return _row(worst < 1e-9, "rule of degree d integrates (tr Q)^d (rel < 1e-9)",
