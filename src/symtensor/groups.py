@@ -5,7 +5,10 @@ SO(3) and O(2), with normalized Haar integration.
 name a user types (``z4``, ``cubic``, ``so2-e3``, ...).  A group's
 ``catalog_id`` is that name, with the ambient appended for the cyclic and
 dihedral groups (``z4_3d``).  Both come from ``catalog.group_id``, which
-checks the name, the ambient and the axis without numpy.
+checks the name, the ambient and the axis without numpy, on every call.  A
+group about the default axis, one of the 24 catalog (group, ambient) pairs,
+is built and checked once per process and then shared; a group about any
+other axis is built on each call.
 
 A finite group holds its elements as one read-only (m, n, n) matrix stack
 with one label per element.  Construction checks the whole stack at once:
@@ -215,21 +218,28 @@ def axis_aligner(axis) -> np.ndarray:
     power of two that puts its largest |component| in [1/2, 1), an exact
     step that keeps 1e200 and 1e-200 components from overflowing or
     underflowing the norm, and then normalized; so any direction and its
-    positive multiples give one frame.
+    positive multiples give one frame.  For a unit axis with c = axis[2] >= 0
+    the frame is the rotation about e3 x axis (Rodrigues), the identity
+    within 1e-14 of c = 1.  Its 1 / (1 + c) loses every digit as c nears -1,
+    so an axis with c < 0 takes the frame of -axis times ``FLIP_E1_3D``,
+    which sends e3 to -e3 first.
     """
     axis = np.asarray(axis, dtype=float)
     check_axis(axis.tolist())
     axis = np.ldexp(axis, -math.frexp(float(np.max(np.abs(axis))))[1])
     axis = axis / np.linalg.norm(axis)
+    flip = axis[2] < 0.0
+    if flip:
+        axis = -axis
     e3 = np.array([0.0, 0.0, 1.0])
     c = float(axis @ e3)
     if c > 1.0 - 1e-14:
-        return np.eye(3)
-    if c < -1.0 + 1e-14:
-        return np.diag([1.0, -1.0, -1.0])
-    v = np.cross(e3, axis)
-    vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
-    return np.eye(3) + vx + vx @ vx / (1.0 + c)
+        frame = np.eye(3)
+    else:
+        v = np.cross(e3, axis)
+        vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+        frame = np.eye(3) + vx + vx @ vx / (1.0 + c)
+    return frame @ FLIP_E1_3D if flip else frame
 
 
 def _axial(ambient: int, theta: float, improper: bool, frame) -> np.ndarray:
@@ -249,9 +259,21 @@ def _axial(ambient: int, theta: float, improper: bool, frame) -> np.ndarray:
 def _axial_matrices(ambient: int, count: int, improper: bool, frame) -> np.ndarray:
     """The rotations by 2 pi j / count, j = 0..count-1, followed (if
     ``improper``) by the same rotations times the coset representative: the
-    cyclic or dihedral group of order ``count`` about the frame's axis."""
-    return np.stack([_axial(ambient, 2 * np.pi * j / count, coset, frame)
-                     for coset in (False, True)[:1 + improper] for j in range(count)])
+    cyclic or dihedral group of order ``count`` about the frame's axis.
+    Each matrix equals ``_axial`` of its angle bit for bit."""
+    theta = 2 * np.pi * np.arange(count) / count
+    c, s = np.cos(theta), np.sin(theta)
+    if ambient == 2:
+        mats, coset = np.stack([c, -s, s, c], axis=-1).reshape(count, 2, 2), REFLECTION_2D
+    else:
+        zero, one = np.zeros(count), np.ones(count)
+        mats = np.stack([c, -s, zero, s, c, zero, zero, zero, one], axis=-1).reshape(count, 3, 3)
+        coset = FLIP_E1_3D
+    if improper:
+        mats = np.concatenate([mats, mats @ coset])
+    if frame is not None:
+        mats = frame @ mats @ frame.T
+    return mats
 
 
 def closure_check(matrices: np.ndarray, labels) -> None:
@@ -355,7 +377,7 @@ def so3_factors(max_poly_degree: int) -> tuple:
     if max_poly_degree > 12:
         raise ValueError(f"max_poly_degree must be <= 12 on so3, got {max_poly_degree}")
     count = max_poly_degree + 1
-    turns = np.stack([rotation_z(2 * np.pi * j / count) for j in range(count)])
+    turns = _axial_matrices(3, count, False, None)
     u_nodes, u_weights = np.polynomial.legendre.leggauss(max_poly_degree // 2 + 1)
     tilts = np.stack([rotation_y(float(np.arccos(u))) for u in u_nodes])
     turn = QuadratureRule(turns, np.full(count, 1.0 / count))
@@ -401,7 +423,7 @@ def _cube_rotations() -> tuple:
 
 
 def resolve_group(name: str, ambient: int, axis=None) -> SymmetryGroup:
-    """Build the catalog group ``name`` acting on R^ambient.
+    """The catalog group ``name`` acting on R^ambient.
 
     ``z<n>`` and ``d<n>`` are the cyclic and dihedral groups of order n of
     the plane for 2D spaces (``d<n>`` adjoins the reflection diag(-1, 1))
@@ -410,21 +432,36 @@ def resolve_group(name: str, ambient: int, axis=None) -> SymmetryGroup:
     ``o2`` act on the plane; ``so2-e3`` and ``o2-e3`` turn about ``axis``.
     ``cubic`` is the 24-element rotation group of the cube, ``so3`` the full
     rotation group and ``trivial`` is {I}.  ``catalog.group_id`` checks the
-    name, the ambient and the axis first, with no group built: an ambient
-    other than 2 or 3, or a group that does not act on it, raises
-    ``KeyError``; an ``axis`` for any group but a 3D axial one raises
+    name, the ambient and the axis first, with no group built, on every
+    call: an ambient other than 2 or 3, or a group that does not act on it,
+    raises ``KeyError``; an ``axis`` for any group but a 3D axial one raises
     ``ValueError``, and so does one that is zero or not finite.
+
+    A group about the default axis (no ``axis``, or one along +e3) is built
+    and checked once per process and then shared: every later call returns
+    the same frozen group, whose stacks are read-only.  A group about any
+    other axis is built and checked on each call.
     """
     key, catalog_id = group_id(name, ambient, axis)
-    frame = None
-    if axis is not None:
-        frame = axis_aligner(axis)
-        if np.max(np.abs(frame - np.eye(3))) < 1e-15:
-            frame = None  # the default axis e3
+    frame = None if axis is None else axis_aligner(axis)
+    if frame is None or np.max(np.abs(frame - np.eye(3))) < 1e-15:
+        return _default_group(key, catalog_id, ambient)
+    return _build_group(key, catalog_id, ambient, frame)
+
+
+@functools.cache
+def _default_group(key: str, catalog_id: str, ambient: int) -> SymmetryGroup:
+    """The catalog group about the default axis; one entry per (group,
+    ambient) of the catalog, at most 24."""
+    return _build_group(key, catalog_id, ambient, None)
+
+
+def _build_group(key: str, catalog_id: str, ambient: int, frame) -> SymmetryGroup:
+    """Build and check the catalog group ``key`` on R^ambient about the
+    frame's axis (None: e3); the names are ``catalog.group_id``'s."""
     if key == "trivial":
-        eye = np.eye(ambient)
-        return SymmetryGroup(ambient, key, eye[None], ("id",),
-                             generators=(GroupElement(eye, "id"),))
+        return _with_row_generators(SymmetryGroup(ambient, key, np.eye(ambient)[None], ("id",)),
+                                    (0,))
     if key == "cubic":
         gens = (GroupElement(rotation_z(np.pi / 2).round(12), "rot(e3,pi/2)"),
                 GroupElement(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
@@ -443,5 +480,20 @@ def resolve_group(name: str, ambient: int, axis=None) -> SymmetryGroup:
         return SymmetryGroup(ambient, key, generators=gens, frame=frame)
     mats = _axial_matrices(ambient, order, improper, frame)
     labels = tuple(f"{key}[{i}]" for i in range(len(mats)))
-    gens = tuple(GroupElement(mats[i], labels[i]) for i in (1, order)[:1 + improper])
-    return SymmetryGroup(ambient, catalog_id, mats, labels, generators=gens, frame=frame)
+    group = SymmetryGroup(ambient, catalog_id, mats, labels, frame=frame)
+    return _with_row_generators(group, (1, order)[:1 + improper])
+
+
+def _with_row_generators(group: SymmetryGroup, rows: tuple) -> SymmetryGroup:
+    """``group``, a finite group just built with no generators, given the
+    elements ``rows`` of its checked stack as generators: each a read-only
+    view of ``group.matrices`` under its label, with no copy and no second
+    check, since a row of the stack is one of its elements."""
+    gens = []
+    for i in rows:
+        gen = object.__new__(GroupElement)
+        object.__setattr__(gen, "matrix", group.matrices[i])
+        object.__setattr__(gen, "label", group.labels[i])
+        gens.append(gen)
+    object.__setattr__(group, "generators", tuple(gens))
+    return group

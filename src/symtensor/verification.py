@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -50,16 +49,11 @@ def _row(ok: bool, expected, actual) -> RowResult:
     return RowResult(bool(ok), str(expected), str(actual))
 
 
-@lru_cache(maxsize=None)
-def _group(name: str, ambient: int) -> groups.SymmetryGroup:
-    return resolve_group(name, ambient)
-
-
 def _setting(space_name: str, group_name: str):
     """The catalog space and group a row names, and the (g, n, n) stack of
     the group's sample elements."""
     sp = SPACES[space_name]
-    g = _group(group_name, sp.n)
+    g = resolve_group(group_name, sp.n)
     return sp, g, np.array([e.matrix for e in g.sample_elements()])
 
 
@@ -168,12 +162,12 @@ def _monotonicity_row() -> VerifyRow:
         checks = []
         for name in ("sym2", "ela2", "high2"):
             sp = SPACES[name]
-            dims = [fix_dimension(sp, _group(g, 2)) for g in ("trivial", "z2", "d2", "d4")]
+            dims = [fix_dimension(sp, resolve_group(g, 2)) for g in ("trivial", "z2", "d2", "d4")]
             checks.append(dims[0] >= dims[1] >= dims[2] >= dims[3])
         for name in ("major3", "v2bar"):
             sp = SPACES[name]
-            checks.append(fix_dimension(sp, _group("so2-e3", 3))
-                          >= fix_dimension(sp, _group("o2-e3", 3)))
+            checks.append(fix_dimension(sp, resolve_group("so2-e3", 3))
+                          >= fix_dimension(sp, resolve_group("o2-e3", 3)))
         return _row(all(checks), "monotone under subgroup inclusion", checks)
 
     return VerifyRow("characters: dimension monotone on group chains", "characters", run)
@@ -191,7 +185,7 @@ def _haar_normalization_row() -> VerifyRow:
     def run():
         worst = 0.0
         for name, ambient in CONTINUOUS:
-            rule = haar_rule(_group(name, ambient), 8)
+            rule = haar_rule(resolve_group(name, ambient), 8)
             worst = max(worst, abs(math.fsum(rule.weights) - 1.0))
         return _row(worst < 1e-12, "sum of weights = 1 (< 1e-12)", f"{worst:.2e}")
 
@@ -200,7 +194,8 @@ def _haar_normalization_row() -> VerifyRow:
 
 def _haar_example_row() -> VerifyRow:
     def run():
-        val = integrate(_group("so2", 2), lambda q: 3.0 * q[:, 0, 0] ** 2 - q[:, 1, 0] ** 2, 8)
+        val = integrate(resolve_group("so2", 2),
+                        lambda q: 3.0 * q[:, 0, 0] ** 2 - q[:, 1, 0] ** 2, 8)
         return _row(abs(val - 1.0) < 1e-12, 1, val)
 
     return VerifyRow("haar: circle average of 3cos^2 - sin^2 equals 1", "haar", run)
@@ -220,7 +215,7 @@ def _poly_integrand(rng, n: int):
 
 def _haar_invariance_row(name: str, ambient: int) -> VerifyRow:
     def run():
-        g = _group(name, ambient)
+        g = resolve_group(name, ambient)
         rng = np.random.default_rng(SEED + 2)
         f = _poly_integrand(rng, ambient)
         h = g.sample_elements()[0].matrix
@@ -237,7 +232,7 @@ def _haar_doubling_row() -> VerifyRow:
     def run():
         worst = 0.0
         for name, ambient in CONTINUOUS:
-            g = _group(name, ambient)
+            g = resolve_group(name, ambient)
             sp = SPACES["ela2" if ambient == 2 else "major3"]
             f = lambda q: character_closed_form(sp, q)
             coarse = integrate(g, f, sp.k)
@@ -254,7 +249,7 @@ def _haar_moment_row() -> VerifyRow:
     def run():
         worst = 0.0
         for name, ambient in CONTINUOUS:
-            g = _group(name, ambient)
+            g = resolve_group(name, ambient)
             for d in range(1, (12 if name == "so3" else 16) + 1):  # so3 rules stop at 12
                 exact = exact_dimension(TensorSpace(f"t{d}", ambient, d, ()), name)
                 value = integrate(g, lambda q: np.einsum("mii->m", q) ** d, d)
@@ -267,7 +262,7 @@ def _haar_moment_row() -> VerifyRow:
 
 def _haar_finite_mean_row() -> VerifyRow:
     def run():
-        g = _group("cubic", 3)
+        g = resolve_group("cubic", 3)
         f = lambda q: np.einsum("mii->m", q) ** 2 + q[:, 0, 1]
         lhs = integrate(g, f, 4)
         # the mean evaluated one element at a time

@@ -10,7 +10,7 @@ import pytest
 from symtensor.cli import main
 from symtensor.groups import resolve_group
 from symtensor.projector import structure_report
-from symtensor.spaces import SPACES
+from symtensor.spaces import SPACES, symmetrize
 
 
 def run(capsys, *argv):
@@ -105,6 +105,22 @@ class TestDim:
         code, out, _ = run(capsys, "dim", "--space", "ela3", "--group", "so2-e3",
                            "--axis", "1,0,0")
         assert code == 0 and out.strip() == "5"
+
+    def test_axis_near_minus_e3(self, tmp_path, capsys):
+        # a valid direction, once refused for a frame that was not orthogonal:
+        # its z4 is the one about the opposite direction, whose display shows
+        # the 3e-7 tilt as unsnapped coefficients (exit 6)
+        below = run(capsys, "structure", "--space", "ela3", "--group", "z4",
+                    "--axis", "3e-7,0,-1")
+        above = run(capsys, "structure", "--space", "ela3", "--group", "z4",
+                    "--axis=-3e-7,0,1")
+        assert below == above and below[0] == 6 and "unsnapped" in below[2]
+        src = tmp_path / "in.json"
+        member = symmetrize(SPACES["ela3"], np.random.default_rng(7).normal(size=81))
+        src.write_text(json.dumps({"coeffs": member.coeffs.tolist()}))
+        code, out, _ = run(capsys, "project", "--space", "ela3", "--group", "z4",
+                           "--axis", "3e-7,0,-1", "--input", str(src))
+        assert code == 0 and json.loads(out)["invariance_residual"] < 1e-12
 
     @pytest.mark.parametrize("space,group", [("sym2", "d4"), ("ela3", "so3"),
                                              ("ela3", "cubic"), ("ela3", "trivial"),

@@ -128,7 +128,6 @@ def test_spaces_and_exact_dimension_load_no_numpy():
 
 
 def test_dim_needs_no_frame(capsys):
-    # the dimension does not depend on the axis, so dim answers for a
-    # direction near -e3 whose frame axis_aligner cannot build orthogonal
+    # the dimension does not depend on the axis, so dim builds no frame
     code = main(["dim", "--space", "ela3", "--group", "z4", "--axis", "3e-7,0,-1"])
     assert (code, capsys.readouterr().out) == (0, "7\n")

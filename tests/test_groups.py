@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from symtensor import groups
 from symtensor.characters import fix_dimension
 from symtensor.core import act, kron_power
 from symtensor.groups import (CLOSURE_TOL, FLIP_E1_3D, GROUPS_2D, GROUPS_3D, REFLECTION_2D,
@@ -207,6 +208,17 @@ class TestFiniteCatalog:
         g = resolve_group(name, ambient)
         assert g.ambient == ambient
         assert all(e.matrix.shape == (ambient, ambient) for e in g.elements)
+
+    @pytest.mark.parametrize("j", range(1, 16))
+    def test_frame_orthogonal_near_minus_e3(self, j):
+        # 1 / (1 + c) would lose j digits: the lower hemisphere aligns -axis instead
+        c = -1.0 + 10.0**-j
+        axis = np.array([math.sqrt((1.0 - c) * (1.0 + c)), 0.0, c])
+        frame = axis_aligner(axis)
+        assert np.max(np.abs(frame.T @ frame - np.eye(3))) <= 1e-15
+        assert np.linalg.det(frame) > 0.0
+        # within about 1.4e-7 rad (c beyond 1 - 1e-14) the frame snaps to the pole
+        assert np.allclose(frame[:, 2], axis / np.linalg.norm(axis), rtol=0.0, atol=1.5e-7)
 
     def test_nan_axis_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -715,6 +727,34 @@ class TestResolveGroup:
         assert g.frame is not None
         assert np.allclose(g.sample_elements()[0].matrix @ axis, axis, atol=1e-12)
 
+    @pytest.mark.parametrize("name,ambient", [
+        (n, a) for a, names in ((2, GROUPS_2D), (3, GROUPS_3D)) for n in names])
+    def test_default_axis_group_built_once(self, name, ambient):
+        g = resolve_group(name, ambient)
+        assert resolve_group(name.upper(), ambient) is g
+        if ambient == 3 and (name[0] in "zd" or name.endswith("-e3")):
+            assert resolve_group(name, 3, axis=(0, 0, 2)) is g  # along +e3: the default
+            tilted = resolve_group(name, 3, axis=(1, 2, 3))
+            assert tilted is not g and tilted is not resolve_group(name, 3, axis=(1, 2, 3))
+        # shared, so frozen with read-only stacks
+        if g.is_finite:
+            assert not g.matrices.flags.writeable
+        assert g.generators and not any(e.matrix.flags.writeable for e in g.generators)
+        with pytest.raises(AttributeError):
+            g.matrices = None
+
+    @pytest.mark.parametrize("args,error", [
+        (("e8", 3), KeyError), (("so2", 3), KeyError), (("cubic", 2), KeyError),
+        (("z2", 4), KeyError), (("cubic", 3, (1.0, 0.0, 0.0)), ValueError),
+        (("z4", 2, (0.0, 0.0, 1.0)), ValueError), (("z4", 3, (0.0, 0.0, 0.0)), ValueError),
+        (("z4", 3, (0.0, np.nan, 1.0)), ValueError)])
+    def test_errors_raise_on_every_call(self, args, error):
+        for name, ambient in (("z4", 2), ("z4", 3), ("cubic", 3), ("so2", 2)):
+            resolve_group(name, ambient)  # shared before the bad calls
+        for _ in range(3):
+            with pytest.raises(error):
+                resolve_group(*args)
+
     def test_o2_e3_coset_matches_flip(self):
         g = resolve_group("o2-e3", 3)
         # the improper family at theta = 0 is diag(1, -1, -1)
@@ -747,11 +787,32 @@ class TestMatrixStack:
             original(self)
 
         monkeypatch.setattr(GroupElement, "__post_init__", counting)
+        groups._default_group.cache_clear()  # a fresh build, not the shared cubic group
         g = resolve_group("cubic", 3)
         assert built == ["rot(e3,pi/2)", "rot(111,2pi/3)"]  # the generators only
         assert len(haar_rule(g, 8)) == 24 and integrate(g, lambda q: trace(q) ** 2, 2) == 1.0
         assert len(built) == 2
         assert g.elements is g.elements and len(built) == 26
+
+    def test_axial_generators_are_rows_of_the_stack(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"GroupElement {self.label!r} built")
+
+        monkeypatch.setattr(GroupElement, "__post_init__", refuse)
+        g = resolve_group("d4", 3, axis=(1, 2, 3))
+        assert [e.label for e in g.generators] == ["d4[1]", "d4[4]"]
+        assert all(np.shares_memory(e.matrix, g.matrices) for e in g.generators)
+        assert [e.matrix.tobytes() for e in g.generators] == [g.matrices[1].tobytes(),
+                                                              g.matrices[4].tobytes()]
+
+    @pytest.mark.parametrize("g", [g for g in finite_catalog() if g.catalog_id != "cubic"],
+                             ids=lambda g: g.catalog_id)
+    def test_generators_share_the_stack(self, g):
+        # cubic's generators keep their own labels, pinned above
+        m = g.order()
+        rows = (0,) if m == 1 else (1, m // 2) if g.catalog_id[0] == "d" else (1,)
+        assert [e.label for e in g.generators] == [g.labels[i] for i in rows]
+        assert all(np.shares_memory(e.matrix, g.matrices) for e in g.generators)
 
     def test_repeated_element_refused(self):
         z2 = resolve_group("z2", 3)
