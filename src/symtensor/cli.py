@@ -5,8 +5,8 @@ Commands: ``dim``, ``structure``, ``project``, ``moduli``, ``maps``,
 row failed, 2 unknown name or configuration (also an unwritable output:
 an output file that cannot be written, or a stdout closed by its reader),
 3 quadrature non-convergence (a Haar average off an integer, in
-``structure``), 4 internal consistency failure (or a projector
-``image_basis`` refuses), 5 bad input (tensor file or moduli values), 6 a
+``structure``), 4 internal consistency failure (or an averaged projector
+that is not orthogonal), 5 bad input (tensor file or moduli values), 6 a
 ``structure`` display printed with coefficients that matched no rational
 or surd form ("(unsnapped)").  Every numerical threshold is a fixed
 constant; none is read from the environment.

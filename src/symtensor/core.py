@@ -22,12 +22,19 @@ _SURD_TEXT = {1: "", 2: "√2", 3: "√3"}
 ORTHO_TOL = 1e-12
 
 
-class NotAProjectorError(ValueError):
-    """Raised when an operator expected to be idempotent is not."""
+# a projector's idempotency residual max |A^2 - A|, and an orthogonal one's
+# symmetry residual max |A - A^T|, must stay below PROJECTOR_TOL
+PROJECTOR_TOL = 1e-6
 
-    def __init__(self, residual: float):
+
+class NotAProjectorError(ValueError):
+    """Raised when an operator expected to be a projector is not idempotent,
+    or one expected to be an orthogonal projector is not symmetric."""
+
+    def __init__(self, residual: float, symmetric: bool = False):
         self.residual = float(residual)
-        super().__init__(f"operator is not idempotent: ||A^2 - A||_inf = {residual:.3e}")
+        what = "symmetric: ||A - A^T||_inf" if symmetric else "idempotent: ||A^2 - A||_inf"
+        super().__init__(f"operator is not {what} = {residual:.3e}")
 
 
 # rational_snap accepts a candidate p/q * sqrt(s) within EQUALITY_TOL of the float: s = 1, 2, 3
@@ -36,6 +43,7 @@ EQUALITY_TOL = 1e-9
 SNAP_DENOMINATOR_BOUND = 64
 _SNAP_ROOTS = np.sqrt([[1.0], [2.0], [3.0]])
 _SNAP_DENOMINATORS = np.arange(1.0, SNAP_DENOMINATOR_BOUND + 1)
+_SNAP_CANDIDATES = len(_SNAP_ROOTS) * SNAP_DENOMINATOR_BOUND
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,19 +183,32 @@ def act(mats: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
     return np.matmul(a, right.reshape(m, p, q * r)).reshape((m,) + x.shape)
 
 
+def check_projector(m: np.ndarray, orthogonal: bool = False) -> None:
+    """Refuse (NotAProjectorError) a square matrix that is not idempotent
+    within ``PROJECTOR_TOL``, or, if ``orthogonal``, not symmetric within it."""
+    res = float(np.max(np.abs(m @ m - m), initial=0.0))
+    if not res < PROJECTOR_TOL:  # NaN fails too
+        raise NotAProjectorError(res)
+    if orthogonal:
+        res = float(np.max(np.abs(m - m.T), initial=0.0))
+        if not res < PROJECTOR_TOL:
+            raise NotAProjectorError(res, symmetric=True)
+
+
 def image_basis(a: FlatOperator) -> np.ndarray:
     """Orthonormal basis of the column space of a projector, as the rows of
     an (r, d) array in the operator's orbit coordinates.
 
-    The d x d matrix must be idempotent within 1e-6 (else NotAProjectorError).
-    The rank r is counted as the singular values above 1/2: those of an
-    idempotent operator are 0 or at least 1, even for an oblique projector
-    whose largest one is huge.  Nothing is lifted here: column j of
-    ``space.basis @ basis.T`` is the j-th basis tensor on flat coefficients.
+    The d x d matrix must be idempotent within ``PROJECTOR_TOL`` (else
+    NotAProjectorError).  The rank r is counted as the singular values
+    above 1/2: those of an idempotent operator are 0 or at least 1, even
+    for an oblique projector whose largest one is huge.  Nothing is lifted
+    here: column j of ``space.basis @ basis.T`` is the j-th basis tensor on
+    flat coefficients.  No library path calls it: ``structure_report``
+    reads its slots off the rows of the orthogonal projector itself; it
+    serves the checks that count a projector's rank by its SVD.
     """
-    res = float(np.max(np.abs(a.matrix @ a.matrix - a.matrix)))
-    if res >= 1e-6:
-        raise NotAProjectorError(res)
+    check_projector(a.matrix)
     u, s, _ = np.linalg.svd(a.matrix, full_matrices=False)
     return u[:, :int(np.sum(s > 0.5))].T
 
@@ -226,7 +247,8 @@ def _format_snap(num: int, den: int, surd: int) -> str:
 
 
 def rational_snap(x: float) -> SnappedValue:
-    """Snap a float to p/q, p/q*sqrt(2) or p/q*sqrt(3) for display.
+    """Snap a float to p/q, p/q*sqrt(2) or p/q*sqrt(3) for display: the one
+    value of :func:`snap_array`.
 
     The candidates are p/q * sqrt(s) for s = 1, 2, 3 and q up to
     ``SNAP_DENOMINATOR_BOUND``, with p = rint(x q / sqrt(s)); the first in
@@ -235,14 +257,31 @@ def rational_snap(x: float) -> SnappedValue:
     close.  Values with no match, non-finite values and values of magnitude
     1e6 or more are returned verbatim and flagged unsnapped.
     """
-    x = float(x)
-    if abs(x) < 1e6:  # not inf or NaN either
-        p = np.rint(x * _SNAP_DENOMINATORS / _SNAP_ROOTS)
-        hits = np.flatnonzero(np.abs(p / _SNAP_DENOMINATORS * _SNAP_ROOTS - x) <= EQUALITY_TOL)
-        if hits.size:
-            row, col = divmod(int(hits[0]), SNAP_DENOMINATOR_BOUND)
-            num, den, surd = int(p[row, col]), col + 1, row + 1
-            return SnappedValue(value=num / den * math.sqrt(surd),
-                                text=_format_snap(num, den, surd), exact=True,
-                                numerator=num, denominator=den, surd=surd)
-    return SnappedValue(value=x, text=f"{x!r} (unsnapped)", exact=False)
+    return snap_array([float(x)])[0]
+
+
+def snap_array(x) -> list:
+    """:func:`rational_snap` of every value of an array, flattened, as one
+    ``SnappedValue`` per value: one vectorized pass over the (surd,
+    denominator) candidate grid for all of them."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    rows = np.flatnonzero(np.abs(x) < 1e6)  # not inf or NaN either
+    near = x[rows, None, None]
+    p = np.rint(near * _SNAP_DENOMINATORS / _SNAP_ROOTS)
+    hits = np.abs(p / _SNAP_DENOMINATORS * _SNAP_ROOTS - near) <= EQUALITY_TOL
+    hits, p = hits.reshape(len(rows), _SNAP_CANDIDATES), p.reshape(len(rows), _SNAP_CANDIDATES)
+    first = hits.argmax(axis=1)  # the first hit in (surd, denominator) order, if any
+    exact, cell, num = np.zeros(len(x), bool), np.zeros(len(x), int), np.zeros(len(x))
+    exact[rows] = hits[np.arange(len(rows)), first]
+    cell[rows], num[rows] = first, p[np.arange(len(rows)), first]
+    out = []
+    for value, hit, at, p_at in zip(x.tolist(), exact.tolist(), cell.tolist(), num.tolist()):
+        if not hit:
+            out.append(SnappedValue(value=value, text=f"{value!r} (unsnapped)", exact=False))
+            continue
+        row, col = divmod(at, SNAP_DENOMINATOR_BOUND)
+        numerator, den, surd = int(p_at), col + 1, row + 1
+        out.append(SnappedValue(value=numerator / den * math.sqrt(surd),
+                                text=_format_snap(numerator, den, surd), exact=True,
+                                numerator=numerator, denominator=den, surd=surd))
+    return out

@@ -15,17 +15,20 @@ one vector.
 ``structure_report`` renders the general invariant tensor in the slot map
 registered for the space, classifying every slot as zero, an independent
 (free) component, or a rational combination of free components, and
-emitting the named linear constraints the display convention implies.
+emitting the named linear constraints the display convention implies.  It
+reads each slot off a row of the projector, in the same orbit coordinates:
+no SVD and no basis of the invariant subspace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .catalog import extract_isotropic_moduli  # re-exported; it needs no numpy
-from .core import FlatOperator, FlatTensor, act, image_basis, kron_halves, rational_snap
+from .core import FlatOperator, FlatTensor, act, check_projector, kron_halves, snap_array
 from .characters import _check_ambient, fix_dimension
 from .groups import QuadratureRule, SymmetryGroup, haar_rule, so3_factors
 from .spaces import TensorSpace, symmetrize
@@ -49,7 +52,8 @@ class MembershipError(ValueError):
 
 
 class InternalConsistencyError(RuntimeError):
-    """Rank of the averaged projector disagrees with the trace formula."""
+    """The averaged projector's trace or free slots disagree with the
+    trace-formula dimension, or a slot fails its extraction residual."""
 
 
 class NoVoigtMapError(KeyError):
@@ -305,50 +309,60 @@ def _display(space: TensorSpace) -> tuple:
 def structure_report(space: TensorSpace, group: SymmetryGroup) -> StructureReport:
     """Classify every display slot of the general invariant tensor.
 
-    Each slot is a linear functional on the invariant subspace.  Every
-    size below is the 2-norm of a functional in the orthonormal basis, so
-    the display depends on the invariant subspace alone, not on which
-    basis of it the SVD returns.  Free labels are chosen greedily in
-    row-major order over the upper triangle, in one Gram-Schmidt pass: a
-    slot is free when its functional leaves the span of the earlier free
-    ones by more than ``DEPENDENT_RESIDUAL_TOL`` (relative to the largest
-    slot) and by at least ``FREE_SLOT_RATIO`` times the largest such
-    residual among the slots not yet visited, so that a slot clearing the
-    cut by a hair, ahead of a far more independent one, cannot make the
-    solve ill-conditioned.  One linear solve against the free slots then
-    writes every slot as a combination of them; coefficients at or below
-    ``SLOT_ZERO_TOL`` are dropped and the rest snapped for display, and a
-    slot left with no term is zero.  The display's tie convention is
-    decided here, at the first slot of each distinct multi-term
-    combination: every slot with that combination shows the first slot's
-    symbol, and the combination gets one constraint line, solved for the
-    earliest free symbol it involves.  ``unsnapped`` counts the displayed
-    coefficients, in slot combinations and constraint terms, that matched
-    no rational or surd form.
-
-    The invariant subspace is the image of the averaged projector.  Its
-    idempotency check, rank (singular values above 1/2, see
-    :func:`image_basis`) and SVD run on the dim x dim orbit-coordinate
-    matrix, and the rank must equal the trace-formula dimension.  The
-    basis stays in those coordinates: each slot reads its component's
-    orbit.  A slot is zero when its functional is at most
-    ``SLOT_ZERO_TOL`` relative to the largest slot.
+    Each slot is a linear functional on the invariant subspace W, read off
+    the averaged projector P (d x d, orbit coordinates), which must be an
+    orthogonal projector: idempotent and symmetric within
+    ``core.PROJECTOR_TOL`` (else ``NotAProjectorError``), with a trace
+    within 1/2 of the trace-formula dimension (else
+    ``InternalConsistencyError``).  A slot's component lies in one orbit o,
+    so its functional is its factor times B's entry there times the row
+    P[o]: the functional in R^d, into which P carries W isometrically.
+    Every size below is a 2-norm of these rows, the same as in any
+    orthonormal basis of W, so the display depends on the invariant
+    subspace alone; no SVD runs.  A slot is zero when its functional is at
+    most ``SLOT_ZERO_TOL`` relative to the largest slot; at dimension 0
+    every slot is.  Free labels are chosen greedily in row-major order over
+    the upper triangle, in one Gram-Schmidt pass: a slot is free when its
+    functional leaves the span of the earlier free ones by more than
+    ``DEPENDENT_RESIDUAL_TOL`` (relative to the largest slot) and by at
+    least ``FREE_SLOT_RATIO`` times the largest such residual among the
+    slots not yet visited, so that a slot clearing the cut by a hair, ahead
+    of a far more independent one, cannot make the solve ill-conditioned.
+    There must be as many free slots as the dimension.  One linear solve,
+    in the coordinates of the free slots' thin QR, then writes every slot
+    as a combination of them; coefficients at or below ``SLOT_ZERO_TOL``
+    are dropped, every slot must be matched within
+    ``DEPENDENT_RESIDUAL_TOL``, and the rest are snapped for display, all
+    in one :func:`core.snap_array` call; a slot left with no term is zero.
+    The display's tie convention is decided here, at the first slot of each
+    distinct multi-term combination: every slot with that combination shows
+    the first slot's symbol, and the combination gets one constraint line,
+    solved for the earliest free symbol it involves.  ``unsnapped`` counts
+    the displayed coefficients, in slot combinations and constraint terms,
+    that matched no rational or surd form.
     """
     (rows, cols), slots, labels, index, factor = _display(space)
-    basis = image_basis(averaged_projector(space, group))
+    p = averaged_projector(space, group).matrix
+    check_projector(p, orthogonal=True)
     dim = fix_dimension(space, group)
-    if len(basis) != dim:
+    trace = float(np.trace(p))
+    if not abs(trace - dim) < 0.5:  # the trace of a projector is its rank
         raise InternalConsistencyError(
-            f"projector rank {len(basis)} disagrees with trace formula {dim} "
+            f"projector trace {trace:.6g} disagrees with trace formula {dim} "
             f"for ({space.name}, {group.catalog_id})"
         )
 
-    # each slot's functional on the invariant subspace (no columns if dim 0):
-    # its component lies in one orbit o, where B has the one entry B[index, o]
+    # each slot's functional on the invariant subspace, carried into R^d by P
+    # (all zero if dim 0): its component lies in one orbit o, where B has the
+    # one entry B[index, o], and P's row o is the functional of that orbit
     orbit = space.orbits[index]
-    vecs = basis.T[orbit] * space.basis[index, orbit][:, None] * factor[:, None]
-    scale = float(np.max(np.linalg.norm(vecs, axis=1), initial=0.0)) or 1.0
-    nonzero = np.linalg.norm(vecs, axis=1) > SLOT_ZERO_TOL * scale
+    if dim:
+        vecs = p[orbit] * (space.basis[index, orbit] * factor)[:, None]
+    else:
+        vecs = np.zeros((len(orbit), len(p)))
+    sizes = np.linalg.norm(vecs, axis=1)
+    scale = float(np.max(sizes, initial=0.0)) or 1.0
+    nonzero = sizes > SLOT_ZERO_TOL * scale
     vecs[~nonzero] = 0.0  # so a zero slot solves to no terms
 
     free = _free_slots(vecs, np.flatnonzero(nonzero), scale)
@@ -358,7 +372,10 @@ def structure_report(space: TensorSpace, group: SymmetryGroup) -> StructureRepor
             f"subspace dimension is {dim}"
         )
 
-    combos = np.linalg.solve(vecs[free].T, vecs.T).T  # slot = combos[slot] @ free slots
+    # slot = combos[slot] @ free slots, solved in the coordinates of the
+    # free slots' thin QR
+    q, upper = np.linalg.qr(vecs[free].T)
+    combos = np.linalg.solve(upper, q.T @ vecs.T).T
     combos[np.abs(combos) <= SLOT_ZERO_TOL] = 0.0
     residual = np.linalg.norm(combos @ vecs[free] - vecs, axis=1)
     bad = np.flatnonzero(residual > DEPENDENT_RESIDUAL_TOL * scale)
@@ -369,16 +386,19 @@ def structure_report(space: TensorSpace, group: SymmetryGroup) -> StructureRepor
             f"{group.catalog_id}) has extraction residual {residual[bad[0]]:.3e}"
         )
 
+    # every displayed coefficient, of every dependent slot in slot order, in one snap
+    shown = combos != 0.0
+    shown[free] = False
+    terms = iter(zip(snap_array(combos[shown]), np.nonzero(shown)[1].tolist()))
     free_labels = [labels[i] for i in free]
     entries: list[list] = [[None] * cols for _ in range(rows)]
     ties: dict = {}  # each multi-term combination -> (slot, label, combo) of its first slot
     unsnapped = 0
-    for i, ((r, c), label) in enumerate(zip(slots, labels)):
+    for i, ((r, c), label, count) in enumerate(zip(slots, labels, shown.sum(axis=1).tolist())):
         if i in free:
             entry = StructureEntry("free", label=label)
-        elif combos[i].any():
-            combo = tuple((rational_snap(float(combos[i, m])), free_labels[m])
-                          for m in np.flatnonzero(combos[i]))
+        elif count:
+            combo = tuple((coef, free_labels[m]) for coef, m in islice(terms, count))
             symbol = (ties.setdefault(_combo_key(combo), (i, label, combo))[1]
                       if len(combo) > 1 else "")
             entry = StructureEntry("dependent", label=label, combo=combo, symbol=symbol)
@@ -413,19 +433,22 @@ def _free_slots(vecs: np.ndarray, candidates: np.ndarray, scale: float) -> list[
     """
     resid = vecs[candidates]
     left = np.linalg.norm(resid, axis=1)
-    directions = np.zeros((0, vecs.shape[1]))
+    peak = np.maximum.accumulate(left[::-1])[::-1]  # peak[at] = max(left[at:])
+    directions = np.empty((len(candidates), vecs.shape[1]))
     free: list[int] = []
     for at, i in enumerate(candidates):
         size = left[at]
-        if size <= DEPENDENT_RESIDUAL_TOL * scale or size < FREE_SLOT_RATIO * np.max(left[at:]):
+        if size <= DEPENDENT_RESIDUAL_TOL * scale or size < FREE_SLOT_RATIO * peak[at]:
             continue
-        step = resid[at] - (directions @ resid[at]) @ directions
+        chosen = directions[:len(free)]
+        step = resid[at] - (chosen @ resid[at]) @ chosen
         step /= np.linalg.norm(step)
-        directions = np.vstack([directions, step])
+        directions[len(free)] = step
         free.append(i)
         later = resid[at + 1:]
-        later -= np.outer(later @ step, step)
+        later -= (later @ step)[:, None] * step
         left[at + 1:] = np.linalg.norm(later, axis=1)
+        peak[at + 1:] = np.maximum.accumulate(left[:at:-1])[::-1]
     return free
 
 
@@ -445,13 +468,18 @@ def _emit_constraints(ties, free_slot) -> tuple:
     the right-hand terms in slot order.  Returns the lines and the number
     of their coefficients left unsnapped.
     """
+    values = []  # 1/alpha_0 and each -alpha_i/alpha_0 of every line, snapped in one call
+    for _, _, combo in ties:
+        lead = float(combo[0][0])
+        values += [1.0 / lead] + [-float(coef) / lead for coef, _ in combo[1:]]
+    coefs = iter(snap_array(values))
     out = []
     unsnapped = 0
     for slot, slot_label, combo in ties:
-        (lead_coef, lead_label), rest = combo[0], combo[1:]
-        rhs = sorted([(slot, rational_snap(1.0 / float(lead_coef)), slot_label)]
-                     + [(free_slot[lbl], rational_snap(-float(coef) / float(lead_coef)), lbl)
-                        for coef, lbl in rest], key=lambda term: term[0])
+        lead_label = combo[0][1]
+        rhs = sorted([(slot, next(coefs), slot_label)]
+                     + [(free_slot[lbl], next(coefs), lbl) for _, lbl in combo[1:]],
+                     key=lambda term: term[0])
         unsnapped += sum(not coef.exact for _, coef, _ in rhs)
         parts = []
         for _, coef, lbl in rhs:

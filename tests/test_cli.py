@@ -182,6 +182,33 @@ class TestStructure:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: operator is not idempotent")
 
+    def test_oblique_projector_exits_4(self, capsys, monkeypatch):
+        # S P S^-1 is idempotent but not symmetric: not an orthogonal projector
+        from symtensor import projector
+        from symtensor.core import FlatOperator
+        averaged = projector.averaged_projector
+
+        def oblique(space, group):
+            p = averaged(space, group).matrix
+            shear = np.eye(len(p))
+            shear[0, 1:] = 1.0
+            return FlatOperator(shear @ p @ np.linalg.inv(shear))
+
+        monkeypatch.setattr(projector, "averaged_projector", oblique)
+        code, out, err = run(capsys, "structure", "--space", "ela3", "--group", "cubic")
+        assert code == 4 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: operator is not symmetric")
+
+    def test_trace_formula_disagreement_exits_4(self, capsys, monkeypatch):
+        from symtensor import projector
+        fix = projector.fix_dimension
+        monkeypatch.setattr(projector, "fix_dimension", lambda space, group: fix(space, group) + 1)
+        code, out, err = run(capsys, "structure", "--space", "ela3", "--group", "cubic")
+        assert code == 4 and out == ""
+        assert err.splitlines() == ["error: projector trace 3 disagrees with trace formula 4 "
+                                    "for (ela3, cubic)"]
+
     def test_json_schema_roundtrip(self, capsys):
         code, out, _ = run(capsys, "structure", "--space", "major3", "--group", "o2-e3",
                            "--format", "json")

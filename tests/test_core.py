@@ -13,7 +13,7 @@ from symtensor import projector
 from symtensor.core import (EQUALITY_TOL, SNAP_DENOMINATOR_BOUND, FlatOperator,
                             FlatTensor, NotAProjectorError,
                             SnappedValue, _format_snap, act, image_basis,
-                            kron_power, rational_snap)
+                            kron_power, rational_snap, snap_array)
 from symtensor.groups import resolve_group
 from symtensor.spaces import SPACES
 
@@ -217,10 +217,10 @@ def _catalog_snap_inputs(monkeypatch) -> list:
     seen = []
 
     def record(x):
-        seen.append(float(x))
-        return rational_snap(x)
+        seen.extend(np.asarray(x, dtype=float).tolist())
+        return snap_array(x)
 
-    monkeypatch.setattr(projector, "rational_snap", record)
+    monkeypatch.setattr(projector, "snap_array", record)
     for key in displays:
         space, group = key.split()
         projector.structure_report(SPACES[space], resolve_group(group, SPACES[space].n))
@@ -271,5 +271,16 @@ class TestRationalSnap:
         normals = np.clip(np.random.default_rng(2024).normal(0.0, 30.0, 2000), -100.0, 100.0)
         edges = [0.0, -0.0, EQUALITY_TOL, -2 * EQUALITY_TOL, 1e6, -1e6, 999999.9999999,
                  math.inf, -math.inf, math.nan]
-        for x in [*catalog, *lattice, *normals, *edges]:
+        values = [*catalog, *lattice, *normals, *edges]
+        for x in values:
             assert fields(rational_snap(x)) == fields(_reference_snap(x)), x
+        assert [fields(v) for v in snap_array(values)] == [fields(_reference_snap(x))
+                                                           for x in values]
+
+    def test_array_snap_is_the_one_value_snap_elementwise(self):
+        # non-finite values among finite ones raise no RuntimeWarning (an error here)
+        fields = lambda v: (v.value.hex(), v.text, v.exact, v.numerator, v.denominator, v.surd)
+        values = np.array([0.5, math.inf, 0.123456789, math.nan, -math.sqrt(2) / 3, -1e7])
+        assert [fields(v) for v in snap_array(values)] == [fields(rational_snap(x))
+                                                           for x in values]
+        assert snap_array([]) == []

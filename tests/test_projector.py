@@ -6,8 +6,9 @@ import pytest
 from symtensor import projector
 from symtensor.core import FlatOperator, FlatTensor, image_basis, kron_power
 from symtensor.characters import fix_dimension
-from symtensor.groups import GROUPS_2D, GROUPS_3D, resolve_group
-from symtensor.projector import (DEPENDENT_RESIDUAL_TOL, FREE_SLOT_RATIO, MembershipError,
+from symtensor.groups import GROUPS_2D, GROUPS_3D, SymmetryGroup, resolve_group
+from symtensor.projector import (DEPENDENT_RESIDUAL_TOL, FREE_SLOT_RATIO, SLOT_ZERO_TOL,
+                                 MembershipError,
                                  NoVoigtMapError, _averaged_action, _display, _free_slots,
                                  averaged_projector, extract_isotropic_moduli,
                                  isotropic_nine_matrix, moduli_from_matrix,
@@ -291,6 +292,37 @@ class TestStructureReport:
         monkeypatch.setattr("symtensor.projector._averaged_action", refuse)
         assert structure_report(sp, g).dim == fix_dimension(sp, g)
 
+    def test_catalog_reports_run_no_svd(self, monkeypatch):
+        # the slots are read off the projector's rows: no SVD on the structure path
+        def refuse(*args, **kwargs):
+            raise AssertionError("structure_report ran an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        pairs = [(s, g) for s, g in ALL_PAIRS if s in STRUCTURE_MAPS]
+        assert len(pairs) == 98
+        for space_name, group_name in pairs:
+            sp = SPACES[space_name]
+            assert structure_report(sp, resolve_group(group_name, sp.n)).dim >= 0
+
+    def test_trace_formula_disagreement_refused(self, monkeypatch):
+        fix = projector.fix_dimension
+        monkeypatch.setattr(projector, "fix_dimension", lambda space, group: fix(space, group) + 1)
+        with pytest.raises(projector.InternalConsistencyError,
+                           match=r"^projector trace 3 disagrees with trace formula 4 "
+                                 r"for \(ela3, cubic\)$"):
+            structure_report(SPACES["ela3"], resolve_group("cubic", 3))
+
+    def test_dimension_zero_reads_all_zero_slots(self):
+        # Oh holds -I, which kills every odd-order tensor; its averaged
+        # projector is zero up to rounding noise (7e-18 here), and no slot is free
+        cubic = resolve_group("cubic", 3).matrices
+        oh = SymmetryGroup(3, "oh", np.concatenate([cubic, -cubic]),
+                           tuple(map(str, range(2 * len(cubic)))))
+        assert np.max(np.abs(averaged_projector(SPACES["v1bar"], oh).matrix)) < 1e-15
+        rep = structure_report(SPACES["v1bar"], oh)
+        assert rep.dim == 0 and rep.free_labels == () and rep.constraints == ()
+        assert {e.kind for row in rep.entries for e in row} == {"zero"}
+
     def test_orthotropic_matches_block_pattern(self):
         rep = structure_report(SPACES["ela3"], resolve_group("d2", 3))
         assert rep.dim == 9
@@ -423,23 +455,26 @@ class TestStructureReport:
 
     @pytest.mark.parametrize("space_name,group_name,axis", TILTED_CASES,
                              ids=_case_ids(TILTED_CASES))
-    def test_free_slots_ignore_the_basis_rotation(self, monkeypatch, space_name,
-                                                  group_name, axis):
-        # the free slots depend on the invariant subspace alone, not on
-        # which orthonormal basis of it the SVD returns
+    def test_free_slots_ignore_the_basis_rotation(self, space_name, group_name, axis):
+        # the free slots depend on the invariant subspace alone: the report,
+        # which reads its slots off the projector's rows, picks the ones that
+        # _free_slots picks on slot functionals in a randomly rotated
+        # orthonormal basis of the subspace
         sp = SPACES[space_name]
         g = resolve_group(group_name, sp.n, axis=np.array(axis, float) / np.linalg.norm(axis))
         want = structure_report(sp, g).free_labels
+        _, _, labels, index, factor = _display(sp)
+        orbit = sp.orbits[index]
+        basis = image_basis(averaged_projector(sp, g))
         rng = np.random.default_rng(43)
-
-        def rotated(op):
-            basis = image_basis(op)
-            q, _ = np.linalg.qr(rng.normal(size=(len(basis), len(basis))))
-            return q.T @ basis
-
-        monkeypatch.setattr("symtensor.projector.image_basis", rotated)
         for _ in range(3):
-            assert structure_report(sp, g).free_labels == want
+            q, _ = np.linalg.qr(rng.normal(size=(len(basis), len(basis))))
+            vecs = (q.T @ basis).T[orbit] * (sp.basis[index, orbit] * factor)[:, None]
+            sizes = np.linalg.norm(vecs, axis=1)
+            scale = float(np.max(sizes, initial=0.0)) or 1.0
+            candidates = np.flatnonzero(sizes > SLOT_ZERO_TOL * scale)
+            vecs[sizes <= SLOT_ZERO_TOL * scale] = 0.0
+            assert tuple(labels[i] for i in _free_slots(vecs, candidates, scale)) == want
 
     @pytest.mark.parametrize("space_name,group_name,axis", DISPLAY_CASES,
                              ids=_case_ids(DISPLAY_CASES))

@@ -57,27 +57,26 @@ def test_counted_results_expose_what_the_tracer_reads():
 
 def test_image_basis_argument_has_the_svd_size(monkeypatch):
     import numpy as np
-    from symtensor import core, projector
+    from symtensor import core
     from symtensor.groups import resolve_group
+    from symtensor.projector import averaged_projector
     from symtensor.spaces import SPACES
 
-    calls = []
-    svd, image_basis = np.linalg.svd, projector.image_basis
+    shapes = []
+    svd = np.linalg.svd
 
     def recording_svd(m, *args, **kwargs):
-        calls[-1]["svd"].append(np.shape(m))
+        shapes.append(np.shape(m))
         return svd(m, *args, **kwargs)
 
-    def recording_image_basis(*args, **kwargs):
-        # the argument as the tracer's SVD counter reads it
-        calls.append({"a": (args[0] if args else kwargs["a"]).matrix.shape[0], "svd": []})
-        return image_basis(*args, **kwargs)
-
     monkeypatch.setattr(core.np.linalg, "svd", recording_svd)
-    monkeypatch.setattr(projector, "image_basis", recording_image_basis)
     space = SPACES["v2bar"]
-    projector.structure_report(space, resolve_group("cubic", 3))
-    assert calls == [{"a": space.basis.shape[1], "svd": [(space.basis.shape[1],) * 2]}]
+    a = averaged_projector(space, resolve_group("cubic", 3))
+    core.image_basis(a)
+    d = space.basis.shape[1]
+    # the argument as the tracer's SVD counter reads it, and the one SVD it counts
+    assert a.matrix.shape[0] == d
+    assert shapes == [(d, d)]
 
 
 def _catalog_groups():
